@@ -14,18 +14,17 @@ from .fresnel import (axial_wavevector, cavity_factor, fresnel_p, fresnel_s,
                       reflection_p, reflection_s)
 from .lifshitz_linear import (PressureResult, PressureTerm, i_lin_high_t,
                               i_lin_zero_t, pressure_linear)
-from .lifshitz_nonlinear import (NlKernelPoint, TotalPressure,
-                                 casimir_pressure, crossover_distance,
-                                 i_nl_high_t, i_nl_zero_t, m_x, m_z,
-                                 pnl_integrand, pressure_nonlinear,
+from .lifshitz_nonlinear import (TotalPressure, casimir_pressure,
+                                 crossover_distance, i_nl_high_t,
+                                 i_nl_zero_t, pressure_nonlinear,
                                  pressure_transparent_mirror,
                                  thermal_weight_a)
 from .materials import LayerStack, MaterialResponse, chi3_contract
-from .operator_lab import (CheckResult, FieldVector, Grid1D, OperatorSet,
-                           build_linear, build_n_operator,
-                           combined_correction, gtilde, monte_carlo_fdt,
-                           naive_combination, noise_covariance,
-                           run_verification_suite, rytov_residual)
+from .operator_lab import (CheckResult, Grid1D, build_linear,
+                           build_n_operator, combined_correction, gtilde,
+                           monte_carlo_fdt, naive_combination,
+                           noise_covariance, run_verification_suite,
+                           rytov_residual)
 from .quadrature import (QuadratureResult, Temperature, clenshaw_curtis,
                          double_matsubara_sum, integrate_2d,
                          integrate_semi_infinite, matsubara_sum,
@@ -45,10 +44,10 @@ __all__ = [
     "matsubara_sum", "double_matsubara_sum",
     "PressureResult", "PressureTerm", "pressure_linear",
     "i_lin_zero_t", "i_lin_high_t",
-    "NlKernelPoint", "TotalPressure", "thermal_weight_a", "m_x", "m_z",
-    "pnl_integrand", "pressure_nonlinear", "pressure_transparent_mirror",
+    "TotalPressure", "thermal_weight_a",
+    "pressure_nonlinear", "pressure_transparent_mirror",
     "casimir_pressure", "crossover_distance", "i_nl_zero_t", "i_nl_high_t",
-    "Grid1D", "FieldVector", "OperatorSet", "CheckResult",
+    "Grid1D", "CheckResult",
     "build_linear", "build_n_operator", "gtilde", "naive_combination",
     "combined_correction", "rytov_residual", "noise_covariance",
     "monte_carlo_fdt", "run_verification_suite",

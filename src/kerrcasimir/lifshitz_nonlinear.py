@@ -31,8 +31,7 @@ and the primed factors (fluctuation spectrum inside the Kerr plate)
 Here k2 = hypot(x, y) is the gap decay constant and kappa1 the decay
 constant inside the Kerr plate. The thermal weights, which grow as
 xi**2, are already folded in; that is what cancels the 1/xi'**2
-divergence of the raw mode response (see m_x, m_z) and makes the x' = 0
-term finite.
+divergence of the raw mode response and makes the x' = 0 term finite.
 
 The pressure is the doubly primed thermal double sum
 
@@ -53,18 +52,18 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
-from .errors import MaterialError, SingularPointError, UnconvergedError
+from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
 from .lifshitz_linear import (PressureResult, as_permittivity, i_lin_high_t,
                               i_lin_zero_t, pressure_linear)
-from .quadrature import (MIN_LEVEL, QuadratureResult, double_matsubara_sum,
-                         integrate_2d, semi_infinite_nodes)
+from .quadrature import (MIN_LEVEL, QuadratureResult, _refine,
+                         double_matsubara_sum, integrate_2d,
+                         semi_infinite_nodes)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
 _I_HIGH_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 4)
 _INNER_MAX_LEVEL = 1024
-_CAVITY_TOL = 1e-14
 
 _CROSSOVER_LO = 1e-11
 _CROSSOVER_HI = 1e-4
@@ -109,123 +108,6 @@ def thermal_weight_a(frequency, temperature, axis="real"):
             / (math.pi * EPSILON_0 * C_LIGHT ** 2)
     return HBAR * xi * xi / (math.pi * EPSILON_0 * C_LIGHT ** 2) \
         / math.tanh(0.5 * HBAR * xi / (K_BOLTZMANN * temperature.kelvin))
-
-
-def _kappa(eps, xi, q):
-    """Axial decay constant sqrt(eps*(xi/c)**2 + q**2), mirror-safe."""
-    if math.isinf(eps):
-        return math.inf if xi > 0.0 else q
-    return math.hypot(math.sqrt(eps) * xi / C_LIGHT, q)
-
-
-@dataclass(frozen=True)
-class NlKernelPoint:
-    """One (xi, q, xi', q') sample of the nonlinear kernel.
-
-    All quantities live on the imaginary frequency axis, where they are
-    real: eps* are the plate permittivities at the two frequencies,
-    kappa* the axial decay constants per layer (index 2 is the gap),
-    f* the reflection amplitudes of the gap against each plate, and
-    a_weight the thermal weights (left at 0 unless requested).
-    Build with from_stack, or directly for synthetic tests.
-    """
-
-    xi: float
-    q: float
-    xi_p: float
-    q_p: float
-    eps1: float
-    eps3: float
-    eps1_p: float
-    eps3_p: float
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa1_p: float
-    kappa2_p: float
-    kappa3_p: float
-    fs21: float
-    fp21: float
-    fs23: float
-    fp23: float
-    fs21_p: float
-    fp21_p: float
-    fs23_p: float
-    fp23_p: float
-    a_weight: float = 0.0
-    a_weight_p: float = 0.0
-
-    @classmethod
-    def from_stack(cls, stack, xi, q, xi_p, q_p, with_weights=False):
-        """Evaluate every field from a LayerStack (Kerr plate first)."""
-        st = stack.oriented()
-        e1 = st.layer1.permittivity(xi)
-        e3 = st.layer3.permittivity(xi)
-        e1p = st.layer1.permittivity(xi_p)
-        e3p = st.layer3.permittivity(xi_p)
-        # reflection amplitudes depend only on the (xi/c, q) direction,
-        # so the unscaled arguments work directly
-        x, xp = xi / C_LIGHT, xi_p / C_LIGHT
-        aw = awp = 0.0
-        if with_weights:
-            aw = thermal_weight_a(xi, st.temperature, axis="imaginary")
-            awp = thermal_weight_a(xi_p, st.temperature, axis="imaginary")
-        return cls(
-            xi, q, xi_p, q_p, e1, e3, e1p, e3p,
-            _kappa(e1, xi, q), _kappa(1.0, xi, q), _kappa(e3, xi, q),
-            _kappa(e1p, xi_p, q_p), _kappa(1.0, xi_p, q_p),
-            _kappa(e3p, xi_p, q_p),
-            float(reflection_s(x, q, e1)), float(reflection_p(x, q, e1)),
-            float(reflection_s(x, q, e3)), float(reflection_p(x, q, e3)),
-            float(reflection_s(xp, q_p, e1p)),
-            float(reflection_p(xp, q_p, e1p)),
-            float(reflection_s(xp, q_p, e3p)),
-            float(reflection_p(xp, q_p, e3p)),
-            aw, awp)
-
-
-def _r_combination(f21, f23, kappa2, d):
-    damp = math.exp(-2.0 * kappa2 * d)
-    den = 1.0 - f21 * f23 * damp
-    if abs(den) < _CAVITY_TOL:
-        raise SingularPointError(
-            "cavity denominator within %g of zero" % _CAVITY_TOL)
-    return f23 * (1.0 - f21 * f21) / den
-
-
-def _q_over_k1sq(point):
-    # q'^2 / k1'^2 on the imaginary axis, where k1'^2 = -eps1' xi'^2/c^2
-    den = point.eps1_p * point.xi_p ** 2
-    if den == 0.0:
-        return -math.inf if point.q_p != 0.0 else math.nan
-    return -(point.q_p * C_LIGHT) ** 2 / den
-
-
-def m_x(point, d):
-    """In-plane response combination of the Kerr plate's fluctuations.
-
-    m_x = 2 R_s + (3 q'^2/k1'^2 - 2) R_p with
-    R = F23' (1 - F21'^2) / (1 - F21' F23' e^(-2 kappa2' d)). Real on
-    the imaginary axis; diverges like 1/xi'**2 as xi' -> 0 because
-    k1'^2 = -eps1' xi'^2/c^2 (pnl_integrand folds the xi'**2 thermal
-    weight in, which removes the divergence). Terms whose R vanishes
-    are dropped exactly, so a reflectionless primed plate gives 0.
-    """
-    rs = _r_combination(point.fs21_p, point.fs23_p, point.kappa2_p, d)
-    rp = _r_combination(point.fp21_p, point.fp23_p, point.kappa2_p, d)
-    p_part = 0.0 if rp == 0.0 else (3.0 * _q_over_k1sq(point) - 2.0) * rp
-    return 2.0 * rs + p_part
-
-
-def m_z(point, d):
-    """Normal response combination, m_z = R_s + (4 q'^2/k1'^2 - 1) R_p.
-
-    Conventions and caveats as in m_x.
-    """
-    rs = _r_combination(point.fs21_p, point.fs23_p, point.kappa2_p, d)
-    rp = _r_combination(point.fp21_p, point.fp23_p, point.kappa2_p, d)
-    p_part = 0.0 if rp == 0.0 else (4.0 * _q_over_k1sq(point) - 1.0) * rp
-    return rs + p_part
 
 
 def _unprimed_vectors(x, y, eps1, eps3):
@@ -293,30 +175,24 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     quadratic forms against the 1/(kappa_i + kappa'_j) coupling matrix.
     """
 
-    def level_value(m):
-        y, wy = semi_infinite_nodes(m, scale_y)
-        yp, wyp = semi_infinite_nodes(m, scale_yp)
-        a1, a2, k1 = unprimed(y)
-        b1, b2, k1p = primed(yp)
-        den = k1[:, None] + k1p[None, :]
-        with np.errstate(divide="ignore"):
-            cross = np.where(den == 0.0, 0.0, 1.0 / den)
-        return float((wy * a1) @ cross @ (wyp * b1)
-                     + (wy * a2) @ cross @ (wyp * b2))
+    def levels():
+        m, n_evals = MIN_LEVEL, 0
+        while True:
+            y, wy = semi_infinite_nodes(m, scale_y)
+            yp, wyp = semi_infinite_nodes(m, scale_yp)
+            a1, a2, k1 = unprimed(y)
+            b1, b2, k1p = primed(yp)
+            den = k1[:, None] + k1p[None, :]
+            with np.errstate(divide="ignore"):
+                cross = np.where(den == 0.0, 0.0, 1.0 / den)
+            n_evals += 2 * m
+            yield float((wy * a1) @ cross @ (wyp * b1)
+                        + (wy * a2) @ cross @ (wyp * b2)), n_evals
+            if m >= _INNER_MAX_LEVEL:
+                return
+            m *= 2
 
-    m = MIN_LEVEL
-    total = level_value(m)
-    n_evals = 2 * m
-    err = math.inf
-    while m < _INNER_MAX_LEVEL:
-        m *= 2
-        new_total = level_value(m)
-        n_evals += 2 * m
-        err = abs(new_total - total)
-        total = new_total
-        if err <= rel_tol * abs(total):
-            return QuadratureResult(total, err, n_evals, True)
-    return QuadratureResult(total, err, n_evals, False)
+    return _refine(levels(), rel_tol)
 
 
 def _w_hat(x, xp, eps1, eps3, eps1p, eps3p, rel_tol):
@@ -335,37 +211,32 @@ def _w_ct(x, xp, rel_tol):
         max(1.0, math.sqrt(x)), max(1.0, math.sqrt(xp)), rel_tol)
 
 
-def pnl_integrand(point, d):
-    """Folded nonlinear kernel at one spectral point, units 1/m**4.
+def _kerr_pressure(kernel, temperature, d, chi3, rel_tol):
+    """Kerr pressure in pascals: the prefactor times the thermal double sum.
 
-    This is the thermally weighted imaginary-axis mode sum: the
-    xi**2 xi'**2 / c**4 growth of the two fluctuation weights is folded
-    into the bracket, cancelling the 1/xi'**2 divergence of m_x and m_z
-    and leaving a smooth real kernel that vanishes at q = 0 or q' = 0
-    and decays like e^(-2(kappa2 + kappa2')d). Multiplying by
-    -(3/(2**5 pi**4)) (chi3/eps0) (kB T)**2 and summing over thermal
-    frequency pairs and momenta gives the pressure.
+    kernel(xi, xi', tol) returns the Kerr kernel integrated over both
+    momenta at the physical frequencies xi, xi' as a QuadratureResult;
+    its convergence flags and evaluation counts go into the result.
     """
-    if math.isinf(point.eps1) or math.isinf(point.eps1_p):
-        # an opaque Kerr plate admits no fluctuation field: exact zero
-        return 0.0
-    x = point.xi * d / C_LIGHT
-    xp = point.xi_p * d / C_LIGHT
-    y = np.array([point.q * d])
-    yp = np.array([point.q_p * d])
-    a1, a2, k1 = _unprimed_vectors(x, y, point.eps1, point.eps3)
-    b1, b2, k1p = _primed_vectors(xp, yp, point.eps1_p, point.eps3_p)
-    den = k1[0] + k1p[0]
-    if den == 0.0:
-        return 0.0
-    return float((a1[0] * b1[0] + a2[0] * b2[0]) / den) / d ** 4
+    inner_tol = max(1e-2 * rel_tol, 1e-11)
+    ok = [True]
+    evals = [0]
 
+    def term(n, m):
+        res = kernel(temperature.xi(n), temperature.xi(m), inner_tol)
+        ok[0] = ok[0] and res.converged
+        evals[0] += res.n_evals
+        return res.value
 
-def _thermal_double_sum(term, temperature, d, rel_tol):
+    # thermal index at which xi reaches c/d: the kernel's decay scale
     n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
                                * temperature.kelvin * d)
-    return double_matsubara_sum(term, temperature, rel_tol=rel_tol,
+    dsum = double_matsubara_sum(term, temperature, rel_tol=rel_tol,
                                 zero_scale=(n_star, n_star))
+    pref = -_PREFACTOR * (chi3 / EPSILON_0) \
+        * (K_BOLTZMANN * temperature.kelvin) ** 2 / d ** 6
+    return PressureResult(pref * dsum.value, abs(pref) * dsum.error,
+                          dsum.converged and ok[0], evals[0])
 
 
 def pressure_nonlinear(stack, rel_tol=1e-6):
@@ -386,28 +257,15 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
         return PressureResult(0.0, 0.0, True, 0)
-    d = st.gap
-    temp = st.temperature
-    inner_tol = max(1e-2 * rel_tol, 1e-11)
-    ok = [True]
-    evals = [0]
-    x_factor = d / C_LIGHT
+    x_factor = st.gap / C_LIGHT
 
-    def term(n, m):
-        xi, xi_p = temp.xi(n), temp.xi(m)
-        res = _w_hat(xi * x_factor, xi_p * x_factor,
-                     st.layer1.permittivity(xi), st.layer3.permittivity(xi),
-                     st.layer1.permittivity(xi_p),
-                     st.layer3.permittivity(xi_p), inner_tol)
-        ok[0] = ok[0] and res.converged
-        evals[0] += res.n_evals
-        return res.value
+    def kernel(xi, xi_p, tol):
+        return _w_hat(xi * x_factor, xi_p * x_factor,
+                      st.layer1.permittivity(xi), st.layer3.permittivity(xi),
+                      st.layer1.permittivity(xi_p),
+                      st.layer3.permittivity(xi_p), tol)
 
-    dsum = _thermal_double_sum(term, temp, d, rel_tol)
-    pref = -_PREFACTOR * (chi3 / EPSILON_0) \
-        * (K_BOLTZMANN * temp.kelvin) ** 2 / d ** 6
-    return PressureResult(pref * dsum.value, abs(pref) * dsum.error,
-                          dsum.converged and ok[0], evals[0])
+    return _kerr_pressure(kernel, st.temperature, st.gap, chi3, rel_tol)
 
 
 def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
@@ -429,23 +287,12 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
     chi3 = float(chi3)
     if chi3 == 0.0:
         return PressureResult(0.0, 0.0, True, 0)
-    inner_tol = max(1e-2 * rel_tol, 1e-11)
-    ok = [True]
-    evals = [0]
     x_factor = d / C_LIGHT
 
-    def term(n, m):
-        res = _w_ct(temperature.xi(n) * x_factor,
-                    temperature.xi(m) * x_factor, inner_tol)
-        ok[0] = ok[0] and res.converged
-        evals[0] += res.n_evals
-        return res.value
+    def kernel(xi, xi_p, tol):
+        return _w_ct(xi * x_factor, xi_p * x_factor, tol)
 
-    dsum = _thermal_double_sum(term, temperature, d, rel_tol)
-    pref = -_PREFACTOR * (chi3 / EPSILON_0) \
-        * (K_BOLTZMANN * temperature.kelvin) ** 2 / d ** 6
-    return PressureResult(pref * dsum.value, abs(pref) * dsum.error,
-                          dsum.converged and ok[0], evals[0])
+    return _kerr_pressure(kernel, temperature, d, chi3, rel_tol)
 
 
 @lru_cache(maxsize=128)

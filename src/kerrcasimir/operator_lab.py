@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ConfigError, NearResonanceError
 
 _COND_LIMIT = 1e13
-_ROLES = ("incoming", "homogeneous", "noise", "total")
 
 
 @dataclass(frozen=True)
@@ -56,25 +55,6 @@ class Grid1D:
             raise ConfigError("spacing must be positive and finite")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ConfigError("eta must be positive and finite")
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """Complex field amplitudes on a grid, tagged by their role.
-
-    role is one of "incoming", "homogeneous", "noise", "total".
-    """
-
-    values: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.size == 0:
-            raise ConfigError("values must be a non-empty 1-D array")
-        object.__setattr__(self, "values", values)
-        if self.role not in _ROLES:
-            raise ConfigError("role must be one of %r" % (_ROLES,))
 
 
 def _laplacian(grid):
@@ -185,29 +165,6 @@ def gtilde(g1, n_op):
     return (ident + g1 @ n_op) @ g1
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """All operators of one scenario, plus optional object masks."""
-
-    g0: np.ndarray
-    g1: np.ndarray
-    gt: np.ndarray
-    v: np.ndarray
-    n_op: np.ndarray
-    mask_alpha: np.ndarray = None
-    mask_beta: np.ndarray = None
-
-    @classmethod
-    def assemble(cls, grid, eps_profile, chi_profile, omega, weight_spec,
-                 mask_alpha=None, mask_beta=None):
-        g0, g1, v = build_linear(grid, eps_profile, omega)
-        n_op = build_n_operator(grid, eps_profile, chi_profile, omega,
-                                weight_spec)
-        return cls(g0, g1, gtilde(g1, n_op), v, n_op,
-                   None if mask_alpha is None else np.asarray(mask_alpha),
-                   None if mask_beta is None else np.asarray(mask_beta))
-
-
 def naive_combination(gt_alpha, gt_beta, g0):
     """Linear-rule combination of two dressed single-object responses.
 
@@ -257,16 +214,15 @@ def _im(mat):
     return (mat - np.conj(mat)) / 2j
 
 
-def rytov_residual(gt, v, n_op, g0, b_value=1.0):
+def rytov_residual(gt, v, n_op, g0):
     """Relative defect of the fluctuation-dissipation decomposition.
 
     Computes ||Im Gt - Gt Im[V + N - inv(G0)] Gt*||_F / ||Im Gt||_F
     with elementwise Im and conjugation. The identity is exact for the
     linear system and holds to O(chi**2) with the first-order Kerr
-    response; b_value is accepted for interface symmetry but cancels
-    between numerator and denominator.
+    response. A noise strength b would scale numerator and denominator
+    alike, so it is left out.
     """
-    del b_value
     target = _im(gt)
     inner = _im(v + n_op - np.linalg.inv(g0))
     resid = target - gt @ inner @ np.conj(gt)

@@ -5,6 +5,12 @@ decaying, which makes doubling Clenshaw-Curtis rules a good fit: each
 refinement reuses all previous function evaluations and the change
 between two successive levels is a usable error estimate.
 
+One refinement rule serves every adaptive quadrature here (_refine):
+the order doubles from 8 until the change between two successive
+levels is at most rel_tol times the latest total, which is returned
+with that change as its error. An integrator that reaches its level
+cap first returns its last total and change with converged=False.
+
 The same machinery drives the three thermal regimes. A sum over
 discrete thermal frequencies (weight 1/2 on the n = 0 term) either
 converges as a series at finite temperature, collapses to its n = 0
@@ -148,6 +154,23 @@ def semi_infinite_nodes(m, scale=1.0):
     return x, w
 
 
+def _refine(levels, rel_tol):
+    """Drive a doubling refinement to rel_tol: the module's one stopping rule.
+
+    levels yields (total, cumulative n_evals), coarsest level first, and
+    is only advanced while the tolerance is unmet; it ends at the
+    caller's level cap.
+    """
+    total, n_evals = next(levels)
+    err = math.inf
+    for new_total, n_evals in levels:
+        err = abs(new_total - total)
+        total = new_total
+        if err <= rel_tol * abs(total):
+            return QuadratureResult(total, err, n_evals, True)
+    return QuadratureResult(total, err, n_evals, False)
+
+
 def _evaluate(f, x, vectorized):
     if vectorized:
         return np.asarray(f(x), dtype=float)
@@ -173,25 +196,23 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     -------
     QuadratureResult
     """
-    m = MIN_LEVEL
-    x, w = semi_infinite_nodes(m, scale)
-    vals = _evaluate(f, x, vectorized)
-    total = float(w @ vals)
-    n_evals = vals.size
-    err = math.inf
-    while m < max_level:
-        m *= 2
+    def levels():
+        m = MIN_LEVEL
         x, w = semi_infinite_nodes(m, scale)
-        fine = np.empty(m)
-        fine[0::2] = vals
-        fine[1::2] = _evaluate(f, x[1::2], vectorized)
-        n_evals += m // 2
-        new_total = float(w @ fine)
-        err = abs(new_total - total)
-        vals, total = fine, new_total
-        if err <= rel_tol * abs(total):
-            return QuadratureResult(total, err, n_evals, True)
-    return QuadratureResult(total, err, n_evals, False)
+        vals = _evaluate(f, x, vectorized)
+        n_evals = vals.size
+        yield float(w @ vals), n_evals
+        while m < max_level:
+            m *= 2
+            x, w = semi_infinite_nodes(m, scale)
+            fine = np.empty(m)
+            fine[0::2] = vals
+            fine[1::2] = _evaluate(f, x[1::2], vectorized)
+            n_evals += m // 2
+            vals = fine
+            yield float(w @ vals), n_evals
+
+    return _refine(levels(), rel_tol)
 
 
 def _eval_grid(f, x, y, vectorized):
@@ -223,29 +244,27 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
     QuadratureResult
     """
     sx, sy = scale
-    m = MIN_LEVEL
-    x, wx = semi_infinite_nodes(m, sx)
-    y, wy = semi_infinite_nodes(m, sy)
-    grid = _eval_grid(f, x, y, vectorized)
-    n_evals = grid.size
-    total = float(wx @ grid @ wy)
-    err = math.inf
-    while m < max_level:
-        m *= 2
+
+    def levels():
+        m = MIN_LEVEL
         x, wx = semi_infinite_nodes(m, sx)
         y, wy = semi_infinite_nodes(m, sy)
-        fine = np.empty((m, m))
-        fine[0::2, 0::2] = grid
-        fine[1::2, :] = _eval_grid(f, x[1::2], y, vectorized)
-        fine[0::2, 1::2] = _eval_grid(f, x[0::2], y[1::2], vectorized)
-        n_evals += m * m - grid.size
-        grid = fine
-        new_total = float(wx @ grid @ wy)
-        err = abs(new_total - total)
-        total = new_total
-        if err <= rel_tol * abs(total):
-            return QuadratureResult(total, err, n_evals, True)
-    return QuadratureResult(total, err, n_evals, False)
+        grid = _eval_grid(f, x, y, vectorized)
+        n_evals = grid.size
+        yield float(wx @ grid @ wy), n_evals
+        while m < max_level:
+            m *= 2
+            x, wx = semi_infinite_nodes(m, sx)
+            y, wy = semi_infinite_nodes(m, sy)
+            fine = np.empty((m, m))
+            fine[0::2, 0::2] = grid
+            fine[1::2, :] = _eval_grid(f, x[1::2], y, vectorized)
+            fine[0::2, 1::2] = _eval_grid(f, x[0::2], y[1::2], vectorized)
+            n_evals += m * m - grid.size
+            grid = fine
+            yield float(wx @ grid @ wy), n_evals
+
+    return _refine(levels(), rel_tol)
 
 
 def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,

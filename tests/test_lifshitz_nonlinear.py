@@ -16,11 +16,13 @@ import pytest
 from scipy.integrate import quad
 
 from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
-                         MaterialError, MaterialResponse, NlKernelPoint,
-                         Temperature, casimir_pressure, crossover_distance,
-                         i_nl_high_t, i_nl_zero_t, integrate_semi_infinite,
-                         matsubara_sum, pnl_integrand, pressure_nonlinear,
-                         pressure_transparent_mirror, thermal_weight_a)
+                         MaterialError, MaterialResponse, Temperature,
+                         casimir_pressure, crossover_distance, i_nl_high_t,
+                         i_nl_zero_t, integrate_semi_infinite, matsubara_sum,
+                         pressure_nonlinear, pressure_transparent_mirror,
+                         thermal_weight_a)
+from kerrcasimir import lifshitz_nonlinear
+from kerrcasimir.lifshitz_nonlinear import _primed_vectors, _unprimed_vectors
 
 CHI3 = 2e-16
 
@@ -127,56 +129,67 @@ def _w_si(xi, q, xi_p, q_p, d):
             / ((kappa + kappa_p) * kappa_p))
 
 
+def _w_point(xi, q, xi_p, q_p, d, eps_nl, eps_lin):
+    """Production kernel at one SI spectral point, units 1/m**4."""
+    a1, a2, k1 = _unprimed_vectors(xi * d / C_LIGHT, np.array([q * d]),
+                                   eps_nl, eps_lin)
+    b1, b2, k1p = _primed_vectors(xi_p * d / C_LIGHT, np.array([q_p * d]),
+                                  eps_nl, eps_lin)
+    den = k1[0] + k1p[0]
+    if den == 0.0:
+        return 0.0
+    return float((a1[0] * b1[0] + a2[0] * b2[0]) / den) / d ** 4
+
+
 def test_kernel_reduces_to_closed_form():
     # sample the full kernel machinery at random spectral points and
     # compare against the closed transparent-mirror expression
     rng = np.random.default_rng(7)
-    stack = _stack(1.0, math.inf, CHI3, 5e-8, Temperature.finite(300.0))
     for _ in range(20):
         d = float(rng.uniform(1e-8, 2e-7))
         xi = float(rng.uniform(0.0, 3.0) / d * C_LIGHT * 0.3)
         xi_p = float(rng.uniform(0.05, 3.0) / d * C_LIGHT * 0.3)
         q = float(rng.uniform(0.01, 3.0) / d)
         q_p = float(rng.uniform(0.01, 3.0) / d)
-        point = NlKernelPoint.from_stack(stack, xi, q, xi_p, q_p)
         want = _w_si(xi, q, xi_p, q_p, d)
-        assert pnl_integrand(point, d) == pytest.approx(want, rel=1e-10)
+        assert _w_point(xi, q, xi_p, q_p, d, 1.0, math.inf) \
+            == pytest.approx(want, rel=1e-10)
 
 
 def test_kernel_vanishes_at_grazing_momentum():
-    stack = _stack(2.0, 10.0, CHI3, 5e-8, Temperature.finite(300.0))
-    point = NlKernelPoint.from_stack(stack, 1e14, 0.0, 2e14, 3e6)
-    assert pnl_integrand(point, 5e-8) == 0.0
-    point = NlKernelPoint.from_stack(stack, 1e14, 3e6, 2e14, 0.0)
-    assert pnl_integrand(point, 5e-8) == 0.0
+    assert _w_point(1e14, 0.0, 2e14, 3e6, 5e-8, 2.0, 10.0) == 0.0
+    assert _w_point(1e14, 3e6, 2e14, 0.0, 5e-8, 2.0, 10.0) == 0.0
 
 
 def test_kernel_one_signed():
     # w <= 0 pointwise, so chi3 > 0 gives an attractive correction
     rng = np.random.default_rng(11)
     for eps_nl, eps_lin in ((1.0, math.inf), (2.0, 10.0), (5.0, 2.0)):
-        stack = _stack(eps_nl, eps_lin, CHI3, 5e-8,
-                       Temperature.finite(300.0))
         for _ in range(10):
             d = 5e-8
             xi = float(rng.uniform(0.0, 1.5)) / d * C_LIGHT
             xi_p = float(rng.uniform(0.0, 1.5)) / d * C_LIGHT
             q = float(rng.uniform(0.0, 2.5)) / d
             q_p = float(rng.uniform(0.0, 2.5)) / d
-            point = NlKernelPoint.from_stack(stack, xi, q, xi_p, q_p)
-            assert pnl_integrand(point, d) <= 0.0
+            assert _w_point(xi, q, xi_p, q_p, d, eps_nl, eps_lin) <= 0.0
 
 
-def test_from_stack_orients_kerr_plate_first():
-    temp = Temperature.finite(300.0)
-    fwd = LayerStack(MaterialResponse.constant(2.0, chi3=CHI3),
-                     MaterialResponse.constant(10.0), 5e-8, temp)
-    rev = LayerStack(MaterialResponse.constant(10.0),
-                     MaterialResponse.constant(2.0, chi3=CHI3), 5e-8, temp)
-    p_fwd = NlKernelPoint.from_stack(fwd, 1e14, 2e6, 3e14, 5e6)
-    p_rev = NlKernelPoint.from_stack(rev, 1e14, 2e6, 3e14, 5e6)
-    assert p_fwd == p_rev
-    assert p_fwd.eps1 == 2.0 and p_fwd.eps3 == 10.0
+def test_pressure_nonlinear_orients_kerr_plate_first():
+    # the Kerr plate may sit in either slot: swapping the slots gives
+    # the same result, which is the eps_nl = 2, eps_lin = 10 coefficient
+    d, temp = 5e-8, Temperature.high(300.0)
+    fwd = pressure_nonlinear(LayerStack(
+        MaterialResponse.constant(2.0, chi3=CHI3),
+        MaterialResponse.constant(10.0), d, temp), rel_tol=1e-8)
+    rev = pressure_nonlinear(LayerStack(
+        MaterialResponse.constant(10.0),
+        MaterialResponse.constant(2.0, chi3=CHI3), d, temp), rel_tol=1e-8)
+    assert fwd == rev and fwd.converged
+    closed = (CHI3 / EPSILON_0) * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 \
+        * i_nl_high_t(2.0, 10.0, rel_tol=1e-8)
+    assert fwd.value == pytest.approx(closed, rel=1e-7)
+    assert i_nl_high_t(10.0, 2.0) != pytest.approx(i_nl_high_t(2.0, 10.0),
+                                                   rel=1e-2)
 
 
 def test_i_nl_zero_t_transparent_mirror_value():
@@ -219,6 +232,25 @@ def test_transparent_mirror_two_paths_finite_t():
     assert direct.converged and general.converged
     assert direct.value == pytest.approx(general.value, rel=1e-4)
     assert direct.value > 0.0
+
+
+def test_transparent_mirror_route_is_independent(monkeypatch):
+    # the dual-route check is only a check while the transparent route
+    # never reaches the general kernel vectors
+    def forbidden(*args):
+        raise AssertionError("general kernel reached")
+
+    monkeypatch.setattr(lifshitz_nonlinear, "_unprimed_vectors", forbidden)
+    monkeypatch.setattr(lifshitz_nonlinear, "_primed_vectors", forbidden)
+    d, temp = 1e-7, Temperature.high(300.0)
+    res = pressure_transparent_mirror(d, temp, CHI3, rel_tol=1e-8)
+    assert res.converged
+    closed = (CHI3 / EPSILON_0) * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 \
+        * 21.0 / (4096.0 * math.pi ** 4)
+    assert res.value == pytest.approx(closed, rel=1e-7)
+    finite = pressure_transparent_mirror(1e-6, Temperature.finite(300.0),
+                                         CHI3)
+    assert finite.converged and finite.value > 0.0
 
 
 def test_transparent_mirror_validation():

@@ -11,12 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from kerrcasimir import (CheckResult, ConfigError, FieldVector, Grid1D,
-                         NearResonanceError, OperatorSet, build_linear,
-                         build_n_operator, combined_correction, gtilde,
-                         monte_carlo_fdt, naive_combination,
-                         noise_covariance, run_verification_suite,
-                         rytov_residual)
+from kerrcasimir import (CheckResult, ConfigError, Grid1D,
+                         NearResonanceError, build_linear, build_n_operator,
+                         combined_correction, gtilde, monte_carlo_fdt,
+                         naive_combination, noise_covariance,
+                         run_verification_suite, rytov_residual)
 
 
 def _im(mat):
@@ -262,25 +261,3 @@ def test_monte_carlo_rejects_tiny_ensembles():
     grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
     with pytest.raises(ConfigError):
         monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=999)
-
-
-def test_field_vector_roles():
-    vec = FieldVector(np.zeros(4), "noise")
-    assert vec.values.dtype == complex
-    with pytest.raises(ConfigError):
-        FieldVector(np.zeros(4), "sideways")
-    with pytest.raises(ConfigError):
-        FieldVector(np.zeros((2, 2)), "noise")
-    with pytest.raises(ConfigError):
-        FieldVector(np.zeros(0), "noise")
-
-
-def test_operator_set_assemble():
-    grid, eps, chi, mask_a, mask_b = _two_blocks(16, 0.3, 1e-3)
-    ops = OperatorSet.assemble(grid, eps, chi, _OMEGA, _WEIGHTS,
-                               mask_alpha=mask_a, mask_beta=mask_b)
-    assert np.array_equal(ops.gt, gtilde(ops.g1, ops.n_op))
-    assert np.array_equal(ops.mask_alpha, mask_a)
-    assert np.array_equal(ops.mask_beta, mask_b)
-    resid = (np.linalg.inv(ops.g0) - ops.v) @ ops.g1 - np.eye(16)
-    assert np.linalg.norm(resid) < 1e-11

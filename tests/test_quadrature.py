@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kerrcasimir.lifshitz_nonlinear import (_primed_vectors,
+                                            _unprimed_vectors, _w_hat)
 from kerrcasimir.quadrature import (QuadratureResult, Temperature,
                                     clenshaw_curtis, double_matsubara_sum,
                                     integrate_2d, integrate_semi_infinite,
@@ -118,6 +120,82 @@ def test_integrate_2d_vectorized_agrees():
     a = integrate_2d(lambda x, y: float(f(x, y)), rel_tol=1e-10)
     b = integrate_2d(f, rel_tol=1e-10, vectorized=True)
     assert a.value == b.value
+
+
+def _replay(level_total, rel_tol, max_level):
+    """The refinement rule, restated: (m, total, change, converged)."""
+    m, total, err = 8, level_total(8), math.inf
+    while m < max_level:
+        m *= 2
+        new = level_total(m)
+        err, total = abs(new - total), new
+        if err <= rel_tol * abs(total):
+            return m, total, err, True
+    return m, total, err, False
+
+
+def _check_contract(res, replay, n_evals):
+    m, total, err, converged = replay
+    assert res.converged == converged
+    assert res.n_evals == n_evals(m)
+    assert res.value == pytest.approx(total, rel=1e-14)
+    assert res.error == pytest.approx(err, rel=1e-6, abs=1e-15 * abs(total))
+    assert math.isfinite(res.error)
+
+
+def test_refinement_contract_semi_infinite():
+    def f(x):  # plain arithmetic: reused and fresh node values agree bitwise
+        return 1.0 / (1.0 + x * x) ** 2
+
+    def level(m):
+        x, w = semi_infinite_nodes(m, 2.0)
+        return float(w @ f(x))
+
+    for tol, cap in ((1e-4, 4096), (1e-10, 4096), (1e-15, 16)):
+        res = integrate_semi_infinite(f, rel_tol=tol, scale=2.0,
+                                      max_level=cap)
+        _check_contract(res, _replay(level, tol, cap), lambda m: m)
+    assert not res.converged and res.n_evals == 16
+    for m in (16, 32, 64):
+        # a change of exactly rel_tol * |total| stops the refinement
+        edge = abs(level(m) - level(m // 2)) / abs(level(m))
+        assert integrate_semi_infinite(f, rel_tol=edge,
+                                       scale=2.0).n_evals == m
+
+
+def test_refinement_contract_2d():
+    def f(x, y):
+        return np.exp(-x - 2.0 * y) / (1.0 + x * y)
+
+    def level(m):
+        x, wx = semi_infinite_nodes(m, 1.0)
+        y, wy = semi_infinite_nodes(m, 0.5)
+        return float(wx @ f(*np.meshgrid(x, y, indexing="ij")) @ wy)
+
+    for tol, cap in ((1e-4, 256), (1e-9, 256), (1e-15, 16)):
+        res = integrate_2d(f, rel_tol=tol, scale=(1.0, 0.5), max_level=cap,
+                           vectorized=True)
+        _check_contract(res, _replay(level, tol, cap), lambda m: m * m)
+    assert not res.converged and res.n_evals == 256
+
+
+def test_refinement_contract_w_hat():
+    # both momentum grids hold m nodes at level m: 2 * (8 + ... + m)
+    x, xp = 0.3, 1.7
+
+    def level(m):
+        y, wy = semi_infinite_nodes(m, 1.0)
+        yp, wyp = semi_infinite_nodes(m, math.sqrt(xp))
+        a1, a2, k1 = _unprimed_vectors(x, y, 2.0, 10.0)
+        b1, b2, k1p = _primed_vectors(xp, yp, 2.5, 9.0)
+        cross = 1.0 / (k1[:, None] + k1p[None, :])
+        return float((wy * a1) @ cross @ (wyp * b1)
+                     + (wy * a2) @ cross @ (wyp * b2))
+
+    for tol in (1e-4, 1e-9):
+        res = _w_hat(x, xp, 2.0, 10.0, 2.5, 9.0, tol)
+        _check_contract(res, _replay(level, tol, 1024),
+                        lambda m: 4 * m - 16)
 
 
 def test_temperature_validation():

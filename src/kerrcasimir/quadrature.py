@@ -177,6 +177,27 @@ def _evaluate(f, x, vectorized):
     return np.array([f(v) for v in x], dtype=float)
 
 
+def _nested_values(f, scale, max_level, vectorized):
+    """Weights and values of f on semi_infinite_nodes(m, scale), m = 8,
+    16, ..., max_level: each level evaluates f on its new nodes only.
+
+    f may return arrays (non-vectorized); vals then stacks them on the
+    first axis, node by node.
+    """
+    m = MIN_LEVEL
+    x, w = semi_infinite_nodes(m, scale)
+    vals = _evaluate(f, x, vectorized)
+    yield w, vals
+    while m < max_level:
+        m *= 2
+        x, w = semi_infinite_nodes(m, scale)
+        fine = np.empty((m,) + vals.shape[1:])
+        fine[0::2] = vals
+        fine[1::2] = _evaluate(f, x[1::2], vectorized)
+        vals = fine
+        yield w, vals
+
+
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
                             vectorized=True):
     """Integrate f over [0, inf) with doubling Clenshaw-Curtis rules.
@@ -196,23 +217,9 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     -------
     QuadratureResult
     """
-    def levels():
-        m = MIN_LEVEL
-        x, w = semi_infinite_nodes(m, scale)
-        vals = _evaluate(f, x, vectorized)
-        n_evals = vals.size
-        yield float(w @ vals), n_evals
-        while m < max_level:
-            m *= 2
-            x, w = semi_infinite_nodes(m, scale)
-            fine = np.empty(m)
-            fine[0::2] = vals
-            fine[1::2] = _evaluate(f, x[1::2], vectorized)
-            n_evals += m // 2
-            vals = fine
-            yield float(w @ vals), n_evals
-
-    return _refine(levels(), rel_tol)
+    levels = ((float(w @ vals), w.size)
+              for w, vals in _nested_values(f, scale, max_level, vectorized))
+    return _refine(levels, rel_tol)
 
 
 def _eval_grid(f, x, y, vectorized):

@@ -141,6 +141,14 @@ def test_scan_epsilon_high_limit(capsys):
     assert table[2.0][0] > 0.0
 
 
+def test_scan_epsilon_zero_limit_default_grid(capsys):
+    status, out = _run(capsys, ["scan-epsilon", "--limit", "zero"])
+    assert status == 0
+    _, _, rows = _parse_csv(out)
+    assert len(rows) == 15
+    assert all(float(r[3]) > 0.0 for r in rows)
+
+
 def test_transparent_dual_route(capsys):
     status, out = _run(capsys, [
         "transparent", "--chi3", "2e-16", "--gap", "1e-7",

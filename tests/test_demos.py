@@ -1,16 +1,20 @@
 """The demos import only names that the package provides.
 
 Every demo runs its physics at import time, so the scripts are parsed
-with ast and never executed.
+with ast; the quick material sweep also runs end to end.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_present():
@@ -29,3 +33,16 @@ def test_demo_imports_exist(path):
         assert hasattr(importlib.import_module(module), name), \
             "%s imports %s.%s, which does not exist" % (path.name, module,
                                                          name)
+
+
+def test_material_sweep_demo_runs():
+    # ten zero-temperature Kerr coefficients
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos"
+                                               / "material_sweep.py")],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "closed form at eps_nl = 1" in proc.stdout

@@ -4,9 +4,11 @@ The independent checks: the thermal weight obeys the residue identity
 that connects real-axis and imaginary-axis evaluation; the kernel
 reduces to a closed polynomial form for a transparent plate facing a
 mirror, checked pointwise in raw SI variables; the dimensionless
-coefficients hit their closed-form transparent-mirror values; and the
-general double-sum machinery agrees with the direct closed-bracket
-path at zero and finite temperature.
+coefficients hit their closed-form transparent-mirror values; the
+separable (exponential-sum) coupling agrees with the direct
+1/(kappa1 + kappa1') quadrature per frequency pair and per double sum;
+and the general double-sum machinery agrees with the direct
+closed-bracket path at zero and finite temperature.
 """
 
 import math
@@ -17,12 +19,18 @@ from scipy.integrate import quad
 
 from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          MaterialError, MaterialResponse, Temperature,
-                         casimir_pressure, crossover_distance, i_nl_high_t,
-                         i_nl_zero_t, integrate_semi_infinite, matsubara_sum,
+                         casimir_pressure, crossover_distance,
+                         double_matsubara_sum, i_nl_high_t, i_nl_zero_t,
+                         integrate_semi_infinite, matsubara_sum,
                          pressure_nonlinear, pressure_transparent_mirror,
                          thermal_weight_a)
 from kerrcasimir import lifshitz_nonlinear
-from kerrcasimir.lifshitz_nonlinear import _primed_vectors, _unprimed_vectors
+from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
+                                            _PREFACTOR, _contract,
+                                            _frequency_vectors,
+                                            _i_nl_zero_raw, _pair_quadrature,
+                                            _primed_vectors,
+                                            _unprimed_vectors)
 
 CHI3 = 2e-16
 
@@ -174,6 +182,52 @@ def test_kernel_one_signed():
             assert _w_point(xi, q, xi_p, q_p, d, eps_nl, eps_lin) <= 0.0
 
 
+def _w_direct(x, xp, eps, eps_p, rel_tol):
+    """W(x, x') with the exact 1/(kappa1 + kappa1') coupling matrix."""
+    return _pair_quadrature(
+        lambda y: _unprimed_vectors(x, y, *eps),
+        lambda y: _primed_vectors(xp, y, *eps_p),
+        max(1.0, math.sqrt(x)), max(1.0, math.sqrt(xp)), rel_tol)
+
+
+def test_exponential_sum_coupling():
+    """sum_r w_r exp(-t_r a) exp(-t_r b) = 1/(a + b) to 1e-10 relative.
+
+    a and b each run over [5e-5, 4e3]. The momentum nodes reach smaller
+    kappa1 only at y, x < 5e-5, where A and B vanish as y**2 or faster,
+    and larger kappa1 only where the gap factor exp(-2 k2) has
+    underflowed for every Kerr-plate permittivity up to 100.
+    """
+    kappa = np.logspace(math.log10(5e-5), math.log10(4e3), 161)
+    decay = np.exp(-np.outer(kappa, _COUPLING_T))
+    approx = (decay * _COUPLING_W) @ decay.T
+    exact = 1.0 / (kappa[:, None] + kappa[None, :])
+    assert np.max(np.abs(approx / exact - 1.0)) <= 1e-10
+
+
+def test_separable_kernel_matches_direct_pair_quadrature():
+    table_nl = MaterialResponse.from_table(
+        ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01)))
+    table_lin = MaterialResponse.from_table(
+        ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0), (1e17, 1.05)))
+
+    def tabulated(x, d=1e-7):
+        xi = x * C_LIGHT / d
+        return table_nl.permittivity(xi), table_lin.permittivity(xi)
+
+    cases = [(0.0, 0.0, (2.0, 10.0), (2.0, 10.0)),
+             (0.0, 1.7, (1.0, math.inf), (1.0, math.inf)),
+             (0.3, 25.0, (2.0, 10.0), (2.0, 10.0)),
+             (18.0, 18.0, (5.0, 2.0), (5.0, 2.0)),
+             (0.4, 3.0, tabulated(0.4), tabulated(3.0))]
+    for x, xp, eps, eps_p in cases:
+        f, res = _frequency_vectors(x, *eps, 1e-10)
+        fp, res_p = _frequency_vectors(xp, *eps_p, 1e-10)
+        direct = _w_direct(x, xp, eps, eps_p, 1e-10)
+        assert res.converged and res_p.converged and direct.converged
+        assert _contract(f, fp) == pytest.approx(direct.value, rel=1e-8)
+
+
 def test_pressure_nonlinear_orients_kerr_plate_first():
     # the Kerr plate may sit in either slot: swapping the slots gives
     # the same result, which is the eps_nl = 2, eps_lin = 10 coefficient
@@ -279,6 +333,49 @@ def test_zero_chi3_gives_exact_zero():
                        Temperature.finite(300.0))
     res = pressure_nonlinear(stack)
     assert res.value == 0.0 and res.error == 0.0 and res.converged
+
+
+def test_finite_t_matches_direct_double_sum():
+    # oracle: the nested double Matsubara sum with one exact-coupling
+    # momentum quadrature per frequency pair
+    temp = Temperature.finite(300.0)
+    for d in (1e-6, 4.47e-7):
+        x_factor = d / C_LIGHT
+
+        def term(n, m):
+            return _w_direct(temp.xi(n) * x_factor, temp.xi(m) * x_factor,
+                             (2.0, 10.0), (2.0, 10.0), 1e-9).value
+
+        dsum = double_matsubara_sum(term, temp, rel_tol=1e-7)
+        direct = -_PREFACTOR * (CHI3 / EPSILON_0) \
+            * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 * dsum.value
+        res = pressure_nonlinear(_stack(2.0, 10.0, CHI3, d, temp),
+                                 rel_tol=1e-7)
+        assert dsum.converged and res.converged
+        assert res.value == pytest.approx(direct, rel=1e-6)
+
+
+def test_finite_t_bounded_work_at_nanometre_gap():
+    # about 1,100 thermal terms per axis at 300 K and d = 10 nm, one
+    # frequency vector each; the thermal correction is below 1e-4 there
+    d = 1e-8
+    zero = pressure_nonlinear(_stack(2.0, 10.0, CHI3, d, Temperature.zero()))
+    warm = pressure_nonlinear(
+        _stack(2.0, 10.0, CHI3, d, Temperature.finite(300.0)))
+    assert warm.converged and zero.converged
+    assert warm.value == pytest.approx(zero.value, rel=1e-4)
+
+
+def test_zero_t_coefficient_counts_momentum_nodes():
+    # i_nl_zero_t and pressure_nonlinear integrate the same frequency
+    # vectors and report the same momentum-node work
+    coeff = _i_nl_zero_raw(2.0, 10.0, 1e-6)
+    res = pressure_nonlinear(_stack(2.0, 10.0, CHI3, 2e-8,
+                                    Temperature.zero()), rel_tol=1e-6)
+    assert coeff.converged and res.converged
+    assert coeff.n_evals == res.n_evals
+    # at least 16 frequency nodes, each with two momentum levels or more
+    assert coeff.n_evals >= 16 * 2 * (8 + 16)
 
 
 def test_finite_t_approaches_zero_t_at_low_temperature():

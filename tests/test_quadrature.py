@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kerrcasimir.lifshitz_nonlinear import (_primed_vectors,
-                                            _unprimed_vectors, _w_hat)
+from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
+                                            _frequency_vectors,
+                                            _pair_quadrature, _primed_vectors,
+                                            _unprimed_vectors)
 from kerrcasimir.quadrature import (QuadratureResult, Temperature,
                                     clenshaw_curtis, double_matsubara_sum,
                                     integrate_2d, integrate_semi_infinite,
@@ -179,7 +181,7 @@ def test_refinement_contract_2d():
     assert not res.converged and res.n_evals == 256
 
 
-def test_refinement_contract_w_hat():
+def test_refinement_contract_pair_quadrature():
     # both momentum grids hold m nodes at level m: 2 * (8 + ... + m)
     x, xp = 0.3, 1.7
 
@@ -193,9 +195,32 @@ def test_refinement_contract_w_hat():
                      + (wy * a2) @ cross @ (wyp * b2))
 
     for tol in (1e-4, 1e-9):
-        res = _w_hat(x, xp, 2.0, 10.0, 2.5, 9.0, tol)
+        res = _pair_quadrature(
+            lambda y: _unprimed_vectors(x, y, 2.0, 10.0),
+            lambda y: _primed_vectors(xp, y, 2.5, 9.0),
+            1.0, math.sqrt(xp), tol)
         _check_contract(res, _replay(level, tol, 1024),
                         lambda m: 4 * m - 16)
+
+
+def test_refinement_contract_frequency_vectors():
+    # one grid of m nodes per level feeds both the unprimed and the
+    # primed vectors, counted once each: 2 * (8 + ... + m)
+    x, eps1, eps3 = 2.3, 2.0, 10.0
+
+    def level(m):
+        y, wy = semi_infinite_nodes(m, math.sqrt(x))
+        a1, a2, k1 = _unprimed_vectors(x, y, eps1, eps3)
+        b1, b2, _ = _primed_vectors(x, y, eps1, eps3)
+        decay = np.exp(-np.outer(k1, _COUPLING_T))
+        u1, u2, v1, v2 = ((wy * vec) @ decay for vec in (a1, a2, b1, b2))
+        return float(_COUPLING_W @ (u1 * v1 + u2 * v2))
+
+    for tol in (1e-4, 1e-9):
+        f, res = _frequency_vectors(x, eps1, eps3, tol)
+        _check_contract(res, _replay(level, tol, 1024),
+                        lambda m: 4 * m - 16)
+        assert f.shape == (4, _COUPLING_T.size)
 
 
 def test_temperature_validation():

@@ -7,7 +7,10 @@ exponentially decaying. The single-frequency momentum integral is
     g(x) = int_0^inf dy y k2 sum_pol r e^(-2 k2) / (1 - r e^(-2 k2)),
 
 with k2 = hypot(x, y) and r the product of the two gap reflection
-amplitudes of a polarization. The pressure is the thermal sum of g over
+amplitudes of a polarization. Since k2 >= x, the momentum quadrature
+refines e^(2x) g(x) and multiplies by e^(-2x) afterwards: at large x
+the integrand of g itself is subnormal, and no relative tolerance can be
+met on subnormal numbers. The pressure is the thermal sum of g over
 frequencies x_n = 2 pi n kB T d / (hbar c),
 
     P = (kB T / (pi d**3)) sum'_n g(x_n),
@@ -31,7 +34,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
-from .quadrature import integrate_semi_infinite, matsubara_sum
+from .quadrature import (QuadratureResult, integrate_semi_infinite,
+                         matsubara_sum)
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,15 @@ def as_permittivity(value):
 
 
 def _gap_integrand(y, x, eps1, eps3):
+    # e^(2x) times the integrand of g (see the module docstring)
     k2 = np.hypot(x, y)
-    damp = np.exp(-2.0 * k2)
+    damp_hat = np.exp(-2.0 * (k2 - x))
+    damp = damp_hat * math.exp(-2.0 * x)
     total = np.zeros_like(y)
     with np.errstate(invalid="ignore", divide="ignore"):
         for refl in (reflection_s, reflection_p):
             r = refl(x, y, eps1) * refl(x, y, eps3)
-            total = total + r * damp / (1.0 - r * damp)
+            total = total + r * damp_hat / (1.0 - r * damp)
         out = y * k2 * total
     # the measure carries a factor y, so the y = 0 node is exactly zero
     # (and masking it avoids the 0 * inf corner of the mirror pair)
@@ -105,9 +111,12 @@ def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
     if continuum and x == 0.0:
         x = _X_FLOOR
     scale = max(1.0, math.sqrt(x))
-    return integrate_semi_infinite(
+    res = integrate_semi_infinite(
         lambda y: _gap_integrand(y, x, eps1, eps3),
         rel_tol=rel_tol, scale=scale, vectorized=True)
+    damp = math.exp(-2.0 * x)
+    return QuadratureResult(damp * res.value, damp * res.error, res.n_evals,
+                            res.converged)
 
 
 def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
@@ -153,7 +162,8 @@ def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
     prefactor = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3)
     zero_scale = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
                                    * temp.kelvin * d)
-    msum = matsubara_sum(term, temp, rel_tol=rel_tol, zero_scale=zero_scale)
+    msum = matsubara_sum(term, temp, rel_tol=rel_tol, zero_scale=zero_scale,
+                         zero_breaks=stack.breakpoints / temp.xi(1))
 
     terms = ()
     if keep_terms and temp.kind != "zero":

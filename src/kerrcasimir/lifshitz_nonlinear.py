@@ -279,12 +279,14 @@ def _n_star(temperature, d):
                              * temperature.kelvin * d)
 
 
-def _separable_double_sum(frequency, temperature, n_star, rel_tol):
+def _separable_double_sum(frequency, temperature, n_star, rel_tol,
+                          breaks=()):
     """sum'_n sum'_m W(x_n, x_m) contracted from per-frequency vectors.
 
     frequency(n) gives (x, eps1, eps3) at thermal index n. At zero
     temperature the sum is the integral over continuous (n, m): both
-    axes share the nested rule semi_infinite_nodes(., n_star), so the
+    axes share the nested rule semi_infinite_nodes(., n_star, breaks),
+    breaks being the thermal indices of the table nodes, so the
     tensor-product integral is the contraction of the integrated
     vectors. Otherwise matsubara_sum adds the shells of the square
     truncation S_N = _contract(F_N, F_N), F_N = sum'_{n <= N} f_n, and
@@ -304,7 +306,7 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol):
     if temperature.kind == "zero":
         def levels():
             for wn, fs in _nested_values(vectors, n_star, _OUTER_MAX_LEVEL,
-                                         False):
+                                         False, breaks):
                 total = np.tensordot(wn, fs, 1)
                 yield _contract(total, total), evals[0]
 
@@ -363,7 +365,7 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
                 st.layer3.permittivity(xi))
 
     dsum = _separable_double_sum(frequency, temp, _n_star(temp, st.gap),
-                                 rel_tol)
+                                 rel_tol, st.breakpoints / temp.xi(1))
     return _kerr_pressure(dsum, temp, st.gap, chi3)
 
 

@@ -7,6 +7,14 @@ one. Two models are supported: a constant permittivity (including the
 symbolic perfect mirror, eps = inf) and a tabulated response with
 piecewise log-linear interpolation in xi.
 
+The interpolant of a table has a kink (a jump in its derivative) at
+every table node, and so has every frequency integrand built on it.
+breakpoints exposes the positive nodes, and the zero-temperature
+frequency integrals split into panels there (mapped to thermal indices
+n = xi / xi_1; see quadrature.semi_infinite_nodes), so each panel sees
+a smooth integrand and the nested rules converge geometrically again
+instead of algebraically.
+
 A plate may additionally carry an isotropic third-order (Kerr)
 susceptibility chi3, in m**2/V**2. chi3_contract exposes the tensor
 structure of that response; the pressure kernels have the relevant
@@ -115,6 +123,15 @@ class MaterialResponse:
     def has_kerr(self):
         return self.chi3 != 0.0
 
+    @property
+    def breakpoints(self):
+        """Positive table frequencies, rad/s, ascending: where the
+        interpolated permittivity has kinks. Empty for constant plates
+        and the mirror."""
+        if self._xi_nodes is None:
+            return np.empty(0)
+        return self._xi_nodes[self._xi_nodes > 0.0]
+
     def permittivity(self, xi):
         """Permittivity at imaginary frequency i*xi, xi >= 0 in rad/s.
 
@@ -201,6 +218,12 @@ class LayerStack:
                 "at most one plate may carry a Kerr response")
         if not isinstance(self.temperature, Temperature):
             raise MaterialError("temperature must be a Temperature")
+
+    @property
+    def breakpoints(self):
+        """Union of the breakpoints of both plates, rad/s, ascending."""
+        return np.array(sorted({*self.layer1.breakpoints,
+                                *self.layer3.breakpoints}), dtype=float)
 
     @property
     def kerr_layer(self):

@@ -1,9 +1,23 @@
 """Nested Clenshaw-Curtis quadrature and thermal frequency summation.
 
-Every pressure integrand in this package is smooth and exponentially
-decaying, which makes doubling Clenshaw-Curtis rules a good fit: each
-refinement reuses all previous function evaluations and the change
-between two successive levels is a usable error estimate.
+Every pressure integrand in this package is exponentially decaying and
+smooth, except for kinks where a tabulated permittivity has a node,
+which makes doubling Clenshaw-Curtis rules a good fit: each refinement
+reuses all previous function evaluations and the change between two
+successive levels is a usable error estimate.
+
+One composite rule covers [0, inf) (semi_infinite_nodes). Breakpoints
+b_1 < ... < b_K cut it into finite panels [0, b_1], ..., [b_(K-1), b_K],
+each with the order-m rule, and a tail [b_K, inf), with the order-m
+rule mapped via x = b_K + scale*u/(1-u). Every panel contributes m
+nodes: its right endpoint is the next panel's first node and passes its
+weight on to it. Level-m nodes therefore stay the even-indexed nodes of
+level 2*m across panel edges, so the nested refinement reuses them
+exactly as without breakpoints, and without breakpoints the rule is the
+mapped rule alone. Breakpoints at the kinks of an integrand leave it
+smooth on every panel, so the rule converges geometrically where one
+rule across the kinks converges only algebraically. Level caps count m,
+the nodes per panel.
 
 One refinement rule serves every adaptive quadrature here (_refine):
 the order doubles from 8 until the change between two successive
@@ -135,23 +149,47 @@ def clenshaw_curtis(m):
     return x.copy(), w.copy()
 
 
-def semi_infinite_nodes(m, scale=1.0):
-    """Clenshaw-Curtis rule mapped onto [0, inf) via x = scale*u/(1-u).
+def semi_infinite_nodes(m, scale=1.0, breaks=()):
+    """Composite Clenshaw-Curtis rule on [0, inf), split at breaks.
 
-    The u = 1 endpoint (x = inf) is dropped, so both arrays have length
-    m. Dropping it is exact whenever the integrand decays faster than
-    1/x**2, which holds for every exponentially damped kernel here.
-    Rules for m and 2*m stay nested: node k of level m is node 2*k of
+    The ascending positive breakpoints b_1 < ... < b_K cut [0, inf) into
+    the finite panels [0, b_1], ..., [b_(K-1), b_K], each carrying the
+    order-m rule, and the tail [b_K, inf) (all of [0, inf) without
+    breakpoints), carrying the order-m rule mapped via
+    x = b_K + scale*u/(1-u). Each panel contributes m nodes, so both
+    arrays have length (K + 1)*m: a finite panel drops its right
+    endpoint, which is the first node of the next panel, and moves its
+    weight there; the tail drops u = 1 (x = inf). Dropping that one is
+    exact whenever the integrand decays faster than 1/x**2, which holds
+    for every exponentially damped kernel here. Rules for m and 2*m
+    stay nested across panel edges: node k of level m is node 2*k of
     level 2*m, bitwise.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be positive and finite")
     u, wu = _cc_rule(int(m))
+    end_weight = wu[-1]
     u = u[:-1]
     wu = wu[:-1]
+    xs, ws = [], []
+    a = carry = 0.0
+    for b in breaks:
+        b = float(b)
+        if not a < b < math.inf:
+            raise ValueError("breaks must be finite, positive and increasing")
+        w = (b - a) * wu
+        w[0] += carry
+        xs.append(a + (b - a) * u)
+        ws.append(w)
+        a, carry = b, (b - a) * end_weight
     x = scale * u / (1.0 - u)
     w = wu * scale / (1.0 - u) ** 2
-    return x, w
+    if not xs:
+        return x, w
+    w[0] += carry
+    xs.append(a + x)
+    ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _refine(levels, rel_tol):
@@ -177,21 +215,22 @@ def _evaluate(f, x, vectorized):
     return np.array([f(v) for v in x], dtype=float)
 
 
-def _nested_values(f, scale, max_level, vectorized):
-    """Weights and values of f on semi_infinite_nodes(m, scale), m = 8,
-    16, ..., max_level: each level evaluates f on its new nodes only.
+def _nested_values(f, scale, max_level, vectorized, breaks=()):
+    """Weights and values of f on semi_infinite_nodes(m, scale, breaks),
+    m = 8, 16, ..., max_level: each level evaluates f on its new nodes
+    only.
 
     f may return arrays (non-vectorized); vals then stacks them on the
     first axis, node by node.
     """
     m = MIN_LEVEL
-    x, w = semi_infinite_nodes(m, scale)
+    x, w = semi_infinite_nodes(m, scale, breaks)
     vals = _evaluate(f, x, vectorized)
     yield w, vals
     while m < max_level:
         m *= 2
-        x, w = semi_infinite_nodes(m, scale)
-        fine = np.empty((m,) + vals.shape[1:])
+        x, w = semi_infinite_nodes(m, scale, breaks)
+        fine = np.empty(x.shape + vals.shape[1:])
         fine[0::2] = vals
         fine[1::2] = _evaluate(f, x[1::2], vectorized)
         vals = fine
@@ -199,7 +238,7 @@ def _nested_values(f, scale, max_level, vectorized):
 
 
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
-                            vectorized=True):
+                            vectorized=True, breaks=()):
     """Integrate f over [0, inf) with doubling Clenshaw-Curtis rules.
 
     Parameters
@@ -210,15 +249,20 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     rel_tol : float
         Target for the level-to-level change relative to the integral.
     scale : float
-        Characteristic width of the integrand; the mapped nodes put
-        half of their mass below x = scale.
+        Characteristic width of the integrand beyond its last
+        breakpoint (beyond 0 without any); the tail nodes put half of
+        their mass within scale of that point.
+    breaks : sequence of float
+        Ascending positive points where f has a kink (a discontinuous
+        derivative); see semi_infinite_nodes.
 
     Returns
     -------
     QuadratureResult
     """
     levels = ((float(w @ vals), w.size)
-              for w, vals in _nested_values(f, scale, max_level, vectorized))
+              for w, vals in _nested_values(f, scale, max_level, vectorized,
+                                            breaks))
     return _refine(levels, rel_tol)
 
 
@@ -243,8 +287,8 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
     both axes; previously computed values are reused at every level.
     When vectorized, f receives meshgrid arrays, otherwise it is called
     once per node pair (keep it cheap in that case, or accept the cost:
-    the pressure code uses this path with one inner quadrature per
-    node).
+    the transparent-plate/mirror route uses this path with one inner
+    momentum quadrature per node).
 
     Returns
     -------
@@ -275,7 +319,7 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
 
 
 def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
-                  zero_scale=1.0):
+                  zero_scale=1.0, zero_breaks=()):
     """Primed sum over thermal frequencies: sum'_n term(n), n >= 0.
 
     The n = 0 term carries weight 1/2. Behaviour per temperature kind:
@@ -288,7 +332,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
       integral of term over continuous n >= 0 (term must accept floats
       there); k_B * temperature.kelvin * result is then the physical
       average for any reference kelvin. zero_scale sets the n beyond
-      which term decays.
+      which term decays, and zero_breaks lists the n at which term has
+      kinks (see semi_infinite_nodes).
 
     Returns
     -------
@@ -299,7 +344,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
         return QuadratureResult(0.5 * term(0), 0.0, 1, True)
     if kind == "zero":
         return integrate_semi_infinite(term, rel_tol=rel_tol,
-                                       scale=zero_scale, vectorized=False)
+                                       scale=zero_scale, vectorized=False,
+                                       breaks=zero_breaks)
 
     total = 0.5 * term(0)
     last = []

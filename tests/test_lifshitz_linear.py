@@ -7,7 +7,7 @@ from scipy.integrate import dblquad, quad
 
 from kerrcasimir.constants import C_LIGHT, HBAR, K_BOLTZMANN
 from kerrcasimir.errors import MaterialError
-from kerrcasimir.lifshitz_linear import (i_lin_high_t, i_lin_zero_t,
+from kerrcasimir.lifshitz_linear import (_g_hat, i_lin_high_t, i_lin_zero_t,
                                          pressure_linear)
 from kerrcasimir.materials import LayerStack, MaterialResponse
 from kerrcasimir.quadrature import Temperature
@@ -183,19 +183,93 @@ def test_dimensionless_extraction_is_distance_free():
 def test_table_material_pressure_runs():
     table = ((0.0, 12.0), (1e15, 4.0), (1e16, 1.5))
     mat = MaterialResponse.from_table(table)
-    stack = LayerStack(mat, MaterialResponse.perfect_mirror(), 1e-7,
-                       Temperature.finite(300.0))
-    res = pressure_linear(stack)
+    for temp in (Temperature.finite(300.0), Temperature.zero()):
+        stack = LayerStack(mat, MaterialResponse.perfect_mirror(), 1e-7,
+                           temp)
+        res = pressure_linear(stack)
+        assert res.converged
+        assert res.value > 0.0
+        # bracketed by the constant-eps extremes of the table
+        lo = pressure_linear(LayerStack(
+            MaterialResponse.constant(1.5), MaterialResponse.perfect_mirror(),
+            1e-7, temp)).value
+        hi = pressure_linear(LayerStack(
+            MaterialResponse.constant(12.0),
+            MaterialResponse.perfect_mirror(), 1e-7, temp)).value
+        assert lo < res.value < hi
+
+
+def test_flat_table_matches_constant_material():
+    # equal eps at every node: the panels split a smooth integrand
+    flat = MaterialResponse.from_table(
+        ((0.0, 3.0), (1e13, 3.0), (1e15, 3.0), (1e16, 3.0)))
+    temp = Temperature.zero()
+    for d in (1e-8, 1e-6):
+        res = pressure_linear(LayerStack(
+            flat, MaterialResponse.constant(10.0), d, temp))
+        ref = pressure_linear(_stack(3.0, 10.0, d, temp))
+        assert res.converged and ref.converged
+        assert abs(res.value - ref.value) \
+            <= 4e-8 * abs(ref.value) + res.error + ref.error
+
+
+def test_tabulated_zero_temperature_matches_scipy_with_breakpoints():
+    # the outer frequency integral by adaptive Gauss-Kronrod, told where
+    # the kinks are; the inner momentum integrals run far tighter
+    table = ((0.0, 12.0), (1e14, 9.0), (1e15, 4.0), (1e16, 1.5))
+    mat = MaterialResponse.from_table(table)
+    d, temp = 1e-7, Temperature.zero()
+    breaks = [xi / temp.xi(1) for xi, _ in table[1:]]
+
+    def term(n):
+        xi = temp.xi(n)
+        return _g_hat(xi * d / C_LIGHT, mat.permittivity(xi), 10.0, 1e-13,
+                      continuum=True).value
+
+    head, _ = quad(term, 0.0, breaks[-1], points=breaks[:-1],
+                   epsabs=0.0, epsrel=1e-11, limit=200)
+    tail, _ = quad(term, breaks[-1], math.inf, epsabs=0.0, epsrel=1e-11)
+    oracle = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3) * (head + tail)
+
+    res = pressure_linear(LayerStack(mat, MaterialResponse.constant(10.0),
+                                     d, temp))
     assert res.converged
-    assert res.value > 0.0
-    # bracketed by the constant-eps extremes of the table
-    lo = pressure_linear(LayerStack(
-        MaterialResponse.constant(1.5), MaterialResponse.perfect_mirror(),
-        1e-7, Temperature.finite(300.0))).value
-    hi = pressure_linear(LayerStack(
-        MaterialResponse.constant(12.0), MaterialResponse.perfect_mirror(),
-        1e-7, Temperature.finite(300.0))).value
-    assert lo < res.value < hi
+    assert res.value == pytest.approx(oracle, rel=1e-8)
+
+
+def _g_mpmath(x, eps1, eps3):
+    # g(x) at 30 digits; mpmath exponents do not underflow
+    x = mpmath.mpf(x)
+
+    def f(y):
+        k2 = mpmath.sqrt(x * x + y * y)
+        k1, k3 = (mpmath.sqrt(e * x * x + y * y) for e in (eps1, eps3))
+        damp = mpmath.exp(-2 * k2)
+        total = 0
+        for r in ((k2 - k1) / (k2 + k1) * (k2 - k3) / (k2 + k3),
+                  (eps1 * k2 - k1) / (eps1 * k2 + k1)
+                  * (eps3 * k2 - k3) / (eps3 * k2 + k3)):
+            total += r * damp / (1 - r * damp)
+        return y * k2 * total
+
+    s = mpmath.sqrt(x)
+    with mpmath.workdps(30):
+        return mpmath.quad(f, [0, s / 4, s / 2, s, 2 * s, 4 * s, 8 * s,
+                               mpmath.inf])
+
+
+def test_g_hat_converges_where_its_integrand_is_subnormal():
+    # at x = 362.17 the integrand of g is about 1e-314, and subnormal
+    # numbers cannot carry a relative tolerance of 1e-9; the momentum
+    # quadrature refines e^(2x) g instead
+    res = _g_hat(362.17, 1.01, 1.05, 1e-9)
+    assert res.converged and res.n_evals < 4096
+    assert 0.0 < res.value < 1e-300
+    assert res.value == pytest.approx(float(_g_mpmath(362.17, 1.01, 1.05)),
+                                      rel=1e-8)
+    res = _g_hat(3.0, 2.0, 10.0, 1e-11)
+    assert res.value == pytest.approx(float(_g_mpmath(3.0, 2.0, 10.0)),
+                                      rel=1e-10)
 
 
 def test_permittivity_below_one_rejected():

@@ -33,6 +33,9 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _unprimed_vectors)
 
 CHI3 = 2e-16
+TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
+TABLE_LIN = ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0),
+             (1e17, 1.05))
 
 
 def _stack(eps_nl, eps_lin, chi3, gap, temperature):
@@ -206,10 +209,8 @@ def test_exponential_sum_coupling():
 
 
 def test_separable_kernel_matches_direct_pair_quadrature():
-    table_nl = MaterialResponse.from_table(
-        ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01)))
-    table_lin = MaterialResponse.from_table(
-        ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0), (1e17, 1.05)))
+    table_nl = MaterialResponse.from_table(TABLE_NL)
+    table_lin = MaterialResponse.from_table(TABLE_LIN)
 
     def tabulated(x, d=1e-7):
         xi = x * C_LIGHT / d
@@ -376,6 +377,36 @@ def test_zero_t_coefficient_counts_momentum_nodes():
     assert coeff.n_evals == res.n_evals
     # at least 16 frequency nodes, each with two momentum levels or more
     assert coeff.n_evals >= 16 * 2 * (8 + 16)
+
+
+@pytest.mark.parametrize("d", [1e-8, 1e-7, 1e-6])
+def test_tabulated_zero_t_kerr_converges(d):
+    # the frequency integrals split at the table nodes of both plates;
+    # one rule across the kinks ran into its level cap unconverged
+    temp = Temperature.zero()
+    res = pressure_nonlinear(LayerStack(
+        MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+        MaterialResponse.from_table(TABLE_LIN), d, temp))
+    assert res.converged and res.n_evals < 200_000
+    # the coefficient falls with eps_nl and grows with eps_lin, so the
+    # extremes of the two tables bracket the tabulated value
+    lo = pressure_nonlinear(_stack(11.7, 1.05, CHI3, d, temp)).value
+    hi = pressure_nonlinear(_stack(1.01, 1e4, CHI3, d, temp)).value
+    assert lo < res.value < hi
+
+
+def test_flat_table_kerr_matches_constant_material():
+    temp = Temperature.zero()
+    flat = LayerStack(
+        MaterialResponse.from_table(
+            ((0.0, 2.0), (1e14, 2.0), (1e15, 2.0), (1e16, 2.0)), chi3=CHI3),
+        MaterialResponse.from_table(((0.0, 10.0), (1e13, 10.0), (1e15, 10.0))),
+        1e-7, temp)
+    res = pressure_nonlinear(flat)
+    ref = pressure_nonlinear(_stack(2.0, 10.0, CHI3, 1e-7, temp))
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) \
+        <= 4e-6 * abs(ref.value) + res.error + ref.error
 
 
 def test_finite_t_approaches_zero_t_at_low_temperature():

@@ -76,6 +76,17 @@ def test_table_with_zero_frequency_knot():
     assert 2.0 < mat.permittivity(5e13) < 4.0
 
 
+def test_breakpoints_are_positive_table_nodes():
+    assert MaterialResponse.constant(2.5).breakpoints.size == 0
+    assert MaterialResponse.perfect_mirror().breakpoints.size == 0
+    a = MaterialResponse.from_table(((0.0, 4.0), (1e14, 2.0), (1e15, 1.5)))
+    b = MaterialResponse.from_table(((1e13, 9.0), (1e14, 3.0)))
+    assert np.array_equal(a.breakpoints, [1e14, 1e15])
+    assert np.array_equal(b.breakpoints, [1e13, 1e14])
+    stack = LayerStack(a, b, 1e-7, Temperature.zero())
+    assert np.array_equal(stack.breakpoints, [1e13, 1e14, 1e15])
+
+
 def test_chi3_contract_symmetry():
     chi = 2e-16
     assert chi3_contract(chi, "x", "x", "x", "x") == 3.0 * chi

@@ -59,6 +59,64 @@ def test_semi_infinite_drops_endpoint():
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
 
 
+def test_composite_rule_without_breaks_is_the_mapped_rule():
+    # the rule x = scale*u/(1-u) on Clenshaw-Curtis nodes u, restated
+    for m in (8, 64, 4096):
+        for scale in (1.0, 2.5, 3.7e3):
+            u, wu = clenshaw_curtis(m)
+            u, wu = u[:-1], wu[:-1]
+            x, w = semi_infinite_nodes(m, scale, breaks=())
+            assert np.array_equal(x, scale * u / (1.0 - u))
+            assert np.array_equal(w, wu * scale / (1.0 - u) ** 2)
+
+
+def test_composite_rule_panels():
+    breaks = (0.7, 2.0, 5.5)
+    m, scale = 16, 1.5
+    x, w = semi_infinite_nodes(m, scale, breaks)
+    assert x.size == w.size == 4 * m
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    # every panel starts at its left edge; the tail keeps the mapped rule
+    assert np.array_equal(x[m::m][:3], breaks)
+    u, wu = clenshaw_curtis(m)
+    assert np.array_equal(x[3 * m:], 5.5 + scale * u[:-1] / (1.0 - u[:-1]))
+    # polynomials of degree <= m on [0, 5.5] are exact on the panels
+    inner = x < 5.5
+    # the tail's first node, 5.5, holds the last panel's end weight too
+    head = np.append(w[inner], w[3 * m] - wu[0] * scale)
+    nodes = np.append(x[inner], 5.5)
+    for k in (0, 3, 16):
+        assert abs(head @ nodes ** k - 5.5 ** (k + 1) / (k + 1)) \
+            < 1e-13 * 5.5 ** (k + 1)
+    for bad in ((1.0, 1.0), (-1.0,), (0.0,), (2.0, 1.0), (math.inf,)):
+        with pytest.raises(ValueError):
+            semi_infinite_nodes(m, scale, bad)
+
+
+def test_composite_rule_nesting_is_bitwise_across_panels():
+    breaks = (0.3, 1.0, 12.0, 400.0)
+    for m in (8, 32, 512):
+        x, _ = semi_infinite_nodes(m, 3.0, breaks)
+        x2, _ = semi_infinite_nodes(2 * m, 3.0, breaks)
+        assert np.array_equal(x, x2[::2])
+
+
+@pytest.mark.parametrize("b", [0.7, 1.3, 2.5])
+def test_breakpoint_restores_convergence_of_kinked_integrand(b):
+    def f(x):
+        return np.exp(-x) * np.abs(x - b)
+
+    exact = b - 1.0 + 2.0 * math.exp(-b)
+    split = integrate_semi_infinite(f, rel_tol=1e-13, breaks=(b,))
+    assert split.converged and split.n_evals < 4096
+    assert abs(split.value - exact) < 1e-12 * exact
+    # one rule across the kink converges only algebraically: it reaches
+    # the 4096-node cap first and is still off beyond 1e-12
+    whole = integrate_semi_infinite(f, rel_tol=1e-13)
+    assert not whole.converged and whole.n_evals == 4096
+    assert abs(whole.value - exact) > 1e-12 * exact
+
+
 def test_semi_infinite_against_closed_forms():
     for f, exact in [
         (lambda x: np.exp(-x), 1.0),
@@ -163,6 +221,18 @@ def test_refinement_contract_semi_infinite():
         edge = abs(level(m) - level(m // 2)) / abs(level(m))
         assert integrate_semi_infinite(f, rel_tol=edge,
                                        scale=2.0).n_evals == m
+    # with breakpoints every one of the 3 panels holds m nodes at level m
+    breaks = (0.5, 3.0)
+
+    def split_level(m):
+        x, w = semi_infinite_nodes(m, 2.0, breaks)
+        return float(w @ f(x))
+
+    for tol in (1e-4, 1e-12):
+        res = integrate_semi_infinite(f, rel_tol=tol, scale=2.0,
+                                      breaks=breaks)
+        _check_contract(res, _replay(split_level, tol, 4096),
+                        lambda m: 3 * m)
 
 
 def test_refinement_contract_2d():

@@ -138,8 +138,13 @@ def thermal_weight_a(frequency, temperature, axis="real"):
         / math.tanh(0.5 * HBAR * xi / (K_BOLTZMANN * temperature.kelvin))
 
 
-def _unprimed_vectors(x, y, eps1, eps3):
-    """A1, A2 and kappa1 over a y grid at one scaled frequency x."""
+def _kernel_vectors(x, y, eps1, eps3):
+    """A1, A2, B1, B2 and kappa1 over a y grid at one scaled frequency x.
+
+    A_k are the unprimed factors (x as the frequency of the cavity
+    modes), B_k the primed ones (x as the fluctuation frequency); both
+    share the four Fresnel amplitudes.
+    """
     k2 = np.hypot(x, y)
     k1sq = eps1 * x * x + y * y
     k1 = np.sqrt(k1sq)
@@ -150,32 +155,17 @@ def _unprimed_vectors(x, y, eps1, eps3):
     fp23 = reflection_p(x, y, eps3)
     gs = (1.0 - fs21) / (1.0 - fs21 * fs23 * damp)
     gp = (1.0 - fp21) / (1.0 - fp21 * fp23 * damp)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pref = y * (k2 * k2 / k1sq) * damp
-        a1 = pref * (-fs23 * gs * gs * x * x + fp23 * gp * gp * k1sq)
-        a2 = pref * fp23 * gp * gp * y * y
-    zero = y == 0.0
-    return np.where(zero, 0.0, a1), np.where(zero, 0.0, a2), k1
-
-
-def _primed_vectors(x, y, eps1, eps3):
-    """B1, B2 and kappa1 over a y grid at one scaled primed frequency."""
-    k2 = np.hypot(x, y)
-    k1 = np.sqrt(eps1 * x * x + y * y)
-    damp = np.exp(-2.0 * k2)
-    fs21 = reflection_s(x, y, eps1)
-    fp21 = reflection_p(x, y, eps1)
-    fs23 = reflection_s(x, y, eps3)
-    fp23 = reflection_p(x, y, eps3)
     rs = fs23 * (1.0 - fs21 * fs21) / (1.0 - fs21 * fs23 * damp)
     rp = fp23 * (1.0 - fp21 * fp21) / (1.0 - fp21 * fp23 * damp)
     mx = 2.0 * x * x * rs - (3.0 * y * y / eps1 + 2.0 * x * x) * rp
     mz = x * x * rs - (4.0 * y * y / eps1 + x * x) * rp
     with np.errstate(invalid="ignore", divide="ignore"):
-        b1 = y * damp * mx / k1
-        b2 = y * damp * mz / k1
+        pref = y * (k2 * k2 / k1sq) * damp
+        vecs = (pref * (-fs23 * gs * gs * x * x + fp23 * gp * gp * k1sq),
+                pref * fp23 * gp * gp * y * y,
+                y * damp * mx / k1, y * damp * mz / k1)
     zero = y == 0.0
-    return np.where(zero, 0.0, b1), np.where(zero, 0.0, b2), k1
+    return tuple(np.where(zero, 0.0, vec) for vec in vecs) + (k1,)
 
 
 def _ct_unprimed(x, y):
@@ -255,9 +245,8 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
         m, n_evals = MIN_LEVEL, 0
         while True:
             y, wy = semi_infinite_nodes(m, scale)
-            a1, a2, k1 = _unprimed_vectors(x, y, eps1, eps3)
-            b1, b2, _ = _primed_vectors(x, y, eps1, eps3)
-            f = (wy * np.array([a1, a2, b1, b2])) \
+            *vecs, k1 = _kernel_vectors(x, y, eps1, eps3)
+            f = (wy * np.array(vecs)) \
                 @ np.exp(np.multiply.outer(k1, -_COUPLING_T))
             n_evals += 2 * m
             yield _contract(f, f), n_evals

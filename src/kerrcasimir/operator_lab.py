@@ -18,6 +18,9 @@ operator
 a finite positive weight set standing in for the thermal spectrum (the
 identities are weight-independent). The amended response is
 Gt = (I + G1 N) G1, first order in chi throughout.
+run_verification_suite inverts each distinct Helmholtz matrix once and
+shares G1, the weighted spectral sum behind N and the noise covariance
+between its rows and its Monte-Carlo check.
 
 Conventions: Im of a matrix is elementwise, (A - conj(A)) / 2i, which
 for the symmetric matrices of this model equals the anti-Hermitian
@@ -77,6 +80,27 @@ def _check_profile(grid, profile, name):
     return profile
 
 
+def _check_eps(grid, eps_profile):
+    eps = _check_profile(grid, eps_profile, "eps_profile")
+    if np.any(eps < 1.0):
+        raise ConfigError("eps_profile must be >= 1 everywhere")
+    return eps
+
+
+def _inverse(grid, eps, omega, eta):
+    """Dense inverse of the Helmholtz matrix -D2 - omega**2 eps - i eta."""
+    omega = float(omega)
+    # the conjugation identity rebuilds at -omega; only 0 is meaningless
+    if omega == 0.0:
+        raise ConfigError("omega must be nonzero")
+    h = -_laplacian(grid) - omega * omega * np.diag(eps) \
+        - 1j * eta * np.eye(grid.n_points)
+    try:
+        return np.linalg.inv(h)
+    except np.linalg.LinAlgError:
+        raise ConfigError("Helmholtz matrix is singular; increase eta")
+
+
 def build_linear(grid, eps_profile, omega, eta=None):
     """Vacuum and full response of the linear 1-D model.
 
@@ -86,7 +110,7 @@ def build_linear(grid, eps_profile, omega, eta=None):
     eps_profile : array
         Real permittivity per point, >= 1 (1 outside the objects).
     omega : float
-        Frequency, > 0 (natural units).
+        Frequency, nonzero (natural units).
     eta : float, optional
         Override of grid.eta. A negative value builds the conjugate
         (time-reversed) completion, used by the conjugation identity
@@ -99,47 +123,42 @@ def build_linear(grid, eps_profile, omega, eta=None):
         the diagonal potential v = omega**2 (eps - 1), satisfying
         inv(g1) = inv(g0) - v to machine precision.
     """
-    eps = _check_profile(grid, eps_profile, "eps_profile")
-    if np.any(eps < 1.0):
-        raise ConfigError("eps_profile must be >= 1 everywhere")
+    eps = _check_eps(grid, eps_profile)
     omega = float(omega)
-    if not omega > 0.0:
-        # the conjugation identity rebuilds at -omega; only omega = 0
-        # is actually meaningless
-        if omega == 0.0:
-            raise ConfigError("omega must be nonzero")
-    if eta is None:
-        eta = grid.eta
-    eta = float(eta)
+    eta = float(grid.eta if eta is None else eta)
     if eta == 0.0 or not math.isfinite(eta):
         raise ConfigError("eta must be nonzero and finite")
+    g0 = _inverse(grid, np.ones(grid.n_points), omega, eta)
+    g1 = _inverse(grid, eps, omega, eta)
+    return g0, g1, omega * omega * np.diag(eps - 1.0)
 
-    d2 = _laplacian(grid)
-    w2 = omega * omega
-    ident = np.eye(grid.n_points)
-    h0 = -d2 - w2 * ident - 1j * eta * ident
-    h1 = -d2 - w2 * np.diag(eps) - 1j * eta * ident
-    try:
-        g0 = np.linalg.inv(h0)
-        g1 = np.linalg.inv(h1)
-    except np.linalg.LinAlgError:
-        raise ConfigError("Helmholtz matrix is singular; increase eta")
-    v = w2 * np.diag(eps - 1.0)
-    return g0, g1, v
+
+def _spectral_diag(grid, eps, weights):
+    """sum_w w * diag(Im G1(omega_w)), one inverse per weight frequency."""
+    acc = np.zeros(grid.n_points)
+    for w_freq, w in weights:
+        if not w > 0.0:
+            raise ConfigError("weights must be positive")
+        acc += w * np.diagonal(_inverse(grid, eps, w_freq, grid.eta)).imag
+    return acc
+
+
+def _n_diag(omega, chi, spectral):
+    return np.diag(3.0 * omega * omega * chi * spectral)
 
 
 def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
     """Diagonal Kerr operator from the local fluctuation spectrum.
 
     N(z) = 3 omega**2 chi(z) sum_(w', w) w * Im G1(z, z; w'): the full
-    linear response is rebuilt at every weight frequency, which is why
-    the permittivity profile is required alongside chi.
+    response is inverted at every weight frequency, which is why the
+    permittivity profile is required alongside chi.
 
     Parameters
     ----------
     weight_spec : sequence of (frequency, weight) pairs
         Finite positive surrogate for the thermal spectrum; must be
-        non-empty, weights > 0.
+        non-empty, frequencies nonzero, weights > 0.
 
     Returns
     -------
@@ -147,16 +166,11 @@ def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
         Real diagonal matrix supported on the chi mask.
     """
     chi = _check_profile(grid, chi_profile, "chi_profile")
+    eps = _check_eps(grid, eps_profile)
     weights = list(weight_spec)
     if not weights:
         raise ConfigError("weight_spec must not be empty")
-    acc = np.zeros(grid.n_points)
-    for w_freq, w in weights:
-        if not w > 0.0:
-            raise ConfigError("weights must be positive")
-        _, g1_w, _ = build_linear(grid, eps_profile, w_freq)
-        acc += w * np.diagonal(g1_w).imag
-    return np.diag(3.0 * omega * omega * chi * acc)
+    return _n_diag(omega, chi, _spectral_diag(grid, eps, weights))
 
 
 def gtilde(g1, n_op):
@@ -257,6 +271,25 @@ def noise_covariance(g1, n_op, b_value=1.0):
     return c_psd, fraction
 
 
+def _monte_carlo(g1, n_op, c_psd, b_value, samples, seed):
+    """Deviation of the sampled <E (x) E*> from b Im Gt.
+
+    The fields are E = B z with B = (I + G1 N) u sqrt(lam), where
+    c_psd = u diag(lam) u^H and z holds `samples` seeded complex normal
+    columns, so the ensemble average is B (z z^H / samples) B^H.
+    """
+    n = g1.shape[0]
+    dressing = np.eye(n) + g1 @ n_op
+    lam, u = np.linalg.eigh(c_psd)
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, samples))
+         + 1j * rng.standard_normal((n, samples))) / math.sqrt(2.0)
+    b_mat = dressing @ (u * np.sqrt(np.clip(lam, 0.0, None)))
+    c_mc = b_mat @ (z @ np.conj(z).T / samples) @ np.conj(b_mat).T
+    target = b_value * _im(dressing @ g1)
+    return float(np.max(np.abs(c_mc - target)) / np.max(np.abs(target)))
+
+
 def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
                     b_value=1.0, samples=1000, seed=0):
     """Sampled check of the amended fluctuation-dissipation relation.
@@ -274,23 +307,11 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
     samples = int(samples)
     if samples < 1000:
         raise ConfigError("samples must be >= 1000")
-    g0, g1, v = build_linear(grid, eps_profile, omega)
     n_op = build_n_operator(grid, eps_profile, chi_profile, omega,
                             weight_spec)
-    gt = gtilde(g1, n_op)
+    g1 = _inverse(grid, _check_eps(grid, eps_profile), omega, grid.eta)
     c_psd, _ = noise_covariance(g1, n_op, b_value)
-    lam, u = np.linalg.eigh(c_psd)
-    lam = np.clip(lam, 0.0, None)
-
-    rng = np.random.default_rng(seed)
-    n = grid.n_points
-    z = (rng.standard_normal((n, samples))
-         + 1j * rng.standard_normal((n, samples))) / math.sqrt(2.0)
-    x = u @ (np.sqrt(lam)[:, None] * z)
-    e = (np.eye(n) + g1 @ n_op) @ x
-    c_mc = e @ np.conj(e).T / samples
-    target = b_value * _im(gt)
-    return float(np.max(np.abs(c_mc - target)) / np.max(np.abs(target)))
+    return _monte_carlo(g1, n_op, c_psd, b_value, samples, seed)
 
 
 @dataclass(frozen=True)
@@ -348,16 +369,16 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
         / math.sqrt(n_points), 1e-12)
 
     # calibrate chi so the Kerr dressing is a genuine small perturbation
+    spectral = _spectral_diag(grid, eps, weight_spec)
     probe = chi.copy()
     probe[mask_alpha] = 1.0
     probe[mask_beta] = 0.5
-    n_probe = build_n_operator(grid, eps, probe, omega, weight_spec)
-    scale = np.linalg.norm(g1 @ n_probe, 2)
+    scale = np.linalg.norm(g1 @ _n_diag(omega, probe, spectral), 2)
     chi_val = 5e-3 / scale
     chi[mask_alpha] = chi_val
     chi[mask_beta] = 0.5 * chi_val
 
-    n_total = build_n_operator(grid, eps, chi, omega, weight_spec)
+    n_total = _n_diag(omega, chi, spectral)
     gt = gtilde(g1, n_total)
     add("reciprocity", max(_asymmetry(g0), _asymmetry(g1), _asymmetry(gt)),
         1e-12)
@@ -368,9 +389,9 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
         eps_i[mask] = eps[mask]
         chi_i = np.zeros(n_points)
         chi_i[mask] = chi[mask]
-        _, g1_i, _ = build_linear(grid, eps_i, omega)
-        n_i = build_n_operator(grid, eps_i, chi_i, omega, weight_spec)
-        return g1_i, n_i
+        return (_inverse(grid, eps_i, omega, grid.eta),
+                _n_diag(omega, chi_i,
+                        _spectral_diag(grid, eps_i, weight_spec)))
 
     g1_a, n_a = isolated(mask_alpha)
     g1_b, n_b = isolated(mask_beta)
@@ -392,17 +413,15 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
     add("rytov_linear", rytov_residual(g1, v, np.zeros_like(v), g0), 1e-10)
     add("rytov_nonlinear", rytov_residual(gt, v, n_total, g0), 1e-3)
 
-    g0_m, g1_m, _ = build_linear(grid, eps, -omega, eta=-grid.eta)
-    gt_m = gtilde(g1_m, n_total)
+    gt_m = gtilde(_inverse(grid, eps, -omega, -grid.eta), n_total)
     add("conjugation",
         np.linalg.norm(np.conj(gt) - gt_m) / np.linalg.norm(gt), 1e-12)
 
-    _, clipped = noise_covariance(g1, n_total)
+    c_psd, clipped = noise_covariance(g1, n_total)
     add("noise_psd_clip", clipped, 1e-12)
 
     mc_samples = 2000
     add("monte_carlo_fdt",
-        monte_carlo_fdt(grid, eps, chi, omega, weight_spec,
-                        samples=mc_samples, seed=seed),
+        _monte_carlo(g1, n_total, c_psd, 1.0, mc_samples, seed),
         5.0 / math.sqrt(mc_samples))
     return results

@@ -46,3 +46,18 @@ def test_material_sweep_demo_runs():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "closed form at eps_nl = 1" in proc.stdout
+
+
+def test_operator_identities_demo_runs():
+    # the identity table: a header and one pass/FAIL line per row
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos"
+                                               / "operator_identities.py")],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines()
+            if line.split()[-1:] in (["pass"], ["FAIL"])]
+    assert len(rows) == 10

@@ -28,9 +28,8 @@ from kerrcasimir import lifshitz_nonlinear
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
                                             _frequency_vectors,
-                                            _i_nl_zero_raw, _pair_quadrature,
-                                            _primed_vectors,
-                                            _unprimed_vectors)
+                                            _i_nl_zero_raw, _kernel_vectors,
+                                            _pair_quadrature)
 
 CHI3 = 2e-16
 TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
@@ -140,12 +139,21 @@ def _w_si(xi, q, xi_p, q_p, d):
             / ((kappa + kappa_p) * kappa_p))
 
 
+def _unprimed(x, y, eps1, eps3):
+    a1, a2, _, _, k1 = _kernel_vectors(x, y, eps1, eps3)
+    return a1, a2, k1
+
+
+def _primed(x, y, eps1, eps3):
+    return _kernel_vectors(x, y, eps1, eps3)[2:]
+
+
 def _w_point(xi, q, xi_p, q_p, d, eps_nl, eps_lin):
     """Production kernel at one SI spectral point, units 1/m**4."""
-    a1, a2, k1 = _unprimed_vectors(xi * d / C_LIGHT, np.array([q * d]),
-                                   eps_nl, eps_lin)
-    b1, b2, k1p = _primed_vectors(xi_p * d / C_LIGHT, np.array([q_p * d]),
-                                  eps_nl, eps_lin)
+    a1, a2, k1 = _unprimed(xi * d / C_LIGHT, np.array([q * d]),
+                           eps_nl, eps_lin)
+    b1, b2, k1p = _primed(xi_p * d / C_LIGHT, np.array([q_p * d]),
+                          eps_nl, eps_lin)
     den = k1[0] + k1p[0]
     if den == 0.0:
         return 0.0
@@ -188,8 +196,8 @@ def test_kernel_one_signed():
 def _w_direct(x, xp, eps, eps_p, rel_tol):
     """W(x, x') with the exact 1/(kappa1 + kappa1') coupling matrix."""
     return _pair_quadrature(
-        lambda y: _unprimed_vectors(x, y, *eps),
-        lambda y: _primed_vectors(xp, y, *eps_p),
+        lambda y: _unprimed(x, y, *eps),
+        lambda y: _primed(xp, y, *eps_p),
         max(1.0, math.sqrt(x)), max(1.0, math.sqrt(xp)), rel_tol)
 
 
@@ -295,8 +303,7 @@ def test_transparent_mirror_route_is_independent(monkeypatch):
     def forbidden(*args):
         raise AssertionError("general kernel reached")
 
-    monkeypatch.setattr(lifshitz_nonlinear, "_unprimed_vectors", forbidden)
-    monkeypatch.setattr(lifshitz_nonlinear, "_primed_vectors", forbidden)
+    monkeypatch.setattr(lifshitz_nonlinear, "_kernel_vectors", forbidden)
     d, temp = 1e-7, Temperature.high(300.0)
     res = pressure_transparent_mirror(d, temp, CHI3, rel_tol=1e-8)
     assert res.converged

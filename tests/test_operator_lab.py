@@ -123,6 +123,10 @@ def test_build_n_operator_validation():
         build_n_operator(grid, eps, chi, 1.0, ((0.8, -0.5),))
     with pytest.raises(ConfigError):
         build_n_operator(grid, eps, chi[:8], 1.0, _WEIGHTS)
+    with pytest.raises(ConfigError):
+        build_n_operator(grid, np.full(16, 0.5), chi, 1.0, _WEIGHTS)
+    with pytest.raises(ConfigError):
+        build_n_operator(grid, eps, chi, 1.0, ((0.0, 0.5),))
 
 
 def test_n_operator_real_diagonal_on_mask():
@@ -261,3 +265,100 @@ def test_monte_carlo_rejects_tiny_ensembles():
     grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
     with pytest.raises(ConfigError):
         monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=999)
+
+
+def _suite_oracle(n_points, seed):
+    """The ten suite rows rebuilt through the public functions alone."""
+    grid, eps, chi, mask_a, mask_b = _two_blocks(n_points, 0.3, 0.0)
+    rows = []
+    g0, g1, v = build_linear(grid, eps, _OMEGA)
+    rows.append(np.linalg.norm((np.linalg.inv(g0) - v) @ g1
+                               - np.eye(n_points)) / math.sqrt(n_points))
+    probe = chi.copy()
+    probe[mask_a] = 1.0
+    probe[mask_b] = 0.5
+    n_probe = build_n_operator(grid, eps, probe, _OMEGA, _WEIGHTS)
+    chi_val = 5e-3 / np.linalg.norm(g1 @ n_probe, 2)
+    chi[mask_a] = chi_val
+    chi[mask_b] = 0.5 * chi_val
+    n_total = build_n_operator(grid, eps, chi, _OMEGA, _WEIGHTS)
+    gt = gtilde(g1, n_total)
+    rows.append(max(np.linalg.norm(m - m.T) / np.linalg.norm(m)
+                    for m in (g0, g1, gt)))
+    g1_a, n_a = _isolated(grid, eps, chi, mask_a)
+    g1_b, _ = _isolated(grid, eps, chi, mask_b)
+    combo = naive_combination(g1_a, g1_b, g0)
+    rows.append(np.linalg.norm(combo - g1) / np.linalg.norm(g1))
+    rows.append(np.linalg.norm(combo - naive_combination(g1_b, g1_a, g0))
+                / np.linalg.norm(combo))
+    single = combined_correction(gtilde(g1_a, n_a), n_a, n_a,
+                                 np.zeros_like(n_a))
+    rows.append(np.linalg.norm(single - gtilde(g1_a, n_a))
+                / np.linalg.norm(single))
+    rows.append(rytov_residual(g1, v, np.zeros_like(v), g0))
+    rows.append(rytov_residual(gt, v, n_total, g0))
+    _, g1_m, _ = build_linear(grid, eps, -_OMEGA, eta=-grid.eta)
+    rows.append(np.linalg.norm(np.conj(gt) - gtilde(g1_m, n_total))
+                / np.linalg.norm(gt))
+    rows.append(noise_covariance(g1, n_total)[1])
+    rows.append(monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS,
+                                samples=2000, seed=seed))
+    return [float(r) for r in rows]
+
+
+@pytest.mark.parametrize("n_points, seed", [(32, 0), (32, 5), (64, 0),
+                                            (64, 5)])
+def test_suite_matches_public_function_oracle(n_points, seed):
+    # the suite shares its inverses and covariance between rows; every
+    # exact row must keep its bits, the sampled one its value to 1e-12
+    rows = run_verification_suite(n_points=n_points, seed=seed)
+    oracle = _suite_oracle(n_points, seed)
+    assert [r.value.hex() for r in rows[:-1]] \
+        == [v.hex() for v in oracle[:-1]]
+    assert rows[-1].name == "monte_carlo_fdt"
+    assert rows[-1].value == pytest.approx(oracle[-1], rel=1e-12, abs=0.0)
+
+
+def test_monte_carlo_matches_sampled_fields():
+    # the ensemble average is formed as B (z z^H / M) B^H; the sampled
+    # fields E = (I + G1 N) u sqrt(lam) z give the same average
+    grid, eps, chi, _, _ = _two_blocks(24, 0.3, 1e-3)
+    _, g1, _ = build_linear(grid, eps, _OMEGA)
+    n_op = build_n_operator(grid, eps, chi, _OMEGA, _WEIGHTS)
+    lam, u = np.linalg.eigh(noise_covariance(g1, n_op)[0])
+    rng = np.random.default_rng(7)
+    z = (rng.standard_normal((24, 1500))
+         + 1j * rng.standard_normal((24, 1500))) / math.sqrt(2.0)
+    e = (np.eye(24) + g1 @ n_op) @ (u @ (np.sqrt(np.clip(lam, 0.0, None))
+                                         [:, None] * z))
+    target = _im(gtilde(g1, n_op))
+    direct = np.max(np.abs(e @ np.conj(e).T / 1500 - target)) \
+        / np.max(np.abs(target))
+    value = monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=1500,
+                            seed=7)
+    assert value == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_dense_inverse_work_count(monkeypatch):
+    # one inverse per distinct Helmholtz matrix: g0, g1, g1 at the two
+    # weight frequencies, the same three for each isolated object, the
+    # conjugate g1, and inv(g0) in three rows
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return inv(mat)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    run_verification_suite(n_points=32, seed=0)
+    assert len(calls) <= 14
+    grid, eps, chi, _, _ = _two_blocks(32, 0.3, 1e-3)
+    del calls[:]
+    build_n_operator(grid, eps, chi, _OMEGA, _WEIGHTS)
+    assert len(calls) == 2
+    del calls[:]
+    first = monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, seed=11)
+    assert len(calls) == 3
+    assert monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS,
+                           seed=11).hex() == first.hex()

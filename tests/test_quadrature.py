@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _frequency_vectors,
-                                            _pair_quadrature, _primed_vectors,
-                                            _unprimed_vectors)
+                                            _kernel_vectors, _pair_quadrature)
 from kerrcasimir.quadrature import (QuadratureResult, Temperature,
                                     clenshaw_curtis, double_matsubara_sum,
                                     integrate_2d, integrate_semi_infinite,
@@ -255,20 +254,24 @@ def test_refinement_contract_pair_quadrature():
     # both momentum grids hold m nodes at level m: 2 * (8 + ... + m)
     x, xp = 0.3, 1.7
 
+    def unprimed(y):
+        a1, a2, _, _, k1 = _kernel_vectors(x, y, 2.0, 10.0)
+        return a1, a2, k1
+
+    def primed(y):
+        return _kernel_vectors(xp, y, 2.5, 9.0)[2:]
+
     def level(m):
         y, wy = semi_infinite_nodes(m, 1.0)
         yp, wyp = semi_infinite_nodes(m, math.sqrt(xp))
-        a1, a2, k1 = _unprimed_vectors(x, y, 2.0, 10.0)
-        b1, b2, k1p = _primed_vectors(xp, yp, 2.5, 9.0)
+        a1, a2, k1 = unprimed(y)
+        b1, b2, k1p = primed(yp)
         cross = 1.0 / (k1[:, None] + k1p[None, :])
         return float((wy * a1) @ cross @ (wyp * b1)
                      + (wy * a2) @ cross @ (wyp * b2))
 
     for tol in (1e-4, 1e-9):
-        res = _pair_quadrature(
-            lambda y: _unprimed_vectors(x, y, 2.0, 10.0),
-            lambda y: _primed_vectors(xp, y, 2.5, 9.0),
-            1.0, math.sqrt(xp), tol)
+        res = _pair_quadrature(unprimed, primed, 1.0, math.sqrt(xp), tol)
         _check_contract(res, _replay(level, tol, 1024),
                         lambda m: 4 * m - 16)
 
@@ -280,8 +283,7 @@ def test_refinement_contract_frequency_vectors():
 
     def level(m):
         y, wy = semi_infinite_nodes(m, math.sqrt(x))
-        a1, a2, k1 = _unprimed_vectors(x, y, eps1, eps3)
-        b1, b2, _ = _primed_vectors(x, y, eps1, eps3)
+        a1, a2, b1, b2, k1 = _kernel_vectors(x, y, eps1, eps3)
         decay = np.exp(-np.outer(k1, _COUPLING_T))
         u1, u2, v1, v2 = ((wy * vec) @ decay for vec in (a1, a2, b1, b2))
         return float(_COUPLING_W @ (u1 * v1 + u2 * v2))

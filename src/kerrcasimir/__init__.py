@@ -8,18 +8,15 @@ underlying fluctuation-operator identities to machine precision.
 
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import (ConfigError, KerrCasimirError, MaterialError,
-                     NearResonanceError, SingularPointError,
-                     UnconvergedError)
-from .fresnel import (axial_wavevector, cavity_factor, fresnel_p, fresnel_s,
-                      reflection_p, reflection_s)
-from .lifshitz_linear import (PressureResult, PressureTerm, i_lin_high_t,
-                              i_lin_zero_t, pressure_linear)
+                     NearResonanceError, UnconvergedError)
+from .fresnel import reflection_p, reflection_s
+from .lifshitz_linear import (PressureResult, i_lin_high_t, i_lin_zero_t,
+                              pressure_linear)
 from .lifshitz_nonlinear import (TotalPressure, casimir_pressure,
                                  crossover_distance, i_nl_high_t,
                                  i_nl_zero_t, pressure_nonlinear,
-                                 pressure_transparent_mirror,
-                                 thermal_weight_a)
-from .materials import LayerStack, MaterialResponse, chi3_contract
+                                 pressure_transparent_mirror)
+from .materials import LayerStack, MaterialResponse
 from .operator_lab import (CheckResult, Grid1D, build_linear,
                            build_n_operator, combined_correction, gtilde,
                            monte_carlo_fdt, naive_combination,
@@ -35,16 +32,15 @@ __version__ = "0.1.0"
 __all__ = [
     "C_LIGHT", "EPSILON_0", "HBAR", "K_BOLTZMANN",
     "KerrCasimirError", "ConfigError", "MaterialError",
-    "SingularPointError", "UnconvergedError", "NearResonanceError",
-    "axial_wavevector", "fresnel_s", "fresnel_p", "cavity_factor",
+    "UnconvergedError", "NearResonanceError",
     "reflection_s", "reflection_p",
-    "MaterialResponse", "LayerStack", "chi3_contract",
+    "MaterialResponse", "LayerStack",
     "QuadratureResult", "Temperature", "clenshaw_curtis",
     "semi_infinite_nodes", "integrate_semi_infinite", "integrate_2d",
     "matsubara_sum", "double_matsubara_sum",
-    "PressureResult", "PressureTerm", "pressure_linear",
+    "PressureResult", "pressure_linear",
     "i_lin_zero_t", "i_lin_high_t",
-    "TotalPressure", "thermal_weight_a",
+    "TotalPressure",
     "pressure_nonlinear", "pressure_transparent_mirror",
     "casimir_pressure", "crossover_distance", "i_nl_zero_t", "i_nl_high_t",
     "Grid1D", "CheckResult",

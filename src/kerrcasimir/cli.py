@@ -12,6 +12,9 @@ verify         dense operator-laboratory identity suite
 Configuration is a flat ``key = value`` UTF-8 text file (``#`` starts a
 comment); command-line flags mirror the keys and override the file.
 Unknown keys are rejected. Infinite permittivities are written ``inf``.
+The ``threads`` key of the two scans is accepted, validated and hashed
+like any other, but scans run serially: the work holds the interpreter
+lock, so a thread pool made it slower, not faster.
 
 Output is CSV with a header line, then a ``# config-hash:`` comment
 (SHA-256 over the sorted effective configuration, output path
@@ -25,7 +28,6 @@ import argparse
 import hashlib
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (ConfigError, KerrCasimirError, MaterialError,
@@ -242,14 +244,6 @@ def _pressure_row(config, gap):
     return row, total.converged
 
 
-def _map_ordered(config, work, items):
-    threads = config.values.get("threads", 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, items))
-    return [work(item) for item in items]
-
-
 def _run_pressure(config):
     row, converged = _pressure_row(config, config["gap"])
     _emit(config, _PRESSURE_HEADER, [row])
@@ -264,8 +258,7 @@ def _distance_grid(config):
 
 
 def _run_scan_distance(config):
-    results = _map_ordered(config, lambda d: _pressure_row(config, d),
-                           _distance_grid(config))
+    results = [_pressure_row(config, d) for d in _distance_grid(config)]
     _emit(config, _PRESSURE_HEADER, [row for row, _ in results])
     return 0 if all(ok for _, ok in results) else 2
 
@@ -276,17 +269,13 @@ def _run_scan_epsilon(config):
         i_lin, i_nl = i_lin_zero_t, i_nl_zero_t
     else:
         i_lin, i_nl = i_lin_high_t, i_nl_high_t
-    pairs = [(eps_lin, eps_nl) for eps_lin in config["eps_lin_values"]
-             for eps_nl in config["eps_nl_values"]]
-
-    def work(pair):
-        eps_lin, eps_nl = pair
-        lin = i_lin(eps_nl, eps_lin, rel_tol=min(tol, 1e-9))
-        nl = i_nl(eps_nl, eps_lin, rel_tol=tol)
-        return (eps_lin, eps_nl, lin, nl, min(tol, 1e-9) * abs(lin),
-                tol * abs(nl))
-
-    rows = _map_ordered(config, work, pairs)
+    rows = []
+    for eps_lin in config["eps_lin_values"]:
+        for eps_nl in config["eps_nl_values"]:
+            lin = i_lin(eps_nl, eps_lin, rel_tol=min(tol, 1e-9))
+            nl = i_nl(eps_nl, eps_lin, rel_tol=tol)
+            rows.append((eps_lin, eps_nl, lin, nl,
+                         min(tol, 1e-9) * abs(lin), tol * abs(nl)))
     _emit(config, ("eps_lin", "eps_nl", "i_lin", "i_nl", "err_lin",
                    "err_nl"), rows)
     return 0

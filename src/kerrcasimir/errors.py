@@ -13,11 +13,6 @@ class MaterialError(KerrCasimirError):
     """Raised for unphysical or ill-formed material response data."""
 
 
-class SingularPointError(KerrCasimirError):
-    """Raised when a cavity denominator is evaluated at (or numerically on
-    top of) a pole, where the multiple-reflection sum does not converge."""
-
-
 class UnconvergedError(KerrCasimirError):
     """Raised when an adaptive quadrature or frequency sum gives up before
     reaching the requested tolerance and the caller asked for strictness."""

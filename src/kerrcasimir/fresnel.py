@@ -1,11 +1,9 @@
-"""Single-interface reflection amplitudes and the cavity factor.
+"""Single-interface reflection amplitudes on the imaginary frequency axis.
 
-Two views of the same physics live here. The complex functions
-(axial_wavevector, fresnel_s, fresnel_p, cavity_factor) work at real
-frequencies with the retarded branch convention and are the reference
-implementation. The engine itself runs on the imaginary frequency axis
-in scaled variables, where everything is real and well conditioned;
-reflection_s / reflection_p provide that fast path.
+Only the imaginary axis is implemented: the engine runs there, after the
+fluctuation-dissipation rotation, in scaled variables where everything
+is real and well conditioned. There is no real-frequency (complex
+Fresnel) route.
 
 Scaled variables: with gap d, imaginary frequency xi and transverse
 wavenumber q, set x = xi * d / c and y = q * d. The axial decay
@@ -17,58 +15,6 @@ k2 = sqrt(x**2 + y**2).
 import math
 
 import numpy as np
-
-from .errors import SingularPointError
-
-_CAVITY_TOL = 1e-14
-
-
-def axial_wavevector(eps, omega, q, c):
-    """Axial wavevector p = sqrt(eps * omega**2 / c**2 - q**2).
-
-    Complex square root on the retarded branch, Im(p) >= 0; when the
-    radicand is real and positive the real, positive root is returned.
-    Accepts scalars or broadcastable arrays.
-    """
-    radicand = np.asarray(eps, dtype=complex) * (omega / c) ** 2 \
-        - np.asarray(q, dtype=complex) ** 2
-    p = np.sqrt(radicand)
-    p = np.where(p.imag < 0.0, -p, p)
-    p = np.where((p.imag == 0.0) & (p.real < 0.0), -p, p)
-    if p.ndim == 0:
-        return complex(p)
-    return p
-
-
-def fresnel_s(p_a, p_b):
-    """s (TE) reflection amplitude for a wave in medium a off medium b.
-
-    p_a and p_b are the axial wavevectors on the two sides.
-    """
-    return (p_a - p_b) / (p_a + p_b)
-
-
-def fresnel_p(eps_a, eps_b, p_a, p_b):
-    """p (TM) reflection amplitude for a wave in medium a off medium b."""
-    return (eps_b * p_a - eps_a * p_b) / (eps_b * p_a + eps_a * p_b)
-
-
-def cavity_factor(r_a, r_b, p_gap, d):
-    """Multiple-reflection factor 1 / (1 - r_a * r_b * exp(2j*p_gap*d)).
-
-    Raises SingularPointError when the denominator is within 1e-14 of
-    zero, i.e. on (or numerically on top of) a cavity resonance where
-    the geometric series does not converge.
-    """
-    den = 1.0 - np.asarray(r_a) * np.asarray(r_b) \
-        * np.exp(2j * np.asarray(p_gap, dtype=complex) * d)
-    if np.any(np.abs(den) < _CAVITY_TOL):
-        raise SingularPointError(
-            "cavity denominator within %g of zero" % _CAVITY_TOL)
-    out = 1.0 / den
-    if out.ndim == 0:
-        return complex(out)
-    return out
 
 
 def _finite_refl(x, y, eps, pol):

@@ -39,29 +39,17 @@ from .quadrature import (QuadratureResult, integrate_semi_infinite,
 
 
 @dataclass(frozen=True)
-class PressureTerm:
-    """Single thermal-frequency contribution to a pressure, in Pa."""
-
-    n: int
-    xi: float
-    value: float
-
-
-@dataclass(frozen=True)
 class PressureResult:
     """Pressure with its error estimate.
 
     value and error are in pascals, positive value meaning attraction.
-    terms optionally holds the per-frequency breakdown (finite and high
-    temperature only). Convergence problems set the flag; nothing is
-    raised.
+    Convergence problems set the flag; nothing is raised.
     """
 
     value: float
     error: float
     converged: bool
     n_evals: int
-    terms: tuple = ()
 
 
 def as_permittivity(value):
@@ -119,7 +107,18 @@ def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
                             res.converged)
 
 
-def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
+def _n_star(temperature, d):
+    # thermal index at which xi reaches c/d: the kernel's decay scale
+    return HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
+                             * temperature.kelvin * d)
+
+
+def _inner_tol(rel_tol):
+    # momentum tolerance under an outer frequency integral or double sum
+    return max(1e-2 * rel_tol, 1e-11)
+
+
+def pressure_linear(stack, rel_tol=1e-8):
     """Equilibrium pressure of the two-plate stack, in pascals.
 
     Parameters
@@ -130,8 +129,6 @@ def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
     rel_tol : float
         Relative tolerance of the thermal sum; momentum integrals run
         ten times tighter.
-    keep_terms : bool
-        Record the per-frequency breakdown (finite and high regimes).
 
     Returns
     -------
@@ -143,7 +140,6 @@ def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
     inner_tol = max(0.1 * rel_tol, 1e-12)
     ok = [True]
     evals = [0]
-    records = []
 
     continuum = temp.kind == "zero"
 
@@ -155,28 +151,19 @@ def pressure_linear(stack, rel_tol=1e-8, keep_terms=False):
                      continuum=continuum)
         ok[0] = ok[0] and res.converged
         evals[0] += res.n_evals
-        if keep_terms:
-            records.append((n, xi, res.value))
         return res.value
 
     prefactor = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3)
-    zero_scale = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
-                                   * temp.kelvin * d)
-    msum = matsubara_sum(term, temp, rel_tol=rel_tol, zero_scale=zero_scale,
+    msum = matsubara_sum(term, temp, rel_tol=rel_tol,
+                         zero_scale=_n_star(temp, d),
                          zero_breaks=stack.breakpoints / temp.xi(1))
-
-    terms = ()
-    if keep_terms and temp.kind != "zero":
-        terms = tuple(
-            PressureTerm(n, xi, prefactor * (0.5 if n == 0 else 1.0) * v)
-            for n, xi, v in records)
     return PressureResult(prefactor * msum.value, prefactor * msum.error,
-                          msum.converged and ok[0], evals[0], terms)
+                          msum.converged and ok[0], evals[0])
 
 
 @lru_cache(maxsize=256)
 def _i_lin_zero_cached(eps1, eps3, rel_tol):
-    inner_tol = max(1e-2 * rel_tol, 1e-11)
+    inner_tol = _inner_tol(rel_tol)
     ok = [True]
 
     def integrand(x):

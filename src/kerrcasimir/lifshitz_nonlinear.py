@@ -75,8 +75,9 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
-from .lifshitz_linear import (PressureResult, as_permittivity, i_lin_high_t,
-                              i_lin_zero_t, pressure_linear)
+from .lifshitz_linear import (PressureResult, _inner_tol, _n_star,
+                              as_permittivity, i_lin_high_t, i_lin_zero_t,
+                              pressure_linear)
 from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
                          _nested_values, _refine, double_matsubara_sum,
                          matsubara_sum, semi_infinite_nodes)
@@ -95,47 +96,6 @@ _COUPLING_W = _COUPLING_H * _COUPLING_T
 
 _CROSSOVER_LO = 1e-11
 _CROSSOVER_HI = 1e-4
-
-
-def thermal_weight_a(frequency, temperature, axis="real"):
-    """Fluctuation strength weight at one frequency, SI units.
-
-    Parameters
-    ----------
-    frequency : float
-        omega (axis="real") or xi (axis="imaginary"), rad/s, >= 0.
-    temperature : Temperature
-    axis : str
-        "real": the spectral weight
-        a(omega) = (hbar / (pi eps0)) (omega**2/c**2)
-        * coth(hbar omega / (2 kB T)), with coth -> 1 in the zero
-        regime and the classical 2 kB T / (hbar omega) expansion in the
-        high regime.
-        "imaginary": the weight each thermal frequency carries after
-        the rotation int_0^inf a(w) Im F(w) dw
-        = -(1/2) sum'_n abar(xi_n) F(i xi_n): abar
-        = 4 kB T xi**2 / (eps0 c**2) in the finite and high regimes,
-        and the continuum density (2 hbar / pi) xi**2 / (eps0 c**2)
-        per unit xi in the zero regime.
-    """
-    xi = float(frequency)
-    if xi < 0.0:
-        raise ValueError("frequency must be >= 0")
-    kind = temperature.kind
-    if axis == "imaginary":
-        if kind == "zero":
-            return 2.0 * HBAR * xi * xi / (math.pi * EPSILON_0 * C_LIGHT ** 2)
-        return 4.0 * K_BOLTZMANN * temperature.kelvin * xi * xi \
-            / (EPSILON_0 * C_LIGHT ** 2)
-    if axis != "real":
-        raise ValueError("axis must be 'real' or 'imaginary'")
-    if kind == "zero":
-        return HBAR * xi * xi / (math.pi * EPSILON_0 * C_LIGHT ** 2)
-    if kind == "high" or xi == 0.0:
-        return 2.0 * K_BOLTZMANN * temperature.kelvin * xi \
-            / (math.pi * EPSILON_0 * C_LIGHT ** 2)
-    return HBAR * xi * xi / (math.pi * EPSILON_0 * C_LIGHT ** 2) \
-        / math.tanh(0.5 * HBAR * xi / (K_BOLTZMANN * temperature.kelvin))
 
 
 def _kernel_vectors(x, y, eps1, eps3):
@@ -256,16 +216,6 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
 
     res = _refine(levels(), rel_tol)
     return f, res
-
-
-def _inner_tol(rel_tol):
-    return max(1e-2 * rel_tol, 1e-11)
-
-
-def _n_star(temperature, d):
-    # thermal index at which xi reaches c/d: the kernel's decay scale
-    return HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
-                             * temperature.kelvin * d)
 
 
 def _separable_double_sum(frequency, temperature, n_star, rel_tol,

@@ -16,9 +16,9 @@ a smooth integrand and the nested rules converge geometrically again
 instead of algebraically.
 
 A plate may additionally carry an isotropic third-order (Kerr)
-susceptibility chi3, in m**2/V**2. chi3_contract exposes the tensor
-structure of that response; the pressure kernels have the relevant
-contractions folded in already and take the scalar chi3 directly.
+susceptibility chi3, in m**2/V**2. The pressure kernels have the
+contractions of the isotropic chi3 tensor folded in already and take
+the scalar chi3 directly.
 """
 
 import math
@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import MaterialError
 from .quadrature import Temperature
-
-_AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 
 
 class MaterialResponse:
@@ -167,33 +165,6 @@ class MaterialResponse:
             base = "MaterialResponse(<table of %d points>" % \
                 self._xi_nodes.size
         return base + ", chi3=%r)" % self.chi3
-
-
-def chi3_contract(chi3, i, j, k, l):
-    """Component chi_{ijkl} of the isotropic third-order susceptibility.
-
-    Indices are 0/1/2 or "x"/"y"/"z". The isotropic tensor has equal
-    Kleinman-symmetric contractions chi_{iijj} = chi_{ijij} = chi_{ijji}
-    = chi3 for i != j, which forces chi_{iiii} = 3 * chi3; every other
-    component vanishes.
-    """
-    idx = []
-    for a in (i, j, k, l):
-        if isinstance(a, str):
-            try:
-                a = _AXIS_NAMES[a.lower()]
-            except KeyError:
-                raise MaterialError("axis must be x, y, z or 0, 1, 2")
-        a = int(a)
-        if a not in (0, 1, 2):
-            raise MaterialError("axis must be x, y, z or 0, 1, 2")
-        idx.append(a)
-    i, j, k, l = idx
-    if i == j == k == l:
-        return 3.0 * chi3
-    if (i == j and k == l) or (i == k and j == l) or (i == l and j == k):
-        return chi3
-    return 0.0
 
 
 @dataclass(frozen=True)

@@ -266,12 +266,7 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     return _refine(levels, rel_tol)
 
 
-def _eval_grid(f, x, y, vectorized):
-    if x.size == 0 or y.size == 0:
-        return np.empty((x.size, y.size))
-    if vectorized:
-        xm, ym = np.meshgrid(x, y, indexing="ij")
-        return np.asarray(f(xm, ym), dtype=float)
+def _eval_grid(f, x, y):
     out = np.empty((x.size, y.size))
     for i, xv in enumerate(x):
         for j, yv in enumerate(y):
@@ -279,15 +274,13 @@ def _eval_grid(f, x, y, vectorized):
     return out
 
 
-def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
-                 vectorized=False):
+def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
     """Integrate f(x, y) over the quarter plane [0, inf)**2.
 
     Tensor product of doubling Clenshaw-Curtis rules, refined jointly on
     both axes; previously computed values are reused at every level.
-    When vectorized, f receives meshgrid arrays, otherwise it is called
-    once per node pair (keep it cheap in that case, or accept the cost:
-    the transparent-plate/mirror route uses this path with one inner
+    f is called once per node pair with two floats (keep it cheap, or
+    accept the cost: the transparent-plate/mirror route runs one inner
     momentum quadrature per node).
 
     Returns
@@ -300,7 +293,7 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
         m = MIN_LEVEL
         x, wx = semi_infinite_nodes(m, sx)
         y, wy = semi_infinite_nodes(m, sy)
-        grid = _eval_grid(f, x, y, vectorized)
+        grid = _eval_grid(f, x, y)
         n_evals = grid.size
         yield float(wx @ grid @ wy), n_evals
         while m < max_level:
@@ -309,8 +302,8 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256,
             y, wy = semi_infinite_nodes(m, sy)
             fine = np.empty((m, m))
             fine[0::2, 0::2] = grid
-            fine[1::2, :] = _eval_grid(f, x[1::2], y, vectorized)
-            fine[0::2, 1::2] = _eval_grid(f, x[0::2], y[1::2], vectorized)
+            fine[1::2, :] = _eval_grid(f, x[1::2], y)
+            fine[0::2, 1::2] = _eval_grid(f, x[0::2], y[1::2])
             n_evals += m * m - grid.size
             grid = fine
             yield float(wx @ grid @ wy), n_evals
@@ -387,8 +380,7 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     if kind == "high":
         return QuadratureResult(0.25 * term(0, 0), 0.0, 1, True)
     if kind == "zero":
-        return integrate_2d(term, rel_tol=rel_tol, scale=zero_scale,
-                            vectorized=False)
+        return integrate_2d(term, rel_tol=rel_tol, scale=zero_scale)
 
     inner_ok = [True]
     count = [0]

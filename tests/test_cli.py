@@ -3,7 +3,8 @@
 The CLI contract under test: flat key = value config files with
 comments, flags overriding the file, strict rejection of unknown keys,
 CSV output with a config-hash comment, bitwise determinism (including
-across thread counts), and the 0/1/2 exit-status convention.
+across the accepted thread counts), and the 0/1/2 exit-status
+convention.
 """
 
 import math
@@ -223,6 +224,31 @@ def test_config_hash_ignores_out_path(tmp_path):
     hash_a = path_a.read_text().split("\n")[1]
     hash_b = path_b.read_text().split("\n")[1]
     assert hash_a == hash_b
+
+
+def test_config_hash_pins_threads_key(monkeypatch):
+    # scans run serially, but threads stays parsed, validated and hashed,
+    # so that these digests of existing configurations never move
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    scan = ["scan-distance", "--regime", "zero", "--eps-nl", "2",
+            "--eps-lin", "inf", "--chi3", "2e-16", "--d-min", "1e-8",
+            "--d-max", "1e-6", "--d-count", "3"]
+    pinned = [
+        (scan + ["--threads", "2"],
+         "76f6854f4b32ff53d038da3fff055953f88042878da469399b6754f244c8d20f"),
+        (scan,
+         "d49aabc733b9216604ee06c88904591660d0516daba9c828e916c22b3cbe27ec"),
+        (["scan-epsilon"],
+         "81f80c9e920a527122168c65c03b2cdd0c8043723be490846a691dbe117726b6"),
+    ]
+    for argv, digest in pinned:
+        assert main(argv) == 0
+        assert seen[-1].config_hash() == digest
+    assert seen[0]["threads"] == 2 and seen[1]["threads"] == 1
+    assert main(scan + ["--threads", "0"]) == 1
+    assert main(["scan-epsilon", "--threads", "x"]) == 1
+    assert len(seen) == 3
 
 
 def test_build_config_defaults_and_types():

@@ -162,16 +162,6 @@ def test_finite_temperature_brackets():
     assert large == pytest.approx(classical, rel=1e-6)
 
 
-def test_per_frequency_breakdown():
-    temp = Temperature.finite(150.0)
-    res = pressure_linear(_stack(5.0, 5.0, 1e-6, temp), keep_terms=True)
-    assert res.terms
-    assert sum(t.value for t in res.terms) == pytest.approx(
-        res.value, rel=1e-6)
-    assert res.terms[0].n == 0
-    assert res.terms[0].xi == 0.0
-
-
 def test_dimensionless_extraction_is_distance_free():
     temp = Temperature.zero()
     coeffs = [pressure_linear(_stack(3.0, 7.0, d, temp)).value * d ** 4

@@ -1,9 +1,10 @@
 """Tests for the Kerr pressure correction.
 
-The independent checks: the thermal weight obeys the residue identity
-that connects real-axis and imaginary-axis evaluation; the kernel
-reduces to a closed polynomial form for a transparent plate facing a
-mirror, checked pointwise in raw SI variables; the dimensionless
+The independent checks: the thermal weight (restated here, since the
+kernel has it folded in) obeys the residue identity that connects
+real-axis and imaginary-axis evaluation; the kernel reduces to a
+closed polynomial form for a transparent plate facing a mirror,
+checked pointwise in raw SI variables; the dimensionless
 coefficients hit their closed-form transparent-mirror values; the
 separable (exponential-sum) coupling agrees with the direct
 1/(kappa1 + kappa1') quadrature per frequency pair and per double sum;
@@ -22,8 +23,7 @@ from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          casimir_pressure, crossover_distance,
                          double_matsubara_sum, i_nl_high_t, i_nl_zero_t,
                          integrate_semi_infinite, matsubara_sum,
-                         pressure_nonlinear, pressure_transparent_mirror,
-                         thermal_weight_a)
+                         pressure_nonlinear, pressure_transparent_mirror)
 from kerrcasimir import lifshitz_nonlinear
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
@@ -46,34 +46,23 @@ def _stack(eps_nl, eps_lin, chi3, gap, temperature):
                       gap, temperature)
 
 
-def test_thermal_weight_real_axis_forms():
-    temp = Temperature.finite(300.0)
-    omega = 3e13
-    expected = (HBAR * omega ** 2 / (math.pi * EPSILON_0 * C_LIGHT ** 2)
-                / math.tanh(0.5 * HBAR * omega / (K_BOLTZMANN * 300.0)))
-    assert thermal_weight_a(omega, temp) == pytest.approx(expected, rel=1e-14)
-    # zero regime: coth -> 1
-    zero = thermal_weight_a(omega, Temperature.zero())
-    assert zero == pytest.approx(
-        HBAR * omega ** 2 / (math.pi * EPSILON_0 * C_LIGHT ** 2), rel=1e-14)
-    # the finite form approaches the zero form once hbar*omega >> kB*T
-    hot = thermal_weight_a(1e17, temp)
-    assert hot == pytest.approx(thermal_weight_a(1e17, Temperature.zero()),
-                                rel=1e-15)
-    # classical branch is the small-argument expansion of coth
-    cls = thermal_weight_a(omega, Temperature.high(300.0))
-    assert cls == pytest.approx(
-        2.0 * K_BOLTZMANN * 300.0 * omega
-        / (math.pi * EPSILON_0 * C_LIGHT ** 2), rel=1e-14)
-    assert thermal_weight_a(0.0, temp) == 0.0
+def _weight_real(omega, temp):
+    """Real-axis spectral weight (hbar w**2 / (pi eps0 c**2)) coth(...)."""
+    if omega == 0.0:
+        return 0.0
+    base = HBAR * omega * omega / (math.pi * EPSILON_0 * C_LIGHT ** 2)
+    if temp.kind == "zero":
+        return base
+    return base / math.tanh(0.5 * HBAR * omega / (K_BOLTZMANN * temp.kelvin))
 
 
-def test_thermal_weight_validation():
-    temp = Temperature.finite(300.0)
-    with pytest.raises(ValueError):
-        thermal_weight_a(-1.0, temp)
-    with pytest.raises(ValueError):
-        thermal_weight_a(1e13, temp, axis="complex")
+def _weight_imaginary(xi, temp):
+    """Weight of one thermal frequency after the rotation to the
+    imaginary axis; per unit xi (continuum density) at zero T."""
+    if temp.kind == "zero":
+        return 2.0 * HBAR * xi * xi / (math.pi * EPSILON_0 * C_LIGHT ** 2)
+    return 4.0 * K_BOLTZMANN * temp.kelvin * xi * xi \
+        / (EPSILON_0 * C_LIGHT ** 2)
 
 
 def _f_pole(omega, big_omega):
@@ -88,14 +77,14 @@ def test_residue_identity_finite_temperature():
     big_omega = 5.0 * temp.xi(1)
 
     def lhs_integrand(omega):
-        return (thermal_weight_a(omega, temp)
+        return (_weight_real(omega, temp)
                 * _f_pole(omega, big_omega).imag)
 
     lhs, _ = quad(lhs_integrand, 0.0, np.inf, limit=400)
 
     def term(n):
         xi = temp.xi(n)
-        return (thermal_weight_a(xi, temp, axis="imaginary")
+        return (_weight_imaginary(xi, temp)
                 * _f_pole(1j * xi, big_omega).real)
 
     rhs = -0.5 * matsubara_sum(term, temp, rel_tol=1e-12).value
@@ -110,13 +99,13 @@ def test_residue_identity_zero_temperature():
     big_omega = 2e14
 
     def lhs_integrand(omega):
-        return (thermal_weight_a(omega, temp)
+        return (_weight_real(omega, temp)
                 * _f_pole(omega, big_omega).imag)
 
     lhs, _ = quad(lhs_integrand, 0.0, np.inf, limit=400)
 
     def density_term(xi):
-        return (thermal_weight_a(xi, temp, axis="imaginary")
+        return (_weight_imaginary(xi, temp)
                 * _f_pole(1j * xi, big_omega).real)
 
     rhs = -0.5 * integrate_semi_infinite(density_term, rel_tol=1e-12,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerrcasimir.errors import MaterialError
-from kerrcasimir.materials import LayerStack, MaterialResponse, chi3_contract
+from kerrcasimir.materials import LayerStack, MaterialResponse
 from kerrcasimir.quadrature import Temperature
 
 INF = math.inf
@@ -85,24 +85,6 @@ def test_breakpoints_are_positive_table_nodes():
     assert np.array_equal(b.breakpoints, [1e13, 1e14])
     stack = LayerStack(a, b, 1e-7, Temperature.zero())
     assert np.array_equal(stack.breakpoints, [1e13, 1e14, 1e15])
-
-
-def test_chi3_contract_symmetry():
-    chi = 2e-16
-    assert chi3_contract(chi, "x", "x", "x", "x") == 3.0 * chi
-    assert chi3_contract(chi, "z", "z", "z", "z") == 3.0 * chi
-    for axes in (("x", "x", "y", "y"), ("x", "y", "x", "y"),
-                 ("x", "y", "y", "x")):
-        assert chi3_contract(chi, *axes) == chi
-    assert chi3_contract(chi, "x", "y", "z", "z") == 0.0
-    assert chi3_contract(chi, "x", "x", "x", "y") == 0.0
-    # integer indices behave identically
-    assert chi3_contract(chi, 0, 0, 0, 0) == 3.0 * chi
-    assert chi3_contract(chi, 0, 1, 0, 1) == chi
-    with pytest.raises(MaterialError):
-        chi3_contract(chi, "x", "x", "x", "w")
-    with pytest.raises(MaterialError):
-        chi3_contract(chi, 0, 1, 2, 3)
 
 
 def test_stack_validation():

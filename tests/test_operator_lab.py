@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kerrcasimir import operator_lab
 from kerrcasimir import (CheckResult, ConfigError, Grid1D,
                          NearResonanceError, build_linear, build_n_operator,
                          combined_correction, gtilde, monte_carlo_fdt,
@@ -272,8 +273,7 @@ def _suite_oracle(n_points, seed):
     grid, eps, chi, mask_a, mask_b = _two_blocks(n_points, 0.3, 0.0)
     rows = []
     g0, g1, v = build_linear(grid, eps, _OMEGA)
-    rows.append(np.linalg.norm((np.linalg.inv(g0) - v) @ g1
-                               - np.eye(n_points)) / math.sqrt(n_points))
+    rows.append(np.linalg.norm(g1 - g0 - g0 @ v @ g1) / np.linalg.norm(g1))
     probe = chi.copy()
     probe[mask_a] = 1.0
     probe[mask_b] = 0.5
@@ -342,7 +342,7 @@ def test_monte_carlo_matches_sampled_fields():
 def test_dense_inverse_work_count(monkeypatch):
     # one inverse per distinct Helmholtz matrix: g0, g1, g1 at the two
     # weight frequencies, the same three for each isolated object, the
-    # conjugate g1, and inv(g0) in three rows
+    # conjugate g1, and inv(g0) in the two rytov rows
     calls = []
     inv = np.linalg.inv
 
@@ -352,7 +352,7 @@ def test_dense_inverse_work_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     run_verification_suite(n_points=32, seed=0)
-    assert len(calls) <= 14
+    assert len(calls) <= 13
     grid, eps, chi, _, _ = _two_blocks(32, 0.3, 1e-3)
     del calls[:]
     build_n_operator(grid, eps, chi, _OMEGA, _WEIGHTS)
@@ -362,3 +362,31 @@ def test_dense_inverse_work_count(monkeypatch):
     assert len(calls) == 3
     assert monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS,
                            seed=11).hex() == first.hex()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_inverse_identity_passes_at_256(seed):
+    # the residual forms no inverse, so its round-off stays near 1e-14
+    row = run_verification_suite(n_points=256, seed=seed)[0]
+    assert row.name == "linear_inverse_identity"
+    assert row.passed and row.value < 1e-13
+
+
+@pytest.mark.parametrize("n_points", [32, 256])
+@pytest.mark.parametrize("which", [0, 1])
+def test_linear_inverse_identity_detects_perturbation(monkeypatch,
+                                                      n_points, which):
+    # one entry of g0 (which = 0) or g1 (which = 1) off by 1e-6 relative
+    build = operator_lab.build_linear
+
+    def perturbed(*args, **kwargs):
+        mats = list(build(*args, **kwargs))
+        mat = mats[which].copy()
+        mat[n_points // 2, n_points // 2] *= 1.0 + 1e-6
+        mats[which] = mat
+        return tuple(mats)
+
+    monkeypatch.setattr(operator_lab, "build_linear", perturbed)
+    row = run_verification_suite(n_points=n_points)[0]
+    assert row.name == "linear_inverse_identity"
+    assert row.value > 1e-12 and not row.passed

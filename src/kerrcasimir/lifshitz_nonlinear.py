@@ -79,8 +79,9 @@ from .lifshitz_linear import (PressureResult, _inner_tol, _n_star,
                               as_permittivity, i_lin_high_t, i_lin_zero_t,
                               pressure_linear)
 from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
-                         _nested_values, _refine, double_matsubara_sum,
-                         matsubara_sum, semi_infinite_nodes)
+                         _euler_maclaurin, _nested_values, _refine,
+                         double_matsubara_sum, matsubara_sum,
+                         semi_infinite_nodes)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
@@ -227,14 +228,17 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     axes share the nested rule semi_infinite_nodes(., n_star, breaks),
     breaks being the thermal indices of the table nodes, so the
     tensor-product integral is the contraction of the integrated
-    vectors. Otherwise matsubara_sum adds the shells of the square
-    truncation S_N = _contract(F_N, F_N), F_N = sum'_{n <= N} f_n, and
-    applies its tail rule and term cap to them. n_evals counts
-    momentum nodes.
+    vectors. At finite T, _euler_maclaurin forms F = sum'_n f_n the same
+    way, as head vector plus integrated tail vector plus corrections,
+    and _contract(F, F) is the sum. Where it declines or fails, and in
+    the classical limit, matsubara_sum adds the shells of the square
+    truncation S_N = _contract(F_N, F_N), F_N = sum'_{n <= N} f_n.
+    n_evals counts momentum nodes.
     """
     inner_tol = _inner_tol(rel_tol)
     ok = [True]
     evals = [0]
+    res = None
 
     def vectors(n):
         f, res = _frequency_vectors(*frequency(n), inner_tol)
@@ -250,7 +254,10 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
                 yield _contract(total, total), evals[0]
 
         res = _refine(levels(), rel_tol)
-    else:
+    elif temperature.kind == "finite":
+        res = _euler_maclaurin(vectors, n_star, rel_tol, breaks,
+                               lambda total: _contract(total, total))
+    if temperature.kind != "zero" and not (res and res.converged):
         partial = None
 
         def term(n):

@@ -18,9 +18,10 @@ operator
 a finite positive weight set standing in for the thermal spectrum (the
 identities are weight-independent). The amended response is
 Gt = (I + G1 N) G1, first order in chi throughout.
+The diagonal operators act as column scalings, not as dense products;
 run_verification_suite inverts each distinct Helmholtz matrix once and
-shares G1, the weighted spectral sum behind N and the noise covariance
-between its rows and its Monte-Carlo check.
+shares G1, inv(G0), the weighted spectral sum behind N and the noise
+covariance between its rows and its Monte-Carlo check.
 
 Conventions: Im of a matrix is elementwise, (A - conj(A)) / 2i, which
 for the symmetric matrices of this model equals the anti-Hermitian
@@ -175,8 +176,8 @@ def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
 
 def gtilde(g1, n_op):
     """Amended response (I + G1 N) G1, first order in the Kerr term."""
-    ident = np.eye(g1.shape[0])
-    return (ident + g1 @ n_op) @ g1
+    _check_diagonal(n_op, "n_op")
+    return (np.eye(g1.shape[0]) + g1 * np.diagonal(n_op)) @ g1
 
 
 def naive_combination(gt_alpha, gt_beta, g0):
@@ -220,12 +221,19 @@ def combined_correction(g_prime, n_total, n_alpha, n_beta):
     if np.any(support & ~np.diagonal(n_total).astype(bool)):
         raise ConfigError(
             "single-object Kerr masks must lie inside the union mask")
-    delta = n_total - n_alpha - n_beta
-    return g_prime + g_prime @ delta @ g_prime
+    delta = np.diagonal(n_total - n_alpha - n_beta)
+    return g_prime + (g_prime * delta) @ g_prime
 
 
 def _im(mat):
     return (mat - np.conj(mat)) / 2j
+
+
+def _rytov_residual(gt, v, n_op, h0):
+    # h0 = inv(G0), which the verification suite shares between its rows
+    target = _im(gt)
+    resid = target - gt @ _im(v + n_op - h0) @ np.conj(gt)
+    return float(np.linalg.norm(resid) / np.linalg.norm(target))
 
 
 def rytov_residual(gt, v, n_op, g0):
@@ -237,10 +245,7 @@ def rytov_residual(gt, v, n_op, g0):
     response. A noise strength b would scale numerator and denominator
     alike, so it is left out.
     """
-    target = _im(gt)
-    inner = _im(v + n_op - np.linalg.inv(g0))
-    resid = target - gt @ inner @ np.conj(gt)
-    return float(np.linalg.norm(resid) / np.linalg.norm(target))
+    return _rytov_residual(gt, v, n_op, np.linalg.inv(g0))
 
 
 def noise_covariance(g1, n_op, b_value=1.0):
@@ -258,7 +263,8 @@ def noise_covariance(g1, n_op, b_value=1.0):
         above 1% (first-order theory strained). With a real Kerr
         operator the second term vanishes and nothing is clipped.
     """
-    c = b_value * (_im(g1) + g1 @ _im(n_op) @ np.conj(g1).T)
+    _check_diagonal(n_op, "n_op")
+    c = b_value * (_im(g1) + (g1 * _im(np.diagonal(n_op))) @ np.conj(g1).T)
     c = 0.5 * (c + np.conj(c).T)
     lam, u = np.linalg.eigh(c)
     clipped_mass = float(-lam[lam < 0.0].sum()) + 0.0
@@ -279,7 +285,7 @@ def _monte_carlo(g1, n_op, c_psd, b_value, samples, seed):
     columns, so the ensemble average is B (z z^H / samples) B^H.
     """
     n = g1.shape[0]
-    dressing = np.eye(n) + g1 @ n_op
+    dressing = np.eye(n) + g1 * np.diagonal(n_op)
     lam, u = np.linalg.eigh(c_psd)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, samples))
@@ -374,7 +380,8 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
     probe = chi.copy()
     probe[mask_alpha] = 1.0
     probe[mask_beta] = 0.5
-    scale = np.linalg.norm(g1 @ _n_diag(omega, probe, spectral), 2)
+    scale = np.linalg.norm(g1 * np.diagonal(_n_diag(omega, probe, spectral)),
+                           2)
     chi_val = 5e-3 / scale
     chi[mask_alpha] = chi_val
     chi[mask_beta] = 0.5 * chi_val
@@ -405,14 +412,16 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
         np.linalg.norm(combo_linear - combo_swapped)
         / np.linalg.norm(combo_linear), 1e-10)
 
-    corrected_single = combined_correction(
-        gtilde(g1_a, n_a), n_a, n_a, np.zeros_like(n_a))
+    gt_a = gtilde(g1_a, n_a)
+    corrected_single = combined_correction(gt_a, n_a, n_a, np.zeros_like(n_a))
     add("single_object_correction",
-        np.linalg.norm(corrected_single - gtilde(g1_a, n_a))
+        np.linalg.norm(corrected_single - gt_a)
         / np.linalg.norm(corrected_single), 1e-13)
 
-    add("rytov_linear", rytov_residual(g1, v, np.zeros_like(v), g0), 1e-10)
-    add("rytov_nonlinear", rytov_residual(gt, v, n_total, g0), 1e-3)
+    h0 = np.linalg.inv(g0)
+    add("rytov_linear", _rytov_residual(g1, v, np.zeros_like(v), h0), 1e-10)
+    add("rytov_nonlinear", _rytov_residual(gt, v, n_total, h0), 1e-3)
+    del h0, gt_a  # free before the noise rows, whose arrays set the peak
 
     gt_m = gtilde(_inverse(grid, eps, -omega, -grid.eta), n_total)
     add("conjugation",

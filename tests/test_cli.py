@@ -163,6 +163,36 @@ def test_transparent_dual_route(capsys):
     assert row[4] < 1e-4
 
 
+def test_transparent_dual_route_finite_t_at_nanometre_gap(capsys):
+    # both thermal double sums take the Euler-Maclaurin tail at 300 K and
+    # 10 nm, the transparent route on each of its nested sums
+    status, out = _run(capsys, [
+        "transparent", "--regime", "finite", "--temperature", "300",
+        "--gap", "1e-8"])
+    assert status == 0
+    row = list(map(float, _parse_csv(out)[2][0]))
+    assert row[4] <= 1e-4
+
+
+def test_crossover_finite_regime(capsys):
+    # the bisection starts at 1e-11 m, where n_star ~ 1e5; the thermal
+    # correction at the crossover gap is far below its tolerance
+    status, out = _run(capsys, [
+        "crossover", "--eps-nl", "2", "--eps-lin", "inf",
+        "--chi3", "2e-16", "--regime", "finite", "--temperature", "300"])
+    assert status == 0
+    d_star = float(_parse_csv(out)[2][0][0])
+    assert d_star == pytest.approx(4.2519035e-9, rel=1e-4)
+
+
+def test_scan_distance_finite_regime_from_default_d_min(capsys):
+    status, out = _run(capsys, ["scan-distance", "--regime", "finite",
+                                "--d-count", "3"])
+    assert status == 0
+    rows = _parse_csv(out)[2]
+    assert float(rows[0][0]) == pytest.approx(1e-9) and len(rows) == 3
+
+
 def test_crossover_reports_nan_without_kerr(capsys):
     status, out = _run(capsys, [
         "crossover", "--eps-nl", "2", "--eps-lin", "inf", "--chi3", "0",

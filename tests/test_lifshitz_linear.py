@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from kerrcasimir import quadrature
 from kerrcasimir.constants import C_LIGHT, HBAR, K_BOLTZMANN
 from kerrcasimir.errors import MaterialError
 from kerrcasimir.lifshitz_linear import (_g_hat, i_lin_high_t, i_lin_zero_t,
@@ -14,6 +15,9 @@ from kerrcasimir.quadrature import Temperature
 
 INF = math.inf
 ZETA3 = 1.2020569031595943
+TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
+TABLE_LIN = ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0),
+             (1e17, 1.05))
 
 
 def _stack(eps1, eps3, gap, temp):
@@ -160,6 +164,48 @@ def test_finite_temperature_brackets():
     large = pressure_linear(_stack(INF, INF, 5e-5, temp)).value
     classical = ZETA3 * K_BOLTZMANN * 300.0 / (8.0 * math.pi) / (5e-5) ** 3
     assert large == pytest.approx(classical, rel=1e-6)
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_finite_t_tail_matches_direct_sum(monkeypatch, tabulated):
+    # 300 K at d = 10 nm (n_star ~ 121): head, tail integral and
+    # Euler-Maclaurin terms against the term-by-term series at 1e-12;
+    # the tables put kinks at n ~ 4, 40 and 405
+    if tabulated:
+        plates = (MaterialResponse.from_table(TABLE_NL),
+                  MaterialResponse.from_table(TABLE_LIN))
+    else:
+        plates = (MaterialResponse.constant(2.0),
+                  MaterialResponse.perfect_mirror())
+    stack = LayerStack(*plates, 1e-8, Temperature.finite(300.0))
+    tail = pressure_linear(stack)
+    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
+    direct = pressure_linear(stack, rel_tol=1e-12)
+    assert tail.converged and direct.converged
+    assert tail.error <= 1e-8 * tail.value
+    assert abs(tail.value - direct.value) <= tail.error + direct.error
+    assert tail.n_evals < 25_000
+
+
+def test_finite_t_work_stays_bounded_as_the_gap_shrinks():
+    # the series needs about n_star ln(1/rel_tol) / 2 terms: 1.48M
+    # momentum nodes at 1 nm; 1e-11 m is the crossover bracket end
+    for d in (1e-9, 1e-11):
+        stack = _stack(2.0, INF, d, Temperature.finite(300.0))
+        res = pressure_linear(stack)
+        zero = pressure_linear(_stack(2.0, INF, d, Temperature.zero()))
+        assert res.converged and res.n_evals < 50_000
+        assert res.value == pytest.approx(zero.value, rel=1e-8)
+
+
+@pytest.mark.parametrize("eps", [2.0, INF])
+def test_finite_t_tends_to_zero_t_at_fixed_gap(eps):
+    # 1 K at 100 nm: n_star ~ 3,600, all but a few terms in the integral
+    cold = pressure_linear(_stack(2.0, eps, 1e-7, Temperature.finite(1.0)))
+    zero = pressure_linear(_stack(2.0, eps, 1e-7, Temperature.zero()))
+    assert cold.converged and zero.converged
+    assert abs(cold.value - zero.value) <= 1e-10 * zero.value + cold.error \
+        + zero.error
 
 
 def test_dimensionless_extraction_is_distance_free():

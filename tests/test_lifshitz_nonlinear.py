@@ -299,9 +299,10 @@ def test_transparent_mirror_route_is_independent(monkeypatch):
     closed = (CHI3 / EPSILON_0) * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 \
         * 21.0 / (4096.0 * math.pi ** 4)
     assert res.value == pytest.approx(closed, rel=1e-7)
-    finite = pressure_transparent_mirror(1e-6, Temperature.finite(300.0),
-                                         CHI3)
-    assert finite.converged and finite.value > 0.0
+    for d in (1e-6, 1e-8):
+        finite = pressure_transparent_mirror(d, Temperature.finite(300.0),
+                                             CHI3)
+        assert finite.converged and finite.value > 0.0
 
 
 def test_transparent_mirror_validation():
@@ -353,14 +354,44 @@ def test_finite_t_matches_direct_double_sum():
 
 
 def test_finite_t_bounded_work_at_nanometre_gap():
-    # about 1,100 thermal terms per axis at 300 K and d = 10 nm, one
-    # frequency vector each; the thermal correction is below 1e-4 there
+    # at 300 K and d = 10 nm (n_star ~ 121) the series took 1,134
+    # frequency vectors and 272,160 momentum nodes; the head, the
+    # integrated tail vector and its corrections take 74 vectors. The
+    # thermal correction is below 1e-4 there
     d = 1e-8
     zero = pressure_nonlinear(_stack(2.0, 10.0, CHI3, d, Temperature.zero()))
     warm = pressure_nonlinear(
         _stack(2.0, 10.0, CHI3, d, Temperature.finite(300.0)))
     assert warm.converged and zero.converged
     assert warm.value == pytest.approx(zero.value, rel=1e-4)
+    assert warm.n_evals < 272_160 // 10
+
+
+def test_finite_t_tail_matches_direct_sum_for_tables(monkeypatch):
+    # kinks at n ~ 4, 40 and 405 at 300 K: the head moves past the one at
+    # 40, whose expansion is too coarse, and corrects the one at 405
+    stack = LayerStack(MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+                       MaterialResponse.from_table(TABLE_LIN), 1e-8,
+                       Temperature.finite(300.0))
+    tail = pressure_nonlinear(stack)
+    monkeypatch.setattr(lifshitz_nonlinear, "_euler_maclaurin",
+                        lambda *args: None)
+    direct = pressure_nonlinear(stack, rel_tol=1e-8)
+    assert tail.converged and direct.converged
+    assert tail.error <= 1e-6 * tail.value
+    assert abs(tail.value - direct.value) <= tail.error + direct.error
+    assert tail.n_evals < direct.n_evals / 10
+
+
+def test_finite_t_tends_to_zero_t_at_fixed_gap():
+    # 1 K at 100 nm: n_star ~ 3,600
+    cold = pressure_nonlinear(
+        _stack(2.0, 10.0, CHI3, 1e-7, Temperature.finite(1.0)))
+    zero = pressure_nonlinear(_stack(2.0, 10.0, CHI3, 1e-7,
+                                     Temperature.zero()))
+    assert cold.converged and zero.converged
+    assert abs(cold.value - zero.value) <= 1e-10 * zero.value + cold.error \
+        + zero.error
 
 
 def test_zero_t_coefficient_counts_momentum_nodes():

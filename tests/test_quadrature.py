@@ -337,6 +337,53 @@ def test_matsubara_sum_flags_slow_decay():
     assert not res.converged
 
 
+def test_matsubara_sum_euler_maclaurin_tail():
+    # sum'_n exp(-2n/s) = coth(1/s)/2; at s = 300 the series would take
+    # about 3,500 terms, the head and the integral of the rest a few dozen
+    s = 300.0
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return math.exp(-2.0 * n / s)
+
+    res = matsubara_sum(term, Temperature.finite(300.0), rel_tol=1e-10,
+                        zero_scale=s)
+    exact = 0.5 / math.tanh(1.0 / s)
+    assert res.converged and res.n_evals == len(calls) < 200
+    assert any(n != int(n) for n in calls)
+    assert abs(res.value - exact) <= res.error <= 1e-10 * exact
+
+
+def _kinked(n, s=300.0, breaks=(40.3, 411.7)):
+    # decays over n ~ s/2, with derivative jumps at both breakpoints
+    return math.exp(-2.0 * n / s) * (1.0 + 0.3 * abs(n - breaks[0]) / breaks[0]
+                                     + 0.2 * max(n - breaks[1], 0.0))
+
+
+def test_matsubara_sum_tail_corrects_kinks():
+    # the tail integral splits at each kink and adds its derivative-jump
+    # terms; the stated error covers the explicit sum of 30,000 terms
+    exact = math.fsum([0.5 * _kinked(0)]
+                      + [_kinked(n) for n in range(1, 30000)])
+    res = matsubara_sum(_kinked, Temperature.finite(300.0), rel_tol=1e-10,
+                        zero_scale=300.0, zero_breaks=(40.3, 411.7))
+    assert res.converged and res.n_evals < 1000
+    assert abs(res.value - exact) <= res.error <= 1e-10 * exact
+
+
+def test_matsubara_sum_keeps_the_series_below_threshold():
+    # n_star ~ 12 at rel_tol 1e-8: the term-by-term series is cheaper, and
+    # it runs exactly as without a scale
+    temp = Temperature.finite(300.0)
+
+    def term(n):
+        return math.exp(-2.0 * n / 12.0)
+
+    assert matsubara_sum(term, temp, zero_scale=12.0) \
+        == matsubara_sum(term, temp)
+
+
 def test_double_matsubara_separable():
     temp = Temperature.finite(77.0)
     r, s = 0.3, 0.6

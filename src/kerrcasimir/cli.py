@@ -30,8 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (ConfigError, KerrCasimirError, MaterialError,
-                     UnconvergedError)
+from .errors import ConfigError, KerrCasimirError, MaterialError
 from .lifshitz_linear import i_lin_high_t, i_lin_zero_t
 from .lifshitz_nonlinear import (casimir_pressure, crossover_distance,
                                  i_nl_high_t, i_nl_zero_t,
@@ -360,9 +359,6 @@ def main(argv=None):
     except (ConfigError, MaterialError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except UnconvergedError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except KerrCasimirError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

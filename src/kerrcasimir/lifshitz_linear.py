@@ -149,7 +149,7 @@ def pressure_linear(stack, rel_tol=1e-8):
                      stack.layer1.permittivity(xi),
                      stack.layer3.permittivity(xi), inner_tol,
                      continuum=continuum)
-        ok[0] = ok[0] and res.converged
+        ok[0] = (n == 0 or ok[0]) and res.converged
         evals[0] += res.n_evals
         return res.value
 

@@ -229,11 +229,10 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     breaks being the thermal indices of the table nodes, so the
     tensor-product integral is the contraction of the integrated
     vectors. At finite T, _euler_maclaurin forms F = sum'_n f_n the same
-    way, as head vector plus integrated tail vector plus corrections,
-    and _contract(F, F) is the sum. Where it declines or fails, and in
-    the classical limit, matsubara_sum adds the shells of the square
-    truncation S_N = _contract(F_N, F_N), F_N = sum'_{n <= N} f_n.
-    n_evals counts momentum nodes.
+    way (head plus integrated tail vector) for _contract(F, F). Where it
+    declines or fails, and in the classical limit, matsubara_sum adds
+    the shells of the square truncation S_N = _contract(F_N, F_N),
+    F_N = sum'_{n <= N} f_n. n_evals counts momentum nodes.
     """
     inner_tol = _inner_tol(rel_tol)
     ok = [True]
@@ -242,7 +241,7 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
 
     def vectors(n):
         f, res = _frequency_vectors(*frequency(n), inner_tol)
-        ok[0] = ok[0] and res.converged
+        ok[0] = (n == 0 or ok[0]) and res.converged
         evals[0] += res.n_evals
         return f
 
@@ -338,13 +337,16 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
         return PressureResult(0.0, 0.0, True, 0)
     x_factor = d / C_LIGHT
     inner_tol = _inner_tol(rel_tol)
-    ok = [True]
+    ok = {}
     evals = [0]
 
     def term(n, m):
+        # flags per outer index, reset where a thermal sum (re)starts
+        if n == m == 0:
+            ok.clear()
         res = _w_ct(temperature.xi(n) * x_factor,
                     temperature.xi(m) * x_factor, inner_tol)
-        ok[0] = ok[0] and res.converged
+        ok[n] = (m == 0 or ok[n]) and res.converged
         evals[0] += res.n_evals
         return res.value
 
@@ -353,7 +355,8 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
                                 zero_scale=(n_star, n_star))
     return _kerr_pressure(
         QuadratureResult(dsum.value, dsum.error, evals[0],
-                         dsum.converged and ok[0]), temperature, d, chi3)
+                         dsum.converged and all(ok.values())),
+        temperature, d, chi3)
 
 
 @lru_cache(maxsize=128)

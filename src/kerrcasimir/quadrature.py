@@ -28,10 +28,9 @@ cap first returns its last total and change with converged=False.
 The same machinery drives the three thermal regimes. A sum over
 discrete thermal frequencies (weight 1/2 on the n = 0 term) turns into
 an integral over continuous n at zero temperature and collapses to its
-n = 0 term in the classical limit. At finite temperature its length
-grows like n_star, the index over which the terms decay; once n_star is
-large for the tolerance, a head of explicit terms plus the integral of
-the rest (_euler_maclaurin) replaces the term-by-term series.
+n = 0 term in the classical limit. At finite temperature, once the
+index n_star over which the terms decay is large for the tolerance, a
+head of terms plus the integral of the rest replaces the series.
 """
 
 import math
@@ -314,22 +313,8 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
 
 _TAIL_HEAD = 8
 _TAIL_MAX_LEVEL = 256
-_KINK_STEP = 0.25
-# f', f'', f''' at 0 of the cubic through f(-3/2), ..., f(3/2), and
-# through f(0), ..., f(3)
-_CENTRED = np.array([[1.0, -27.0, 27.0, -1.0], [12.0, -12.0, -12.0, 12.0],
-                     [-24.0, 72.0, -72.0, 24.0]]) / 24.0
-_ONE_SIDED = np.array([[-11.0, 18.0, -9.0, 2.0], [12.0, -30.0, 24.0, -6.0],
-                       [-6.0, 18.0, -18.0, 6.0]]) / 6.0
-
-
-def _jump_terms(p, jump):
-    # Euler-Maclaurin terms (-1)**(k+1) B_(k+1)({p}) / (k+1)! * J_k of the
-    # jumps J_k = f^(k)(p-) - f^(k)(p+), k = 1..3: (sum, the k = 3 term)
-    t = p - math.floor(p)
-    last = (t ** 4 - 2.0 * t ** 3 + t * t - 1.0 / 30.0) / 24.0 * jump[2]
-    return 0.5 * (t * t - t + 1.0 / 6.0) * jump[0] \
-        - (t ** 3 - 1.5 * t * t + 0.5 * t) / 6.0 * jump[1] + last, last
+# f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
+_CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
 
 
 def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
@@ -337,65 +322,48 @@ def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
 
     sum'_n f(n) = f(0)/2 + sum_(1 <= n < N0) f(n) + int_(N0-1/2)^inf f dn
     + f'(N0-1/2)/24 - 7 f'''(N0-1/2)/5760, with the derivatives from the
-    cubic through f(N0-2..N0+1); the integral runs on semi_infinite_nodes
-    with scale n_star, split at the breaks (kinks) beyond N0-1/2, each
-    of which adds the terms of its derivative jumps from one-sided
-    cubics. value maps a sum of terms (floats or arrays) to the float
-    that rel_tol refers to. The error is the integral's level change
-    plus the effect of each f''' term; if one tops rel_tol/10, N0 (from
-    8, kept off the breaks) doubles or moves past that kink. None where
-    the direct sum is predicted cheaper or the rule too coarse: a term
-    ~exp(-2n/n_star) takes n_star ln(1/rel_tol)/2 direct terms, and its
-    f''' term is about 7/(360 n_star**4) of the sum.
+    cubic through f(N0-2..N0+1). A term ~exp(-2n/n_star) takes
+    B = n_star ln(1/rel_tol)/2 series terms, and its f''' term is about
+    7/(360 n_star**4) of the sum. The head (N0 >= 8) runs past every
+    break (kink) below B; the integral (semi_infinite_nodes, scale
+    n_star) splits at those beyond, each of which shifts the sum by
+    about 2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
+    terms (floats or arrays) to the float rel_tol refers to. The error
+    adds those shifts, the integral's level change and the effect of
+    the f''' term, which must stay under rel_tol/10. None where the
+    series is predicted cheaper or the rule too coarse.
     """
     if not (0.0 < rel_tol < 1.0
             and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
         return None
     budget = -0.5 * n_star * math.log(rel_tol)
-    bounds = [0.0] + [float(b) for b in breaks] + [math.inf]
-    fs, n_evals, n0 = [], 0, _TAIL_HEAD
-    while True:
-        while any(n0 - 2 < b < n0 + 1 for b in bounds):
-            n0 += 1
-        start = n0 - 0.5
-        first = next(i for i, b in enumerate(bounds) if b > start)
-        kinks = bounds[first:-1]
-        n_evals += max(0, n0 + 2 - len(fs)) + 7 * len(kinks)
-        if n_evals + 32 * (len(kinks) + 1) >= budget:
-            return None
-        fs += [term(n) for n in range(len(fs), n0 + 2)]
-        terms = [_jump_terms(start, -np.tensordot(
-            _CENTRED, np.array(fs[n0 - 2:n0 + 2]), 1))]
-        for i, b in enumerate(kinks, first):
-            h = min(_KINK_STEP, (b - bounds[i - 1]) / 3.0,
-                    (bounds[i + 1] - b) / 3.0)
-            side = np.array([term(b + s * h) for s in range(-3, 4)])
-            rows = _ONE_SIDED / [[h], [h * h], [h ** 3]]
-            terms.append(_jump_terms(b, np.tensordot(
-                rows * [[-1.0], [1.0], [-1.0]], side[3::-1], 1)
-                - np.tensordot(rows, side[3:], 1)))
-        fixed = sum(fs[1:n0], 0.5 * fs[0]) + sum(t for t, _ in terms)
-        total = fixed
+    n0 = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
+                             if b < budget])
+    light = [float(b) for b in breaks if b >= budget]
+    # any break left in the stencil f(N0-2..N0+1) lies past B: declined
+    if n0 + 2 + 32 * (len(light) + 1) >= budget:
+        return None
+    start = n0 - 0.5
+    fs = [term(n) for n in range(n0 + 2)]
+    d1, d3 = np.tensordot(_CENTRED, np.array(fs[n0 - 2:]), 1)
+    last = -7.0 * d3 / 5760.0
+    total = fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
 
-        def levels():
-            nonlocal total
-            for w, vals in _nested_values(lambda x: term(start + x), n_star,
-                                          _TAIL_MAX_LEVEL, False,
-                                          [b - start for b in kinks]):
-                total = fixed + np.tensordot(w, vals, 1)
-                yield value(total), n_evals + w.size
+    def levels():
+        nonlocal total
+        for w, vals in _nested_values(lambda x: term(start + x), n_star,
+                                      _TAIL_MAX_LEVEL, False,
+                                      [b - start for b in light]):
+            total = fixed + np.tensordot(w, vals, 1)
+            yield value(total), n0 + 2 + w.size
 
-        res = _refine(levels(), 0.5 * rel_tol)
-        n_evals = res.n_evals
-        errs = [abs(value(total + last) - res.value) for _, last in terms]
-        err = res.error + sum(errs)
-        bound = rel_tol * abs(res.value)
-        converged = res.converged and err <= bound \
-            and max(errs) <= 0.1 * bound
-        if converged or not res.converged:
-            return QuadratureResult(res.value, err, n_evals, converged)
-        worst = errs.index(max(errs))
-        n0 = math.ceil(kinks[worst - 1]) + 2 if worst else 2 * n0
+    res = _refine(levels(), 0.5 * rel_tol)
+    bound = rel_tol * abs(res.value)
+    last_err = abs(value(total + last) - res.value)
+    err = res.error + last_err + 2.0 * abs(res.value) * math.fsum(
+        math.exp(-2.0 * b / n_star) for b in light) / n_star ** 2
+    return QuadratureResult(res.value, err, res.n_evals, res.converged
+                            and err <= bound and last_err <= 0.1 * bound)
 
 
 def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
@@ -405,18 +373,18 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     The n = 0 term carries weight 1/2. Behaviour per temperature kind:
 
     * "finite": a head of terms plus the integral of the rest if
-      zero_scale is large (_euler_maclaurin; term must accept floats).
-      Otherwise, or if that misses rel_tol, the series is summed until
-      a geometric bound on the remaining tail, estimated from the last
-      three terms, drops below rel_tol relative to the accumulated sum.
+      zero_scale is large (_euler_maclaurin; term must accept floats
+      beyond the head). Otherwise, or if that misses rel_tol (n_evals
+      counts both attempts), the series is summed until a geometric
+      bound on the remaining tail, estimated from the last three terms,
+      drops below rel_tol relative to the accumulated sum. Each attempt
+      starts at term(0), where callers reset flags gathered by term.
     * "high": only the halved n = 0 term survives.
     * "zero": the frequency spacing vanishes and the sum becomes the
       integral of term over continuous n >= 0 (term must accept floats
       there); k_B * temperature.kelvin * result is then the physical
-      average for any reference kelvin.
-
-    Both integrals take zero_scale as the n over which term decays and
-    zero_breaks as the n at which term has kinks (semi_infinite_nodes).
+      average for any reference kelvin. Both integrals take zero_scale
+      as the n over which term decays and zero_breaks as its kinks.
 
     Returns
     -------
@@ -432,6 +400,7 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     tail = _euler_maclaurin(term, zero_scale, rel_tol, zero_breaks)
     if tail is not None and tail.converged:
         return tail
+    used = tail.n_evals if tail else 0
 
     total = 0.5 * term(0)
     last = []
@@ -446,14 +415,14 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
             last.pop(0)
         if len(last) == 3 and n >= 4:
             if last[2] == 0.0:
-                return QuadratureResult(total, 0.0, n + 1, True)
+                return QuadratureResult(total, 0.0, used + n + 1, True)
             if last[0] > 0.0 and last[1] > 0.0:
                 r = max(last[2] / last[1], last[1] / last[0])
                 if r < 1.0:
                     est = last[2] * r / (1.0 - r)
                     if est <= rel_tol * abs(total):
-                        return QuadratureResult(total, est, n + 1, True)
-    return QuadratureResult(total, est, n + 1, False)
+                        return QuadratureResult(total, est, used + n + 1, True)
+    return QuadratureResult(total, est, used + n + 1, False)
 
 
 def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
@@ -482,7 +451,7 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
         res = matsubara_sum(lambda m_: term(n, m_), temperature,
                             rel_tol=0.1 * rel_tol, max_terms=max_terms,
                             zero_scale=zero_scale[1])
-        inner_ok[0] = inner_ok[0] and res.converged
+        inner_ok[0] = (n == 0 or inner_ok[0]) and res.converged
         count[0] += res.n_evals
         return res.value
 

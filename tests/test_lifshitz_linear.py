@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from kerrcasimir import quadrature
+from kerrcasimir import lifshitz_linear, quadrature
 from kerrcasimir.constants import C_LIGHT, HBAR, K_BOLTZMANN
 from kerrcasimir.errors import MaterialError
 from kerrcasimir.lifshitz_linear import (_g_hat, i_lin_high_t, i_lin_zero_t,
@@ -169,8 +170,10 @@ def test_finite_temperature_brackets():
 @pytest.mark.parametrize("tabulated", [False, True])
 def test_finite_t_tail_matches_direct_sum(monkeypatch, tabulated):
     # 300 K at d = 10 nm (n_star ~ 121): head, tail integral and
-    # Euler-Maclaurin terms against the term-by-term series at 1e-12;
-    # the tables put kinks at n ~ 4, 40 and 405
+    # Euler-Maclaurin terms against the term-by-term series at 1e-12.
+    # The tables put kinks at n ~ 4, 40 and 405, all of weight above
+    # rel_tol, so the head runs to 407; the series at 1e-8 takes 94,656
+    # momentum nodes for them and 148,352 for the constant pair
     if tabulated:
         plates = (MaterialResponse.from_table(TABLE_NL),
                   MaterialResponse.from_table(TABLE_LIN))
@@ -184,7 +187,33 @@ def test_finite_t_tail_matches_direct_sum(monkeypatch, tabulated):
     assert tail.converged and direct.converged
     assert tail.error <= 1e-8 * tail.value
     assert abs(tail.value - direct.value) <= tail.error + direct.error
-    assert tail.n_evals < 25_000
+    assert tail.n_evals < (50_000 if tabulated else 10_000)
+
+
+def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
+    # a tail integral capped at its first level misses rel_tol and the
+    # series takes over; the momentum integrals at the tail's
+    # non-integer indices report failure, the series' ones do not
+    temp = Temperature.finite(300.0)
+    stack = _stack(2.0, INF, 5e-8, temp)
+    x1 = temp.xi(1) * 5e-8 / C_LIGHT
+    flagged = []
+
+    def flaky(x, *args, **kwargs):
+        res = _g_hat(x, *args, **kwargs)
+        if abs(x / x1 - round(x / x1)) > 1e-6:
+            flagged.append(x)
+            return dataclasses.replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(lifshitz_linear, "_g_hat", flaky)
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
+    dropped = pressure_linear(stack, rel_tol=1e-6)
+    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
+    series = pressure_linear(stack, rel_tol=1e-6)
+    assert flagged and dropped.converged and series.converged
+    assert (dropped.value, dropped.error) == (series.value, series.error)
+    assert dropped.n_evals > series.n_evals
 
 
 def test_finite_t_work_stays_bounded_as_the_gap_shrinks():

@@ -12,6 +12,7 @@ and the general double-sum machinery agrees with the direct
 closed-bracket path at zero and finite temperature.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          double_matsubara_sum, i_nl_high_t, i_nl_zero_t,
                          integrate_semi_infinite, matsubara_sum,
                          pressure_nonlinear, pressure_transparent_mirror)
-from kerrcasimir import lifshitz_nonlinear
+from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
                                             _frequency_vectors,
@@ -368,8 +369,9 @@ def test_finite_t_bounded_work_at_nanometre_gap():
 
 
 def test_finite_t_tail_matches_direct_sum_for_tables(monkeypatch):
-    # kinks at n ~ 4, 40 and 405 at 300 K: the head moves past the one at
-    # 40, whose expansion is too coarse, and corrects the one at 405
+    # kinks at n ~ 4, 40 and 405 at 300 K, all of weight above rel_tol:
+    # the head runs to 407, past all of them. The series at the default
+    # 1e-6 takes 229,200 momentum nodes
     stack = LayerStack(MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
                        MaterialResponse.from_table(TABLE_LIN), 1e-8,
                        Temperature.finite(300.0))
@@ -380,7 +382,56 @@ def test_finite_t_tail_matches_direct_sum_for_tables(monkeypatch):
     assert tail.converged and direct.converged
     assert tail.error <= 1e-6 * tail.value
     assert abs(tail.value - direct.value) <= tail.error + direct.error
-    assert tail.n_evals < direct.n_evals / 10
+    assert tail.n_evals < 229_200 // 2
+
+
+def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
+    # as for the linear sum: the frequency vectors of a dropped tail
+    # attempt report failure, the series' ones do not
+    temp = Temperature.finite(300.0)
+    stack = _stack(2.0, 10.0, CHI3, 5e-8, temp)
+    x1 = temp.xi(1) * 5e-8 / C_LIGHT
+    flagged = []
+
+    def flaky(x, *args):
+        f, res = _frequency_vectors(x, *args)
+        if abs(x / x1 - round(x / x1)) > 1e-6:
+            flagged.append(x)
+            res = dataclasses.replace(res, converged=False)
+        return f, res
+
+    monkeypatch.setattr(lifshitz_nonlinear, "_frequency_vectors", flaky)
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
+    dropped = pressure_nonlinear(stack)
+    monkeypatch.setattr(lifshitz_nonlinear, "_euler_maclaurin",
+                        lambda *args: None)
+    series = pressure_nonlinear(stack)
+    assert flagged and dropped.converged and series.converged
+    assert (dropped.value, dropped.error) == (series.value, series.error)
+    assert dropped.n_evals > series.n_evals
+
+
+def test_transparent_flags_come_from_the_returned_attempts(monkeypatch):
+    # both nested tails are capped at their first level and dropped for
+    # the series; a stand-in kernel reports failure at every non-integer
+    # index, which only the dropped attempts visit
+    temp = Temperature.finite(300.0)
+    x1 = temp.xi(1) * 5e-8 / C_LIGHT
+    flagged = []
+
+    def kernel(x, xp, rel_tol):
+        ok = all(abs(v / x1 - round(v / x1)) < 1e-6 for v in (x, xp))
+        flagged.extend([] if ok else [(x, xp)])
+        return quadrature.QuadratureResult(math.exp(-2.0 * (x + xp)), 0.0,
+                                           1, ok)
+
+    monkeypatch.setattr(lifshitz_nonlinear, "_w_ct", kernel)
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
+    dropped = pressure_transparent_mirror(5e-8, temp, CHI3, rel_tol=1e-5)
+    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
+    series = pressure_transparent_mirror(5e-8, temp, CHI3, rel_tol=1e-5)
+    assert flagged and dropped.converged and series.converged
+    assert dropped.value == series.value
 
 
 def test_finite_t_tends_to_zero_t_at_fixed_gap():

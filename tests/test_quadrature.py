@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _frequency_vectors,
                                             _kernel_vectors, _pair_quadrature)
-from kerrcasimir.quadrature import (QuadratureResult, Temperature,
+from kerrcasimir import quadrature
+from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
                                     clenshaw_curtis, double_matsubara_sum,
                                     integrate_2d, integrate_semi_infinite,
                                     matsubara_sum, semi_infinite_nodes)
@@ -355,21 +356,70 @@ def test_matsubara_sum_euler_maclaurin_tail():
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
 
 
-def _kinked(n, s=300.0, breaks=(40.3, 411.7)):
-    # decays over n ~ s/2, with derivative jumps at both breakpoints
-    return math.exp(-2.0 * n / s) * (1.0 + 0.3 * abs(n - breaks[0]) / breaks[0]
-                                     + 0.2 * max(n - breaks[1], 0.0))
+_BREAKS = (40.3, 411.7, 3600.5)
 
 
-def test_matsubara_sum_tail_corrects_kinks():
-    # the tail integral splits at each kink and adds its derivative-jump
-    # terms; the stated error covers the explicit sum of 30,000 terms
+def _kinked(n, s=300.0):
+    # decays over n ~ s/2, with derivative jumps at every breakpoint
+    b1, b2, b3 = _BREAKS
+    return math.exp(-2.0 * n / s) * (1.0 + 0.3 * abs(n - b1) / b1
+                                     + 0.2 * max(n - b2, 0.0)
+                                     + 0.5 * max(n - b3, 0.0))
+
+
+def test_matsubara_sum_tail_heads_past_kinks():
+    # at rel_tol 1e-10 the series takes about 3,450 terms; the head runs
+    # past the two kinks below that, the integral splits at the third.
+    # The stated error covers the explicit sum of 30,000 terms
     exact = math.fsum([0.5 * _kinked(0)]
                       + [_kinked(n) for n in range(1, 30000)])
     res = matsubara_sum(_kinked, Temperature.finite(300.0), rel_tol=1e-10,
-                        zero_scale=300.0, zero_breaks=(40.3, 411.7))
+                        zero_scale=300.0, zero_breaks=_BREAKS)
     assert res.converged and res.n_evals < 1000
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
+    # the rule blind to the kinks misses (and the series takes over)
+    blind = quadrature._euler_maclaurin(_kinked, 300.0, 1e-10)
+    assert not (blind.converged and abs(blind.value - exact) <= blind.error)
+
+
+def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):
+    # a tail integral capped at its first level misses rel_tol; the series
+    # then runs as without a scale, and n_evals counts both attempts
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", MIN_LEVEL)
+    calls = []
+
+    def term(n):
+        calls.append(n)
+        return math.exp(-2.0 * n / 300.0)
+
+    temp = Temperature.finite(300.0)
+    res = matsubara_sum(term, temp, rel_tol=1e-10, zero_scale=300.0)
+    assert res.n_evals == len(calls)
+    series = matsubara_sum(term, temp, rel_tol=1e-10)
+    assert (res.value, res.error, res.converged) \
+        == (series.value, series.error, series.converged)
+    assert res.converged and res.n_evals > series.n_evals
+
+
+def test_double_matsubara_flags_come_from_the_returned_attempt(monkeypatch):
+    # the outer tail is dropped, and with it the inner sums at its
+    # non-integer indices, which do not converge; the outer series does
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", MIN_LEVEL)
+    calls = []
+
+    def term(n, m):
+        calls.append(n)
+        if n != int(n):
+            return 1.0 / (1.0 + m) ** 1.01
+        return math.exp(-2.0 * (n + m) / 30.0)
+
+    res = double_matsubara_sum(term, Temperature.finite(300.0),
+                               rel_tol=1e-6, max_terms=2000,
+                               zero_scale=(30.0, 30.0))
+    assert any(n != int(n) for n in calls)
+    assert res.converged and res.n_evals == len(calls)
+    exact = (0.5 / math.tanh(1.0 / 30.0)) ** 2
+    assert abs(res.value - exact) <= 1e-5 * exact
 
 
 def test_matsubara_sum_keeps_the_series_below_threshold():

@@ -10,8 +10,7 @@ from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import (ConfigError, KerrCasimirError, MaterialError,
                      NearResonanceError, UnconvergedError)
 from .fresnel import reflection_p, reflection_s
-from .lifshitz_linear import (PressureResult, i_lin_high_t, i_lin_zero_t,
-                              pressure_linear)
+from .lifshitz_linear import i_lin_high_t, i_lin_zero_t, pressure_linear
 from .lifshitz_nonlinear import (TotalPressure, casimir_pressure,
                                  crossover_distance, i_nl_high_t,
                                  i_nl_zero_t, pressure_nonlinear,
@@ -38,7 +37,7 @@ __all__ = [
     "QuadratureResult", "Temperature", "clenshaw_curtis",
     "semi_infinite_nodes", "integrate_semi_infinite", "integrate_2d",
     "matsubara_sum", "double_matsubara_sum",
-    "PressureResult", "pressure_linear",
+    "pressure_linear",
     "i_lin_zero_t", "i_lin_high_t",
     "TotalPressure",
     "pressure_nonlinear", "pressure_transparent_mirror",

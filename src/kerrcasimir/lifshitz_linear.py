@@ -26,7 +26,6 @@ zeta(3) kB T / (8 pi d**3) for ideal mirrors.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,22 +33,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
-from .quadrature import (QuadratureResult, integrate_semi_infinite,
-                         matsubara_sum)
-
-
-@dataclass(frozen=True)
-class PressureResult:
-    """Pressure with its error estimate.
-
-    value and error are in pascals, positive value meaning attraction.
-    Convergence problems set the flag; nothing is raised.
-    """
-
-    value: float
-    error: float
-    converged: bool
-    n_evals: int
+from .quadrature import integrate_semi_infinite, matsubara_sum
 
 
 def as_permittivity(value):
@@ -102,9 +86,7 @@ def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
     res = integrate_semi_infinite(
         lambda y: _gap_integrand(y, x, eps1, eps3),
         rel_tol=rel_tol, scale=scale, vectorized=True)
-    damp = math.exp(-2.0 * x)
-    return QuadratureResult(damp * res.value, damp * res.error, res.n_evals,
-                            res.converged)
+    return res.scaled(math.exp(-2.0 * x))
 
 
 def _n_star(temperature, d):
@@ -132,48 +114,36 @@ def pressure_linear(stack, rel_tol=1e-8):
 
     Returns
     -------
-    PressureResult
-        Positive value means the plates attract.
+    QuadratureResult
+        In pascals, positive value meaning attraction; n_evals counts
+        momentum nodes. Convergence problems set the flag, nothing is
+        raised.
     """
     d = stack.gap
     temp = stack.temperature
     inner_tol = max(0.1 * rel_tol, 1e-12)
-    ok = [True]
-    evals = [0]
-
     continuum = temp.kind == "zero"
 
     def term(n):
         xi = temp.xi(n)
-        res = _g_hat(xi * d / C_LIGHT,
-                     stack.layer1.permittivity(xi),
-                     stack.layer3.permittivity(xi), inner_tol,
-                     continuum=continuum)
-        ok[0] = (n == 0 or ok[0]) and res.converged
-        evals[0] += res.n_evals
-        return res.value
+        return _g_hat(xi * d / C_LIGHT, stack.layer1.permittivity(xi),
+                      stack.layer3.permittivity(xi), inner_tol,
+                      continuum=continuum)
 
     prefactor = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3)
     msum = matsubara_sum(term, temp, rel_tol=rel_tol,
                          zero_scale=_n_star(temp, d),
                          zero_breaks=stack.breakpoints / temp.xi(1))
-    return PressureResult(prefactor * msum.value, prefactor * msum.error,
-                          msum.converged and ok[0], evals[0])
+    return msum.scaled(prefactor)
 
 
 @lru_cache(maxsize=256)
 def _i_lin_zero_cached(eps1, eps3, rel_tol):
     inner_tol = _inner_tol(rel_tol)
-    ok = [True]
-
-    def integrand(x):
-        res = _g_hat(x, eps1, eps3, inner_tol, continuum=True)
-        ok[0] = ok[0] and res.converged
-        return res.value
-
-    outer = integrate_semi_infinite(integrand, rel_tol=rel_tol, scale=1.0,
-                                    vectorized=False)
-    if not (outer.converged and ok[0]):
+    outer = integrate_semi_infinite(
+        lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
+        rel_tol=rel_tol, scale=1.0, vectorized=False)
+    if not outer.converged:
         raise UnconvergedError(
             "zero-temperature pressure integral missed tolerance %g"
             % rel_tol)

@@ -75,10 +75,9 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
-from .lifshitz_linear import (PressureResult, _inner_tol, _n_star,
-                              as_permittivity, i_lin_high_t, i_lin_zero_t,
-                              pressure_linear)
-from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
+from .lifshitz_linear import (_inner_tol, _n_star, as_permittivity,
+                              i_lin_high_t, i_lin_zero_t, pressure_linear)
+from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature, _Books,
                          _euler_maclaurin, _nested_values, _refine,
                          double_matsubara_sum, matsubara_sum,
                          semi_infinite_nodes)
@@ -232,55 +231,55 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     way (head plus integrated tail vector) for _contract(F, F). Where it
     declines or fails, and in the classical limit, matsubara_sum adds
     the shells of the square truncation S_N = _contract(F_N, F_N),
-    F_N = sum'_{n <= N} f_n. n_evals counts momentum nodes.
+    F_N = sum'_{n <= N} f_n.
+
+    Returns
+    -------
+    QuadratureResult
+        n_evals counts the momentum nodes of every attempt, and the flag
+        covers the momentum quadratures of the attempt returned.
     """
     inner_tol = _inner_tol(rel_tol)
-    ok = [True]
-    evals = [0]
-    res = None
 
     def vectors(n):
         f, res = _frequency_vectors(*frequency(n), inner_tol)
-        ok[0] = (n == 0 or ok[0]) and res.converged
-        evals[0] += res.n_evals
-        return f
+        return replace(res, value=f)
 
+    books = _Books(vectors)
     if temperature.kind == "zero":
         def levels():
-            for wn, fs in _nested_values(vectors, n_star, _OUTER_MAX_LEVEL,
+            for wn, fs in _nested_values(books, n_star, _OUTER_MAX_LEVEL,
                                          False, breaks):
                 total = np.tensordot(wn, fs, 1)
-                yield _contract(total, total), evals[0]
+                yield _contract(total, total), books.n_evals
 
-        res = _refine(levels(), rel_tol)
-    elif temperature.kind == "finite":
-        res = _euler_maclaurin(vectors, n_star, rel_tol, breaks,
+        return books.close(_refine(levels(), rel_tol))
+    if temperature.kind == "finite":
+        res = _euler_maclaurin(books, n_star, rel_tol, breaks,
                                lambda total: _contract(total, total))
-    if temperature.kind != "zero" and not (res and res.converged):
-        partial = None
+        if res is not None and res.converged:
+            return books.close(res)
+    partial = None
 
-        def term(n):
-            # S_n - S_{n-1}; matsubara_sum halves term(0) into S_0
-            nonlocal partial
-            f = vectors(n)
-            if n == 0:
-                partial = 0.5 * f
-                return 0.5 * _contract(f, f)
-            step = _contract(f, partial + f) + _contract(partial, f)
-            partial = partial + f
-            return step
+    def term(n):
+        # S_n - S_{n-1}; matsubara_sum halves term(0) into S_0
+        nonlocal partial
+        f, res = _frequency_vectors(*frequency(n), inner_tol)
+        if n == 0:
+            partial = 0.5 * f
+            return res.scaled(0.5)
+        step = _contract(f, partial + f) + _contract(partial, f)
+        partial = partial + f
+        return replace(res, value=step)
 
-        res = matsubara_sum(term, temperature, rel_tol=rel_tol)
-    return QuadratureResult(res.value, res.error, evals[0],
-                            res.converged and ok[0])
+    res = matsubara_sum(term, temperature, rel_tol=rel_tol)
+    return replace(res, n_evals=books.n_evals + res.n_evals)
 
 
 def _kerr_pressure(dsum, temperature, d, chi3):
     """Kerr pressure in pascals from the thermal double sum of W."""
-    pref = -_PREFACTOR * (chi3 / EPSILON_0) \
-        * (K_BOLTZMANN * temperature.kelvin) ** 2 / d ** 6
-    return PressureResult(pref * dsum.value, abs(pref) * dsum.error,
-                          dsum.converged, dsum.n_evals)
+    return dsum.scaled(-_PREFACTOR * (chi3 / EPSILON_0)
+                       * (K_BOLTZMANN * temperature.kelvin) ** 2 / d ** 6)
 
 
 def pressure_nonlinear(stack, rel_tol=1e-6):
@@ -294,13 +293,14 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
 
     Returns
     -------
-    PressureResult
-        Convergence failures set the flag, nothing is raised.
+    QuadratureResult
+        In pascals. n_evals counts momentum nodes; convergence failures
+        set the flag, nothing is raised.
     """
     st = stack.oriented()
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
-        return PressureResult(0.0, 0.0, True, 0)
+        return QuadratureResult(0.0, 0.0, 0, True)
     temp = st.temperature
     x_factor = st.gap / C_LIGHT
 
@@ -328,44 +328,30 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
 
     Returns
     -------
-    PressureResult
+    QuadratureResult
+        In pascals. n_evals counts momentum nodes, and the flag covers
+        the pair quadratures of the sums returned.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise MaterialError("gap must be positive and finite")
     chi3 = float(chi3)
     if chi3 == 0.0:
-        return PressureResult(0.0, 0.0, True, 0)
+        return QuadratureResult(0.0, 0.0, 0, True)
     x_factor = d / C_LIGHT
     inner_tol = _inner_tol(rel_tol)
-    ok = {}
-    evals = [0]
-
-    def term(n, m):
-        # flags per outer index, reset where a thermal sum (re)starts
-        if n == m == 0:
-            ok.clear()
-        res = _w_ct(temperature.xi(n) * x_factor,
-                    temperature.xi(m) * x_factor, inner_tol)
-        ok[n] = (m == 0 or ok[n]) and res.converged
-        evals[0] += res.n_evals
-        return res.value
-
     n_star = _n_star(temperature, d)
-    dsum = double_matsubara_sum(term, temperature, rel_tol=rel_tol,
-                                zero_scale=(n_star, n_star))
-    return _kerr_pressure(
-        QuadratureResult(dsum.value, dsum.error, evals[0],
-                         dsum.converged and all(ok.values())),
-        temperature, d, chi3)
+    dsum = double_matsubara_sum(
+        lambda n, m: _w_ct(temperature.xi(n) * x_factor,
+                           temperature.xi(m) * x_factor, inner_tol),
+        temperature, rel_tol=rel_tol, zero_scale=(n_star, n_star))
+    return _kerr_pressure(dsum, temperature, d, chi3)
 
 
 @lru_cache(maxsize=128)
 def _i_nl_zero_raw(eps_nl, eps_lin, rel_tol):
     res = _separable_double_sum(lambda x: (x, eps_nl, eps_lin),
                                 Temperature.zero(), 1.0, rel_tol)
-    return QuadratureResult(-_I_ZERO_FACTOR * res.value,
-                            _I_ZERO_FACTOR * res.error, res.n_evals,
-                            res.converged)
+    return res.scaled(-_I_ZERO_FACTOR)
 
 
 def _check_kerr_eps(eps_nl):
@@ -396,9 +382,7 @@ def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
 @lru_cache(maxsize=128)
 def _i_nl_high_raw(eps_nl, eps_lin, rel_tol):
     _, res = _frequency_vectors(0.0, eps_nl, eps_lin, rel_tol)
-    return QuadratureResult(-_I_HIGH_FACTOR * res.value,
-                            _I_HIGH_FACTOR * res.error, res.n_evals,
-                            res.converged)
+    return res.scaled(-_I_HIGH_FACTOR)
 
 
 def i_nl_high_t(eps_nl, eps_lin, rel_tol=1e-6):
@@ -420,8 +404,8 @@ def i_nl_high_t(eps_nl, eps_lin, rel_tol=1e-6):
 class TotalPressure:
     """Linear and Kerr pressure parts of one stack."""
 
-    linear: PressureResult
-    nonlinear: PressureResult
+    linear: QuadratureResult
+    nonlinear: QuadratureResult
 
     @property
     def value(self):

@@ -31,10 +31,17 @@ an integral over continuous n at zero temperature and collapses to its
 n = 0 term in the classical limit. At finite temperature, once the
 index n_star over which the terms decay is large for the tolerance, a
 head of terms plus the integral of the rest replaces the series.
+
+Quadratures nest: a term handed to a driver here (integrate_2d, the
+sums, integrate_semi_infinite unvectorized) may return a
+QuadratureResult. The driver uses its value, adds up its n_evals over
+every call, dropped attempts included (a plain number counts 1), and
+ANDs its flag into that of the attempt it returns (_Books). So n_evals
+counts the innermost evaluations.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,7 +66,7 @@ class QuadratureResult:
         Estimated absolute error (level-to-level change, a geometric
         tail bound for series, plus Euler-Maclaurin terms for tails).
     n_evals : int
-        Number of integrand or term evaluations.
+        Number of innermost integrand or term evaluations.
     converged : bool
         Whether the requested tolerance was reached. Callers decide how
         to react; nothing is raised here.
@@ -69,6 +76,37 @@ class QuadratureResult:
     error: float
     n_evals: int
     converged: bool
+
+    def scaled(self, factor):
+        """The result times factor: value * factor, error * |factor|."""
+        return QuadratureResult(factor * self.value, abs(factor) * self.error,
+                                self.n_evals, self.converged)
+
+
+def _as_result(value):
+    # a plain term value is one exact evaluation
+    return (value if isinstance(value, QuadratureResult)
+            else QuadratureResult(value, 0.0, 1, True))
+
+
+class _Books:
+    """A term's work since the first attempt, its flags in this one."""
+
+    def __init__(self, term, n_evals=0):
+        self.term = term
+        self.n_evals = n_evals
+        self.ok = True
+
+    def __call__(self, *args):
+        res = _as_result(self.term(*args))
+        self.n_evals += res.n_evals
+        self.ok = self.ok and res.converged
+        return res.value
+
+    def close(self, res):
+        """res, an attempt over these books, with their work and flags."""
+        return replace(res, n_evals=self.n_evals,
+                       converged=res.converged and self.ok)
 
 
 @dataclass(frozen=True)
@@ -245,7 +283,9 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     ----------
     f : callable
         Integrand. Receives a 1-D array of abscissas when vectorized,
-        one float at a time otherwise. Must decay faster than x**-2.
+        one float at a time otherwise, and may then return a
+        QuadratureResult (see the module docstring). Must decay faster
+        than x**-2.
     rel_tol : float
         Target for the level-to-level change relative to the integral.
     scale : float
@@ -260,10 +300,12 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     -------
     QuadratureResult
     """
+    books = _Books(f)
     levels = ((float(w @ vals), w.size)
-              for w, vals in _nested_values(f, scale, max_level, vectorized,
-                                            breaks))
-    return _refine(levels, rel_tol)
+              for w, vals in _nested_values(f if vectorized else books, scale,
+                                            max_level, vectorized, breaks))
+    res = _refine(levels, rel_tol)
+    return res if vectorized else books.close(res)
 
 
 def _eval_grid(f, x, y):
@@ -279,8 +321,8 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
 
     Tensor product of doubling Clenshaw-Curtis rules, refined jointly on
     both axes; previously computed values are reused at every level.
-    f is called once per node pair with two floats (keep it cheap, or
-    accept the cost: the transparent-plate/mirror route runs one inner
+    f is called once per node pair with two floats and may return a
+    QuadratureResult (the transparent-plate/mirror route runs one inner
     momentum quadrature per node).
 
     Returns
@@ -288,27 +330,26 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
     QuadratureResult
     """
     sx, sy = scale
+    books = _Books(f)
 
     def levels():
         m = MIN_LEVEL
         x, wx = semi_infinite_nodes(m, sx)
         y, wy = semi_infinite_nodes(m, sy)
-        grid = _eval_grid(f, x, y)
-        n_evals = grid.size
-        yield float(wx @ grid @ wy), n_evals
+        grid = _eval_grid(books, x, y)
+        yield float(wx @ grid @ wy), books.n_evals
         while m < max_level:
             m *= 2
             x, wx = semi_infinite_nodes(m, sx)
             y, wy = semi_infinite_nodes(m, sy)
             fine = np.empty((m, m))
             fine[0::2, 0::2] = grid
-            fine[1::2, :] = _eval_grid(f, x[1::2], y)
-            fine[0::2, 1::2] = _eval_grid(f, x[0::2], y[1::2])
-            n_evals += m * m - grid.size
+            fine[1::2, :] = _eval_grid(books, x[1::2], y)
+            fine[0::2, 1::2] = _eval_grid(books, x[0::2], y[1::2])
             grid = fine
-            yield float(wx @ grid @ wy), n_evals
+            yield float(wx @ grid @ wy), books.n_evals
 
-    return _refine(levels(), rel_tol)
+    return books.close(_refine(levels(), rel_tol))
 
 
 _TAIL_HEAD = 8
@@ -330,8 +371,9 @@ def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
     about 2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
     terms (floats or arrays) to the float rel_tol refers to. The error
     adds those shifts, the integral's level change and the effect of
-    the f''' term, which must stay under rel_tol/10. None where the
-    series is predicted cheaper or the rule too coarse.
+    the f''' term, which must stay under rel_tol/10; n_evals counts the
+    calls of term. None where the series is predicted cheaper or the
+    rule too coarse.
     """
     if not (0.0 < rel_tol < 1.0
             and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
@@ -374,55 +416,59 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
 
     * "finite": a head of terms plus the integral of the rest if
       zero_scale is large (_euler_maclaurin; term must accept floats
-      beyond the head). Otherwise, or if that misses rel_tol (n_evals
-      counts both attempts), the series is summed until a geometric
-      bound on the remaining tail, estimated from the last three terms,
-      drops below rel_tol relative to the accumulated sum. Each attempt
-      starts at term(0), where callers reset flags gathered by term.
-    * "high": only the halved n = 0 term survives.
+      beyond the head). Otherwise, or if that misses rel_tol, the
+      series is summed until a geometric bound on the remaining tail,
+      estimated from the last three terms, drops below rel_tol relative
+      to the accumulated sum.
+    * "high": only the halved n = 0 term survives, error included.
     * "zero": the frequency spacing vanishes and the sum becomes the
       integral of term over continuous n >= 0 (term must accept floats
       there); k_B * temperature.kelvin * result is then the physical
       average for any reference kelvin. Both integrals take zero_scale
       as the n over which term decays and zero_breaks as its kinks.
 
+    term may return a QuadratureResult (see the module docstring).
+
     Returns
     -------
     QuadratureResult
+        n_evals counts the innermost evaluations of every attempt; the
+        flag is that of the attempt whose value is returned.
     """
     kind = temperature.kind
     if kind == "high":
-        return QuadratureResult(0.5 * term(0), 0.0, 1, True)
+        return _as_result(term(0)).scaled(0.5)
     if kind == "zero":
         return integrate_semi_infinite(term, rel_tol=rel_tol,
                                        scale=zero_scale, vectorized=False,
                                        breaks=zero_breaks)
-    tail = _euler_maclaurin(term, zero_scale, rel_tol, zero_breaks)
+    books = _Books(term)
+    tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks)
     if tail is not None and tail.converged:
-        return tail
-    used = tail.n_evals if tail else 0
+        return books.close(tail)
+    books = _Books(term, books.n_evals)
 
-    total = 0.5 * term(0)
+    total = 0.5 * books(0)
     last = []
     est = math.inf
+    converged = False
     n = 0
-    while n < max_terms:
+    while n < max_terms and not converged:
         n += 1
-        t = term(n)
+        t = books(n)
         total += t
         last.append(abs(t))
         if len(last) > 3:
             last.pop(0)
         if len(last) == 3 and n >= 4:
             if last[2] == 0.0:
-                return QuadratureResult(total, 0.0, used + n + 1, True)
-            if last[0] > 0.0 and last[1] > 0.0:
+                est, converged = 0.0, True
+            elif last[0] > 0.0 and last[1] > 0.0:
                 r = max(last[2] / last[1], last[1] / last[0])
                 if r < 1.0:
                     est = last[2] * r / (1.0 - r)
-                    if est <= rel_tol * abs(total):
-                        return QuadratureResult(total, est, used + n + 1, True)
-    return QuadratureResult(total, est, used + n + 1, False)
+                    converged = est <= rel_tol * abs(total)
+    return books.close(QuadratureResult(total, est, n + 1, converged))
 
 
 def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
@@ -432,7 +478,8 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     Both the n = 0 and the m = 0 slices carry weight 1/2 (so the (0, 0)
     term carries 1/4). Regime semantics match matsubara_sum; in the
     "zero" regime the result is the double integral of term over
-    continuous (n, m).
+    continuous (n, m). At finite temperature it is the sum over n of
+    the sums over m, which run to a tenth of rel_tol.
 
     Returns
     -------
@@ -440,22 +487,12 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     """
     kind = temperature.kind
     if kind == "high":
-        return QuadratureResult(0.25 * term(0, 0), 0.0, 1, True)
+        return _as_result(term(0, 0)).scaled(0.25)
     if kind == "zero":
         return integrate_2d(term, rel_tol=rel_tol, scale=zero_scale)
-
-    inner_ok = [True]
-    count = [0]
-
-    def outer_term(n):
-        res = matsubara_sum(lambda m_: term(n, m_), temperature,
-                            rel_tol=0.1 * rel_tol, max_terms=max_terms,
-                            zero_scale=zero_scale[1])
-        inner_ok[0] = (n == 0 or inner_ok[0]) and res.converged
-        count[0] += res.n_evals
-        return res.value
-
-    res = matsubara_sum(outer_term, temperature, rel_tol=rel_tol,
-                        max_terms=max_terms, zero_scale=zero_scale[0])
-    return QuadratureResult(res.value, res.error, count[0],
-                            res.converged and inner_ok[0])
+    return matsubara_sum(
+        lambda n: matsubara_sum(lambda m: term(n, m), temperature,
+                                rel_tol=0.1 * rel_tol, max_terms=max_terms,
+                                zero_scale=zero_scale[1]),
+        temperature, rel_tol=rel_tol, max_terms=max_terms,
+        zero_scale=zero_scale[0])

@@ -44,7 +44,7 @@ def test_pressure_single_row(capsys):
     assert d == 1e-7 and temp == 300.0
     assert p_lin > 0.0 and p_nl > 0.0
     assert p_total == pytest.approx(p_lin + p_nl, rel=1e-15)
-    assert err_lin >= 0.0 and err_nl >= 0.0
+    assert err_lin > 0.0 and err_nl > 0.0
 
 
 def test_config_file_with_comments_and_override(capsys, tmp_path):

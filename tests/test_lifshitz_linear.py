@@ -190,6 +190,17 @@ def test_finite_t_tail_matches_direct_sum(monkeypatch, tabulated):
     assert tail.n_evals < (50_000 if tabulated else 10_000)
 
 
+def test_high_t_error_is_the_momentum_estimate():
+    # the classical limit keeps half the n = 0 term, and half its error
+    d = 1e-7
+    res = pressure_linear(_stack(2.0, INF, d, Temperature.high(300.0)))
+    g = _g_hat(0.0, 2.0, INF, 1e-9)
+    prefactor = K_BOLTZMANN * 300.0 / (math.pi * d ** 3)
+    assert res.value == prefactor * (0.5 * g.value)
+    assert res.error == prefactor * (0.5 * g.error) > 0.0
+    assert res.converged and res.n_evals == g.n_evals
+
+
 def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
     # a tail integral capped at its first level misses rel_tol and the
     # series takes over; the momentum integrals at the tail's

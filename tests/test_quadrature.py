@@ -422,6 +422,86 @@ def test_double_matsubara_flags_come_from_the_returned_attempt(monkeypatch):
     assert abs(res.value - exact) <= 1e-5 * exact
 
 
+class _Nested:
+    """Stand-in inner quadrature: f's value with error 2**-30 |value|,
+    1 to 3 evaluations per call, flagged where bad(*args) holds."""
+
+    def __init__(self, f, bad=lambda *args: False):
+        self.f, self.bad, self.calls = f, bad, []
+
+    def __call__(self, *args):
+        k, flag = 1 + len(self.calls) % 3, not self.bad(*args)
+        self.calls.append((args, k, flag))
+        v = self.f(*args)
+        return QuadratureResult(v, abs(v) * 2.0 ** -30, k, flag)
+
+    @property
+    def n_evals(self):
+        return sum(k for _, k, _ in self.calls)
+
+
+def _decay(s):
+    return lambda n: math.exp(-2.0 * n / s)
+
+
+_ZERO, _WARM, _HOT = (Temperature.zero(), Temperature.finite(300.0),
+                      Temperature.high(300.0))
+_DRIVERS = {
+    "semi_infinite": (lambda t: integrate_semi_infinite(t, vectorized=False),
+                      lambda x: math.exp(-x)),
+    "2d": (integrate_2d, lambda x, y: math.exp(-x - 2.0 * y)),
+    "sum_zero": (lambda t: matsubara_sum(t, _ZERO, zero_scale=30.0),
+                 _decay(30.0)),
+    "sum_series": (lambda t: matsubara_sum(t, _WARM, zero_scale=12.0),
+                   _decay(12.0)),
+    "sum_tail": (lambda t: matsubara_sum(t, _WARM, zero_scale=300.0),
+                 _decay(300.0)),
+    "sum_high": (lambda t: matsubara_sum(t, _HOT), _decay(12.0)),
+    "double_zero": (lambda t: double_matsubara_sum(t, _ZERO,
+                                                   zero_scale=(1.0, 0.5)),
+                    lambda n, m: math.exp(-n - 2.0 * m)),
+    "double_finite": (lambda t: double_matsubara_sum(
+        t, _WARM, rel_tol=1e-6, zero_scale=(30.0, 30.0)),
+        lambda n, m: math.exp(-2.0 * (n + m) / 30.0)),
+    "double_high": (lambda t: double_matsubara_sum(t, _HOT),
+                    lambda n, m: 8.0 + n + m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRIVERS))
+def test_nested_results_compose(name, monkeypatch):
+    # a term may return a QuadratureResult: the driver uses its value,
+    # counts its evaluations over every call and ANDs its flag over the
+    # calls of the attempt it returns
+    driver, f = _DRIVERS[name]
+    plain = driver(f)
+    assert plain.converged
+    inner = _Nested(f)
+    res = driver(inner)
+    # the high limit scales the one inner error like the value
+    error = plain.value * 2.0 ** -30 if "high" in name else plain.error
+    assert (res.value, res.error, res.converged) == (plain.value, error, True)
+    assert res.n_evals == inner.n_evals >= len(inner.calls) == plain.n_evals
+    # every driver's returned attempt starts at the origin
+    inner = _Nested(f, bad=lambda *args: not any(args))
+    res = driver(inner)
+    assert res.value == plain.value and not res.converged
+    assert res.n_evals == inner.n_evals
+    if name not in ("sum_tail", "double_finite"):
+        return
+    # a tail capped at its first level is dropped for the series: the
+    # failures at its non-integer indices stay with it, its work does not
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", MIN_LEVEL)
+    series = driver(f)
+    inner = _Nested(f, bad=lambda *args: any(v != int(v) for v in args))
+    res = driver(inner)
+    assert not all(flag for *_, flag in inner.calls)
+    assert (res.value, res.converged) == (series.value, True)
+    assert res.n_evals == inner.n_evals
+    # index 5 is in the dropped head and in the series returned
+    assert not driver(_Nested(f, bad=lambda n, *m: n == 5)).converged
+
+
 def test_matsubara_sum_keeps_the_series_below_threshold():
     # n_star ~ 12 at rel_tol 1e-8: the term-by-term series is cheaper, and
     # it runs exactly as without a scale

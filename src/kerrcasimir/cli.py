@@ -31,9 +31,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, KerrCasimirError, MaterialError
-from .lifshitz_linear import i_lin_high_t, i_lin_zero_t
-from .lifshitz_nonlinear import (casimir_pressure, crossover_distance,
-                                 i_nl_high_t, i_nl_zero_t,
+from .lifshitz_linear import _i_lin
+from .lifshitz_nonlinear import (_i_nl, casimir_pressure, crossover_distance,
                                  pressure_nonlinear,
                                  pressure_transparent_mirror)
 from .materials import LayerStack, MaterialResponse
@@ -263,18 +262,16 @@ def _run_scan_distance(config):
 
 
 def _run_scan_epsilon(config):
+    # the error columns are the quadratures' own estimates
     tol = config["tol"]
-    if config["limit"] == "zero":
-        i_lin, i_nl = i_lin_zero_t, i_nl_zero_t
-    else:
-        i_lin, i_nl = i_lin_high_t, i_nl_high_t
+    limit = config["limit"]
     rows = []
     for eps_lin in config["eps_lin_values"]:
         for eps_nl in config["eps_nl_values"]:
-            lin = i_lin(eps_nl, eps_lin, rel_tol=min(tol, 1e-9))
-            nl = i_nl(eps_nl, eps_lin, rel_tol=tol)
-            rows.append((eps_lin, eps_nl, lin, nl,
-                         min(tol, 1e-9) * abs(lin), tol * abs(nl)))
+            lin = _i_lin(limit, eps_nl, eps_lin, min(tol, 1e-9))
+            nl = _i_nl(limit, eps_nl, eps_lin, tol)
+            rows.append((eps_lin, eps_nl, lin.value, nl.value, lin.error,
+                         nl.error))
     _emit(config, ("eps_lin", "eps_nl", "i_lin", "i_nl", "err_lin",
                    "err_nl"), rows)
     return 0

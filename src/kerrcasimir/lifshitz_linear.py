@@ -26,6 +26,7 @@ zeta(3) kB T / (8 pi d**3) for ideal mirrors.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -147,7 +148,15 @@ def _i_lin_zero_cached(eps1, eps3, rel_tol):
         raise UnconvergedError(
             "zero-temperature pressure integral missed tolerance %g"
             % rel_tol)
-    return outer.value / (2.0 * math.pi ** 2)
+    c = 2.0 * math.pi ** 2
+    return replace(outer, value=outer.value / c, error=outer.error / c)
+
+
+def _i_lin(limit, eps1, eps3, rel_tol):
+    # i_lin_zero_t or i_lin_high_t as a QuadratureResult, with its error
+    cached = _i_lin_zero_cached if limit == "zero" else _i_lin_high_cached
+    return cached(as_permittivity(eps1), as_permittivity(eps3),
+                  float(rel_tol))
 
 
 def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
@@ -158,8 +167,7 @@ def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
     be math.inf; the ideal-mirror pair gives pi**2 / 240. Raises
     UnconvergedError instead of returning a flagged estimate.
     """
-    return _i_lin_zero_cached(as_permittivity(eps1), as_permittivity(eps3),
-                              float(rel_tol))
+    return _i_lin("zero", eps1, eps3, rel_tol).value
 
 
 @lru_cache(maxsize=256)
@@ -169,7 +177,8 @@ def _i_lin_high_cached(eps1, eps3, rel_tol):
         raise UnconvergedError(
             "high-temperature momentum integral missed tolerance %g"
             % rel_tol)
-    return res.value / (2.0 * math.pi)
+    c = 2.0 * math.pi
+    return replace(res, value=res.value / c, error=res.error / c)
 
 
 def i_lin_high_t(eps1, eps3, rel_tol=1e-9):
@@ -181,5 +190,4 @@ def i_lin_high_t(eps1, eps3, rel_tol=1e-9):
     Li_3(r) / (8 pi) with r the product of the two static p-channel
     amplitudes (eps - 1)/(eps + 1).
     """
-    return _i_lin_high_cached(as_permittivity(eps1), as_permittivity(eps3),
-                              float(rel_tol))
+    return _i_lin("high", eps1, eps3, rel_tol).value

@@ -61,7 +61,9 @@ and V_k the same with B_k. Each thermal frequency needs one momentum
 quadrature (_frequency_vectors, refined on the diagonal W(x, x)), and
 the double sum or double integral is the contraction of the summed or
 integrated vectors: O(N) momentum quadratures for N frequencies, where
-a quadrature per pair costs O(N**2). pressure_transparent_mirror keeps
+a quadrature per pair costs O(N**2). The vectors are summed or
+integrated as array terms by quadrature.matsubara_sum, which sums the
+linear pressure too. pressure_transparent_mirror keeps
 the exact coupling matrix, one quadrature per frequency pair, so the
 dual-route check compares two independent evaluations.
 """
@@ -77,8 +79,7 @@ from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
 from .lifshitz_linear import (_inner_tol, _n_star, as_permittivity,
                               i_lin_high_t, i_lin_zero_t, pressure_linear)
-from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature, _Books,
-                         _euler_maclaurin, _nested_values, _refine,
+from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature, _refine,
                          double_matsubara_sum, matsubara_sum,
                          semi_infinite_nodes)
 
@@ -86,7 +87,6 @@ _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
 _I_HIGH_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 4)
 _INNER_MAX_LEVEL = 1024
-_OUTER_MAX_LEVEL = 256
 
 # 1/(a + b) = int_0^inf e^(-t a) e^(-t b) dt, trapezoidal in s = ln t
 # over s = -32 + 0.35 r, r = 0..126: t_r = e^(s_r), w_r = h t_r
@@ -222,16 +222,14 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
                           breaks=()):
     """sum'_n sum'_m W(x_n, x_m) contracted from per-frequency vectors.
 
-    frequency(n) gives (x, eps1, eps3) at thermal index n. At zero
-    temperature the sum is the integral over continuous (n, m): both
-    axes share the nested rule semi_infinite_nodes(., n_star, breaks),
-    breaks being the thermal indices of the table nodes, so the
-    tensor-product integral is the contraction of the integrated
-    vectors. At finite T, _euler_maclaurin forms F = sum'_n f_n the same
-    way (head plus integrated tail vector) for _contract(F, F). Where it
-    declines or fails, and in the classical limit, matsubara_sum adds
-    the shells of the square truncation S_N = _contract(F_N, F_N),
-    F_N = sum'_{n <= N} f_n.
+    frequency(n) gives (x, eps1, eps3) at thermal index n. The double
+    sum is <F, F> = _contract(F, F) of the single sum F = sum'_n f_n of
+    the frequency vectors, so matsubara_sum sums the 4 x 127 arrays f_n
+    elementwise with value <F, F>, in every regime: the integral over
+    continuous n at zero temperature (n_star the decay scale, breaks
+    the thermal indices of the table nodes), the head plus the
+    integrated tail or the series at finite temperature, and
+    <f_0/2, f_0/2> in the classical limit.
 
     Returns
     -------
@@ -245,35 +243,9 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
         f, res = _frequency_vectors(*frequency(n), inner_tol)
         return replace(res, value=f)
 
-    books = _Books(vectors)
-    if temperature.kind == "zero":
-        def levels():
-            for wn, fs in _nested_values(books, n_star, _OUTER_MAX_LEVEL,
-                                         False, breaks):
-                total = np.tensordot(wn, fs, 1)
-                yield _contract(total, total), books.n_evals
-
-        return books.close(_refine(levels(), rel_tol))
-    if temperature.kind == "finite":
-        res = _euler_maclaurin(books, n_star, rel_tol, breaks,
-                               lambda total: _contract(total, total))
-        if res is not None and res.converged:
-            return books.close(res)
-    partial = None
-
-    def term(n):
-        # S_n - S_{n-1}; matsubara_sum halves term(0) into S_0
-        nonlocal partial
-        f, res = _frequency_vectors(*frequency(n), inner_tol)
-        if n == 0:
-            partial = 0.5 * f
-            return res.scaled(0.5)
-        step = _contract(f, partial + f) + _contract(partial, f)
-        partial = partial + f
-        return replace(res, value=step)
-
-    res = matsubara_sum(term, temperature, rel_tol=rel_tol)
-    return replace(res, n_evals=books.n_evals + res.n_evals)
+    return matsubara_sum(vectors, temperature, rel_tol, zero_scale=n_star,
+                         zero_breaks=breaks,
+                         value=lambda total: _contract(total, total))
 
 
 def _kerr_pressure(dsum, temperature, d, chi3):
@@ -354,11 +326,18 @@ def _i_nl_zero_raw(eps_nl, eps_lin, rel_tol):
     return res.scaled(-_I_ZERO_FACTOR)
 
 
-def _check_kerr_eps(eps_nl):
+def _i_nl(limit, eps_nl, eps_lin, rel_tol):
+    # i_nl_zero_t or i_nl_high_t as a QuadratureResult, with its error
     eps_nl = as_permittivity(eps_nl)
     if math.isinf(eps_nl):
         raise MaterialError("the Kerr plate permittivity must be finite")
-    return eps_nl
+    raw = _i_nl_zero_raw if limit == "zero" else _i_nl_high_raw
+    res = raw(eps_nl, as_permittivity(eps_lin), float(rel_tol))
+    if not res.converged:
+        raise UnconvergedError(
+            "%s-temperature Kerr integral missed tolerance %g"
+            % (limit, rel_tol))
+    return res
 
 
 def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
@@ -371,12 +350,7 @@ def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
     plate facing a mirror gives 45/(4096 pi**6). Raises
     UnconvergedError instead of returning a flagged estimate.
     """
-    res = _i_nl_zero_raw(_check_kerr_eps(eps_nl), as_permittivity(eps_lin),
-                         float(rel_tol))
-    if not res.converged:
-        raise UnconvergedError(
-            "zero-temperature Kerr integral missed tolerance %g" % rel_tol)
-    return res.value
+    return _i_nl("zero", eps_nl, eps_lin, rel_tol).value
 
 
 @lru_cache(maxsize=128)
@@ -392,12 +366,7 @@ def i_nl_high_t(eps_nl, eps_lin, rel_tol=1e-6):
     eps_lin); monotonicity as in i_nl_zero_t. The transparent
     plate facing a mirror gives 21/(4096 pi**4).
     """
-    res = _i_nl_high_raw(_check_kerr_eps(eps_nl), as_permittivity(eps_lin),
-                         float(rel_tol))
-    if not res.converged:
-        raise UnconvergedError(
-            "high-temperature Kerr integral missed tolerance %g" % rel_tol)
-    return res.value
+    return _i_nl("high", eps_nl, eps_lin, rel_tol).value
 
 
 @dataclass(frozen=True)

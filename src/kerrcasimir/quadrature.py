@@ -25,12 +25,17 @@ levels is at most rel_tol times the latest total, which is returned
 with that change as its error. An integrator that reaches its level
 cap first returns its last total and change with converged=False.
 
-The same machinery drives the three thermal regimes. A sum over
-discrete thermal frequencies (weight 1/2 on the n = 0 term) turns into
-an integral over continuous n at zero temperature and collapses to its
-n = 0 term in the classical limit. At finite temperature, once the
-index n_star over which the terms decay is large for the tolerance, a
-head of terms plus the integral of the rest replaces the series.
+The same machinery drives the three thermal regimes, all through
+matsubara_sum. A sum over discrete thermal frequencies (weight 1/2 on
+the n = 0 term) turns into an integral over continuous n at zero
+temperature and collapses to its n = 0 term in the classical limit. At
+finite temperature, once the index n_star over which the terms decay is
+large for the tolerance, a head of terms plus the integral of the rest
+replaces the series. Both thermal integrals stop at one level cap,
+_TAIL_MAX_LEVEL. Terms (and unvectorized integrands) may be arrays,
+summed elementwise; value (float by default) maps a sum to the float
+that the tolerance, the error and the result refer to, such as <F, F>
+for the Kerr frequency vectors F.
 
 Quadratures nest: a term handed to a driver here (integrate_2d, the
 sums, integrate_semi_infinite unvectorized) may return a
@@ -276,16 +281,16 @@ def _nested_values(f, scale, max_level, vectorized, breaks=()):
 
 
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
-                            vectorized=True, breaks=()):
+                            vectorized=True, breaks=(), value=float):
     """Integrate f over [0, inf) with doubling Clenshaw-Curtis rules.
 
     Parameters
     ----------
     f : callable
         Integrand. Receives a 1-D array of abscissas when vectorized,
-        one float at a time otherwise, and may then return a
-        QuadratureResult (see the module docstring). Must decay faster
-        than x**-2.
+        one float at a time otherwise, and may then return an array or
+        a QuadratureResult (see the module docstring). Must decay
+        faster than x**-2.
     rel_tol : float
         Target for the level-to-level change relative to the integral.
     scale : float
@@ -295,17 +300,22 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     breaks : sequence of float
         Ascending positive points where f has a kink (a discontinuous
         derivative); see semi_infinite_nodes.
+    value : callable
+        Unvectorized only: maps the elementwise integral of f to the
+        float that is returned and that rel_tol refers to.
 
     Returns
     -------
     QuadratureResult
     """
+    if vectorized:
+        return _refine(((float(w @ vals), w.size) for w, vals
+                        in _nested_values(f, scale, max_level, True, breaks)),
+                       rel_tol)
     books = _Books(f)
-    levels = ((float(w @ vals), w.size)
-              for w, vals in _nested_values(f if vectorized else books, scale,
-                                            max_level, vectorized, breaks))
-    res = _refine(levels, rel_tol)
-    return res if vectorized else books.close(res)
+    levels = ((value(np.tensordot(w, vals, 1)), books.n_evals) for w, vals
+              in _nested_values(books, scale, max_level, False, breaks))
+    return books.close(_refine(levels, rel_tol))
 
 
 def _eval_grid(f, x, y):
@@ -353,6 +363,7 @@ def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
 
 
 _TAIL_HEAD = 8
+# level cap of both thermal integrals: zero T, and the tail at finite T
 _TAIL_MAX_LEVEL = 256
 # f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
@@ -409,7 +420,7 @@ def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
 
 
 def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
-                  zero_scale=1.0, zero_breaks=()):
+                  zero_scale=1.0, zero_breaks=(), value=float):
     """Primed sum over thermal frequencies: sum'_n term(n), n >= 0.
 
     The n = 0 term carries weight 1/2. Behaviour per temperature kind:
@@ -418,16 +429,21 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
       zero_scale is large (_euler_maclaurin; term must accept floats
       beyond the head). Otherwise, or if that misses rel_tol, the
       series is summed until a geometric bound on the remaining tail,
-      estimated from the last three terms, drops below rel_tol relative
-      to the accumulated sum.
-    * "high": only the halved n = 0 term survives, error included.
+      estimated from the last three steps of value(partial sum), drops
+      below rel_tol relative to value(partial sum).
+    * "high": only the halved n = 0 term survives, value(term(0) / 2),
+      and its error is scaled like the value (1/2 for value = float,
+      1/4 for a quadratic form).
     * "zero": the frequency spacing vanishes and the sum becomes the
       integral of term over continuous n >= 0 (term must accept floats
       there); k_B * temperature.kelvin * result is then the physical
       average for any reference kelvin. Both integrals take zero_scale
-      as the n over which term decays and zero_breaks as its kinks.
+      as the n over which term decays and zero_breaks as its kinks, and
+      stop at _TAIL_MAX_LEVEL nodes per panel.
 
-    term may return a QuadratureResult (see the module docstring).
+    term may return a float, an array or a QuadratureResult holding
+    either (see the module docstring); arrays are summed elementwise
+    and value maps the sum to the float returned.
 
     Returns
     -------
@@ -437,18 +453,22 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     """
     kind = temperature.kind
     if kind == "high":
-        return _as_result(term(0)).scaled(0.5)
+        res = _as_result(term(0))
+        full, half = value(res.value), value(0.5 * res.value)
+        return replace(res, value=half,
+                       error=abs(half / full if full else 0.5) * res.error)
     if kind == "zero":
-        return integrate_semi_infinite(term, rel_tol=rel_tol,
-                                       scale=zero_scale, vectorized=False,
-                                       breaks=zero_breaks)
+        return integrate_semi_infinite(term, rel_tol, zero_scale,
+                                       _TAIL_MAX_LEVEL, False, zero_breaks,
+                                       value)
     books = _Books(term)
-    tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks)
+    tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks, value)
     if tail is not None and tail.converged:
         return books.close(tail)
     books = _Books(term, books.n_evals)
 
     total = 0.5 * books(0)
+    cur = value(total)
     last = []
     est = math.inf
     converged = False
@@ -456,8 +476,11 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     while n < max_terms and not converged:
         n += 1
         t = books(n)
-        total += t
-        last.append(abs(t))
+        total = total + t
+        prev, cur = cur, value(total)
+        # a float term is its own step, exact where the difference of
+        # two rounded sums keeps only its digits above the sum's last bit
+        last.append(abs(t if value is float else cur - prev))
         if len(last) > 3:
             last.pop(0)
         if len(last) == 3 and n >= 4:
@@ -467,8 +490,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
                 r = max(last[2] / last[1], last[1] / last[0])
                 if r < 1.0:
                     est = last[2] * r / (1.0 - r)
-                    converged = est <= rel_tol * abs(total)
-    return books.close(QuadratureResult(total, est, n + 1, converged))
+                    converged = est <= rel_tol * abs(cur)
+    return books.close(QuadratureResult(cur, est, n + 1, converged))
 
 
 def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
@@ -478,17 +501,15 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     Both the n = 0 and the m = 0 slices carry weight 1/2 (so the (0, 0)
     term carries 1/4). Regime semantics match matsubara_sum; in the
     "zero" regime the result is the double integral of term over
-    continuous (n, m). At finite temperature it is the sum over n of
-    the sums over m, which run to a tenth of rel_tol.
+    continuous (n, m). Otherwise it is the sum over n of the sums over
+    m, which run to a tenth of rel_tol; in the classical limit each
+    keeps its halved zero term.
 
     Returns
     -------
     QuadratureResult
     """
-    kind = temperature.kind
-    if kind == "high":
-        return _as_result(term(0, 0)).scaled(0.25)
-    if kind == "zero":
+    if temperature.kind == "zero":
         return integrate_2d(term, rel_tol=rel_tol, scale=zero_scale)
     return matsubara_sum(
         lambda n: matsubara_sum(lambda m: term(n, m), temperature,

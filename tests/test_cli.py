@@ -150,6 +150,26 @@ def test_scan_epsilon_zero_limit_default_grid(capsys):
     assert all(float(r[3]) > 0.0 for r in rows)
 
 
+def test_scan_epsilon_errors_are_the_quadrature_estimates(capsys):
+    # the error columns were tol-scaled values; they are the estimates
+    # of the coefficient quadratures, scaled like the values
+    from kerrcasimir.lifshitz_linear import _i_lin
+    from kerrcasimir.lifshitz_nonlinear import _i_nl
+    status, out = _run(capsys, ["scan-epsilon", "--limit", "high",
+                                "--tol", "1e-6"])
+    assert status == 0
+    _, _, rows = _parse_csv(out)
+    assert len(rows) == 15
+    for row in rows:
+        eps_lin, eps_nl, i_lin, i_nl, err_lin, err_nl = map(float, row)
+        lin = _i_lin("high", eps_nl, eps_lin, 1e-9)
+        nl = _i_nl("high", eps_nl, eps_lin, 1e-6)
+        assert (i_lin, i_nl, err_lin, err_nl) \
+            == (lin.value, nl.value, lin.error, nl.error)
+        assert 0.0 < err_nl < 1e-6 * abs(i_nl)
+        assert err_lin < 1e-9 * abs(i_lin) or i_lin == 0.0
+
+
 def test_transparent_dual_route(capsys):
     status, out = _run(capsys, [
         "transparent", "--chi3", "2e-16", "--gap", "1e-7",

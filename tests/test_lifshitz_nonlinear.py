@@ -376,8 +376,7 @@ def test_finite_t_tail_matches_direct_sum_for_tables(monkeypatch):
                        MaterialResponse.from_table(TABLE_LIN), 1e-8,
                        Temperature.finite(300.0))
     tail = pressure_nonlinear(stack)
-    monkeypatch.setattr(lifshitz_nonlinear, "_euler_maclaurin",
-                        lambda *args: None)
+    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
     direct = pressure_nonlinear(stack, rel_tol=1e-8)
     assert tail.converged and direct.converged
     assert tail.error <= 1e-6 * tail.value
@@ -403,8 +402,7 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
     monkeypatch.setattr(lifshitz_nonlinear, "_frequency_vectors", flaky)
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
     dropped = pressure_nonlinear(stack)
-    monkeypatch.setattr(lifshitz_nonlinear, "_euler_maclaurin",
-                        lambda *args: None)
+    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
     series = pressure_nonlinear(stack)
     assert flagged and dropped.converged and series.converged
     assert (dropped.value, dropped.error) == (series.value, series.error)

@@ -502,6 +502,53 @@ def test_nested_results_compose(name, monkeypatch):
     assert not driver(_Nested(f, bad=lambda n, *m: n == 5)).converged
 
 
+def _pair(s):
+    # the array term n -> (exp(-2n/s), exp(-2n/s)), value the product
+    return lambda n: np.full(2, math.exp(-2.0 * n / s))
+
+
+def _product(total):
+    return float(total[0] * total[1])
+
+
+@pytest.mark.parametrize("temp, s, exact", [
+    (_WARM, 12.0, (0.5 / math.tanh(1.0 / 12.0)) ** 2),
+    (_WARM, 300.0, (0.5 / math.tanh(1.0 / 300.0)) ** 2),
+    (_ZERO, 12.0, 36.0),
+], ids=["series", "tail", "zero"])
+def test_matsubara_sum_of_vector_terms(temp, s, exact):
+    # arrays are summed elementwise, and the tolerance and the error
+    # refer to value(sum): here (sum'_n exp(-2n/s))**2
+    res = matsubara_sum(_pair(s), temp, rel_tol=1e-9, zero_scale=s,
+                        value=_product)
+    assert res.converged
+    assert abs(res.value - exact) <= res.error <= 1e-9 * exact
+
+
+def test_matsubara_sum_of_vector_terms_high():
+    # value(f_0 / 2) = 1/4, and the error of f_0 is scaled like it
+    term = _pair(12.0)
+    res = matsubara_sum(
+        lambda n: QuadratureResult(term(n), 2.0 ** -30, 7, True), _HOT,
+        value=_product)
+    assert (res.value, res.error, res.n_evals, res.converged) \
+        == (0.25, 2.0 ** -32, 7, True)
+    # a term of value 0 keeps a finite error
+    res = matsubara_sum(lambda n: QuadratureResult(np.zeros(2), 1e-20, 1,
+                                                   True),
+                        _HOT, value=_product)
+    assert res.value == 0.0 and math.isfinite(res.error)
+
+
+def test_zero_t_sum_stops_at_the_thermal_cap():
+    # an unbroken kink at n = 1.3 keeps the level change far above
+    # rel_tol; the integral stops at 256 nodes in each of its two panels
+    res = matsubara_sum(lambda n: abs(n - 1.3) * math.exp(-n), _ZERO,
+                        rel_tol=1e-12, zero_breaks=(0.7,))
+    assert quadrature._TAIL_MAX_LEVEL == 256
+    assert not res.converged and res.n_evals == 2 * 256
+
+
 def test_matsubara_sum_keeps_the_series_below_threshold():
     # n_star ~ 12 at rel_tol 1e-8: the term-by-term series is cheaper, and
     # it runs exactly as without a scale

@@ -220,8 +220,11 @@ def _emit(config, header, rows):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write output file: %s" % exc)
 
 
 def _kelvin_column(config):

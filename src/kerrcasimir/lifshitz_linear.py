@@ -34,7 +34,7 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
-from .quadrature import integrate_semi_infinite, matsubara_sum
+from .quadrature import Temperature, integrate_semi_infinite, matsubara_sum
 
 
 def as_permittivity(value):
@@ -141,13 +141,9 @@ def pressure_linear(stack, rel_tol=1e-8):
 @lru_cache(maxsize=256)
 def _i_lin_zero_cached(eps1, eps3, rel_tol):
     inner_tol = _inner_tol(rel_tol)
-    outer = integrate_semi_infinite(
+    outer = matsubara_sum(
         lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
-        rel_tol=rel_tol, scale=1.0, vectorized=False)
-    if not outer.converged:
-        raise UnconvergedError(
-            "zero-temperature pressure integral missed tolerance %g"
-            % rel_tol)
+        Temperature.zero(), rel_tol=rel_tol)
     c = 2.0 * math.pi ** 2
     return replace(outer, value=outer.value / c, error=outer.error / c)
 
@@ -155,8 +151,12 @@ def _i_lin_zero_cached(eps1, eps3, rel_tol):
 def _i_lin(limit, eps1, eps3, rel_tol):
     # i_lin_zero_t or i_lin_high_t as a QuadratureResult, with its error
     cached = _i_lin_zero_cached if limit == "zero" else _i_lin_high_cached
-    return cached(as_permittivity(eps1), as_permittivity(eps3),
-                  float(rel_tol))
+    res = cached(as_permittivity(eps1), as_permittivity(eps3),
+                 float(rel_tol))
+    if not res.converged:
+        raise UnconvergedError("%s-temperature pressure integral missed "
+                               "tolerance %g" % (limit, rel_tol))
+    return res
 
 
 def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
@@ -173,10 +173,6 @@ def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
 @lru_cache(maxsize=256)
 def _i_lin_high_cached(eps1, eps3, rel_tol):
     res = _g_hat(0.0, eps1, eps3, rel_tol)
-    if not res.converged:
-        raise UnconvergedError(
-            "high-temperature momentum integral missed tolerance %g"
-            % rel_tol)
     c = 2.0 * math.pi
     return replace(res, value=res.value / c, error=res.error / c)
 

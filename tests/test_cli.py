@@ -252,6 +252,28 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert rows[0][0] == "broken" and rows[0][3] == "false"
 
 
+def test_verify_rejects_negative_seed(capsys, tmp_path):
+    # a negative seed is a configuration error (exit 1), raised by the
+    # suite before any work, not a numpy ValueError traceback
+    conf = tmp_path / "verify.conf"
+    conf.write_text("seed = -3\n", encoding="utf-8")
+    for argv in (["verify", "--seed", "-1"],
+                 ["verify", "--config", str(conf)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
+
+def test_unwritable_out_path_is_a_config_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["verify", "--n-points", "8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output file")
+    assert not out.exists()
+
+
 def test_config_hash_tracks_parameters(capsys):
     argv = ["pressure", "--eps-nl", "2", "--eps-lin", "10",
             "--regime", "high", "--temperature", "300", "--gap", "1e-7"]

@@ -266,6 +266,8 @@ def test_monte_carlo_rejects_tiny_ensembles():
     grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
     with pytest.raises(ConfigError):
         monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=999)
+    with pytest.raises(ConfigError):
+        monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, seed=-1)
 
 
 def _suite_oracle(n_points, seed):
@@ -362,9 +364,9 @@ def test_monte_carlo_matches_sampled_fields():
 
 
 def test_dense_inverse_work_count(monkeypatch):
-    # one inverse per distinct Helmholtz matrix: g0, g1, g1 at the two
-    # weight frequencies, the same three for each isolated object, the
-    # conjugate g1, and inv(g0), shared by the two rytov rows
+    # one inverse per dense response the rows compare: g0, g1, g1 of
+    # each isolated object, the conjugate g1, and inv(g0), shared by the
+    # two rytov rows; the spectral diagonals behind N take none
     calls = []
     inv = np.linalg.inv
 
@@ -374,16 +376,50 @@ def test_dense_inverse_work_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     run_verification_suite(n_points=32, seed=0)
-    assert len(calls) <= 12
+    assert len(calls) <= 6
     grid, eps, chi, _, _ = _two_blocks(32, 0.3, 1e-3)
     del calls[:]
     build_n_operator(grid, eps, chi, _OMEGA, _WEIGHTS)
-    assert len(calls) == 2
-    del calls[:]
+    assert len(calls) == 0
     first = monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, seed=11)
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS,
                            seed=11).hex() == first.hex()
+
+
+def _banded_diagonal(grid, eps, omega, eta):
+    """diag(H^-1) by a banded LU solve against the identity."""
+    from scipy.linalg import solve_banded
+    n = grid.n_points
+    h2 = grid.spacing ** 2
+    bands = np.zeros((3, n), dtype=complex)
+    bands[0, 1:] = bands[2, :-1] = -1.0 / h2
+    bands[1] = 2.0 / h2 - omega * omega * eps - 1j * eta
+    return np.diagonal(solve_banded((1, 1), bands, np.eye(n)))
+
+
+@pytest.mark.parametrize("n_points", [8, 32, 256, 1024])
+@pytest.mark.parametrize("spacing", [0.05, 0.3, 2.0])
+def test_inverse_diagonal_matches_dense_and_banded(n_points, spacing):
+    # the O(n) pivot recurrence against a dense inverse and a banded
+    # solve, at the weight frequencies and at +-omega, for both signs
+    # of eta; the dense inverse is taken once per |omega|, since
+    # H(-omega) = H(omega) and H(-eta) = conj(H(eta))
+    grid, eps, _, _, _ = _two_blocks(n_points, spacing, 0.0)
+
+    def rel(diag, ref):
+        return np.max(np.abs(diag - ref)) / np.max(np.abs(ref))
+
+    for freq in (_OMEGA,) + tuple(w for w, _ in _WEIGHTS):
+        dense = np.diagonal(operator_lab._inverse(grid, eps, freq, grid.eta))
+        for eta, ref in ((grid.eta, dense), (-grid.eta, np.conj(dense))):
+            banded = _banded_diagonal(grid, eps, freq, eta)
+            for omega in (freq, -freq):
+                diag = operator_lab._inverse_diagonal(grid, eps, omega, eta)
+                assert rel(diag, ref) <= 1e-11
+                assert rel(diag, banded) <= 1e-11
+                # Im G1(z, z) has the sign of eta: dissipative for eta > 0
+                assert np.all(np.sign(diag.imag) == np.sign(eta))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -79,9 +79,8 @@ from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection_p, reflection_s
 from .lifshitz_linear import (_inner_tol, _n_star, as_permittivity,
                               i_lin_high_t, i_lin_zero_t, pressure_linear)
-from .quadrature import (MIN_LEVEL, QuadratureResult, Temperature, _refine,
-                         double_matsubara_sum, matsubara_sum,
-                         semi_infinite_nodes)
+from .quadrature import (QuadratureResult, Temperature, _nested_values,
+                         _refine, double_matsubara_sum, matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
@@ -149,28 +148,27 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     """Joint momentum quadrature of (A1 B1 + A2 B2) / (kappa + kappa').
 
     unprimed/primed map a node array to (vec1, vec2, kappa). Both grids
-    double together; the value at each level is assembled from two
-    quadratic forms against the 1/(kappa_i + kappa'_j) coupling matrix.
-    This direct form serves the transparent-plate/mirror route, which
-    must not share the separable coupling it is compared against.
+    double together, each evaluated on its new nodes only; the value at
+    each level is assembled from two quadratic forms against the
+    1/(kappa_i + kappa'_j) coupling matrix. This direct form serves the
+    transparent-plate/mirror route, which must not share the separable
+    coupling it is compared against. n_evals counts the distinct nodes
+    of both grids.
     """
 
     def levels():
-        m, n_evals = MIN_LEVEL, 0
-        while True:
-            y, wy = semi_infinite_nodes(m, scale_y)
-            yp, wyp = semi_infinite_nodes(m, scale_yp)
-            a1, a2, k1 = unprimed(y)
-            b1, b2, k1p = primed(yp)
+        for (wy, a), (wyp, b) in zip(
+                _nested_values(lambda y: np.array(unprimed(y)).T, scale_y,
+                               _INNER_MAX_LEVEL, True),
+                _nested_values(lambda y: np.array(primed(y)).T, scale_yp,
+                               _INNER_MAX_LEVEL, True)):
+            a1, a2, k1 = a.T
+            b1, b2, k1p = b.T
             den = k1[:, None] + k1p[None, :]
             with np.errstate(divide="ignore"):
                 cross = np.where(den == 0.0, 0.0, 1.0 / den)
-            n_evals += 2 * m
             yield float((wy * a1) @ cross @ (wyp * b1)
-                        + (wy * a2) @ cross @ (wyp * b2)), n_evals
-            if m >= _INNER_MAX_LEVEL:
-                return
-            m *= 2
+                        + (wy * a2) @ cross @ (wyp * b2)), wy.size + wyp.size
 
     return _refine(levels(), rel_tol)
 
@@ -194,25 +192,23 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
     Returns (f, res). The rows of f are U1, U2, V1, V2 with
     U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y)) and V_k the same
     with B_k; both share the y nodes of semi_infinite_nodes(m,
-    max(1, sqrt(x))) and kappa1. res is the refinement of the diagonal
-    W(x, x) = _contract(f, f), and f belongs to its last level.
+    max(1, sqrt(x))), each evaluated once. res is the refinement of the
+    diagonal W(x, x) = _contract(f, f), n_evals its distinct nodes, and
+    f belongs to its last level.
     """
-    scale = max(1.0, math.sqrt(x))
     f = None
+
+    def rows(y):
+        *vecs, k1 = _kernel_vectors(x, y, eps1, eps3)
+        return np.column_stack(
+            (*vecs, np.exp(np.multiply.outer(k1, -_COUPLING_T))))
 
     def levels():
         nonlocal f
-        m, n_evals = MIN_LEVEL, 0
-        while True:
-            y, wy = semi_infinite_nodes(m, scale)
-            *vecs, k1 = _kernel_vectors(x, y, eps1, eps3)
-            f = (wy * np.array(vecs)) \
-                @ np.exp(np.multiply.outer(k1, -_COUPLING_T))
-            n_evals += 2 * m
-            yield _contract(f, f), n_evals
-            if m >= _INNER_MAX_LEVEL:
-                return
-            m *= 2
+        for w, vals in _nested_values(rows, max(1.0, math.sqrt(x)),
+                                      _INNER_MAX_LEVEL, True):
+            f = (w * vals[:, :4].T) @ vals[:, 4:]
+            yield _contract(f, f), w.size
 
     res = _refine(levels(), rel_tol)
     return f, res
@@ -234,8 +230,9 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     Returns
     -------
     QuadratureResult
-        n_evals counts the momentum nodes of every attempt, and the flag
-        covers the momentum quadratures of the attempt returned.
+        n_evals counts the distinct momentum nodes of every frequency in
+        every attempt, and the flag covers the momentum quadratures of
+        the attempt returned.
     """
     inner_tol = _inner_tol(rel_tol)
 
@@ -266,8 +263,9 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     Returns
     -------
     QuadratureResult
-        In pascals. n_evals counts momentum nodes; convergence failures
-        set the flag, nothing is raised.
+        In pascals. n_evals counts distinct momentum nodes, summed over
+        the frequencies; convergence failures set the flag, nothing is
+        raised.
     """
     st = stack.oriented()
     chi3 = st.layer1.chi3
@@ -301,8 +299,9 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
     Returns
     -------
     QuadratureResult
-        In pascals. n_evals counts momentum nodes, and the flag covers
-        the pair quadratures of the sums returned.
+        In pascals. n_evals counts distinct momentum nodes, both grids
+        of every frequency pair, and the flag covers the pair
+        quadratures of the sums returned.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise MaterialError("gap must be positive and finite")

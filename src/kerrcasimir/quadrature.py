@@ -22,8 +22,11 @@ the nodes per panel.
 One refinement rule serves every adaptive quadrature here (_refine):
 the order doubles from 8 until the change between two successive
 levels is at most rel_tol times the latest total, which is returned
-with that change as its error. An integrator that reaches its level
-cap first returns its last total and change with converged=False.
+with that change as its error. A sum of n_evals products can be off
+by n_evals units of the subnormal spacing 2**-1074 however far the rule
+is refined, so a change that small is accepted too. An integrator that
+reaches its level cap first returns its last total and change with
+converged=False.
 
 The same machinery drives the three thermal regimes, all through
 matsubara_sum. A sum over discrete thermal frequencies (weight 1/2 on
@@ -37,12 +40,12 @@ summed elementwise; value (float by default) maps a sum to the float
 that the tolerance, the error and the result refer to, such as <F, F>
 for the Kerr frequency vectors F.
 
-Quadratures nest: a term handed to a driver here (integrate_2d, the
-sums, integrate_semi_infinite unvectorized) may return a
-QuadratureResult. The driver uses its value, adds up its n_evals over
-every call, dropped attempts included (a plain number counts 1), and
-ANDs its flag into that of the attempt it returns (_Books). So n_evals
-counts the innermost evaluations.
+Quadratures nest: a term handed to a driver here (the sums,
+integrate_semi_infinite unvectorized) may return a QuadratureResult.
+The driver uses its value, adds up its n_evals over every call, dropped
+attempts included (a plain number counts 1), and ANDs its flag into
+that of the attempt it returns (_Books). So n_evals counts the
+innermost evaluations.
 """
 
 import math
@@ -247,7 +250,7 @@ def _refine(levels, rel_tol):
     for new_total, n_evals in levels:
         err = abs(new_total - total)
         total = new_total
-        if err <= rel_tol * abs(total):
+        if err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074:
             return QuadratureResult(total, err, n_evals, True)
     return QuadratureResult(total, err, n_evals, False)
 
@@ -263,7 +266,8 @@ def _nested_values(f, scale, max_level, vectorized, breaks=()):
     m = 8, 16, ..., max_level: each level evaluates f on its new nodes
     only.
 
-    f may return arrays (non-vectorized); vals then stacks them on the
+    f may return arrays: one per node when unvectorized, or shape
+    (n, k) for n nodes when vectorized. vals then stacks them on the
     first axis, node by node.
     """
     m = MIN_LEVEL
@@ -316,50 +320,6 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     levels = ((value(np.tensordot(w, vals, 1)), books.n_evals) for w, vals
               in _nested_values(books, scale, max_level, False, breaks))
     return books.close(_refine(levels, rel_tol))
-
-
-def _eval_grid(f, x, y):
-    out = np.empty((x.size, y.size))
-    for i, xv in enumerate(x):
-        for j, yv in enumerate(y):
-            out[i, j] = f(xv, yv)
-    return out
-
-
-def integrate_2d(f, rel_tol=1e-8, scale=(1.0, 1.0), max_level=256):
-    """Integrate f(x, y) over the quarter plane [0, inf)**2.
-
-    Tensor product of doubling Clenshaw-Curtis rules, refined jointly on
-    both axes; previously computed values are reused at every level.
-    f is called once per node pair with two floats and may return a
-    QuadratureResult (the transparent-plate/mirror route runs one inner
-    momentum quadrature per node).
-
-    Returns
-    -------
-    QuadratureResult
-    """
-    sx, sy = scale
-    books = _Books(f)
-
-    def levels():
-        m = MIN_LEVEL
-        x, wx = semi_infinite_nodes(m, sx)
-        y, wy = semi_infinite_nodes(m, sy)
-        grid = _eval_grid(books, x, y)
-        yield float(wx @ grid @ wy), books.n_evals
-        while m < max_level:
-            m *= 2
-            x, wx = semi_infinite_nodes(m, sx)
-            y, wy = semi_infinite_nodes(m, sy)
-            fine = np.empty((m, m))
-            fine[0::2, 0::2] = grid
-            fine[1::2, :] = _eval_grid(books, x[1::2], y)
-            fine[0::2, 1::2] = _eval_grid(books, x[0::2], y[1::2])
-            grid = fine
-            yield float(wx @ grid @ wy), books.n_evals
-
-    return books.close(_refine(levels(), rel_tol))
 
 
 _TAIL_HEAD = 8
@@ -499,18 +459,15 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     """Doubly primed double sum: sum'_n sum'_m term(n, m).
 
     Both the n = 0 and the m = 0 slices carry weight 1/2 (so the (0, 0)
-    term carries 1/4). Regime semantics match matsubara_sum; in the
-    "zero" regime the result is the double integral of term over
-    continuous (n, m). Otherwise it is the sum over n of the sums over
-    m, which run to a tenth of rel_tol; in the classical limit each
-    keeps its halved zero term.
+    term carries 1/4). In every regime it is the matsubara_sum over n
+    of the matsubara_sums over m, which run to a tenth of rel_tol: at
+    zero temperature nested integrals over continuous (n, m), in the
+    classical limit each keeping its halved zero term.
 
     Returns
     -------
     QuadratureResult
     """
-    if temperature.kind == "zero":
-        return integrate_2d(term, rel_tol=rel_tol, scale=zero_scale)
     return matsubara_sum(
         lambda n: matsubara_sum(lambda m: term(n, m), temperature,
                                 rel_tol=0.1 * rel_tol, max_terms=max_terms,

@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _frequency_vectors,
                                             _kernel_vectors, _pair_quadrature)
-from kerrcasimir import quadrature
+from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
-                                    clenshaw_curtis, double_matsubara_sum,
-                                    integrate_2d, integrate_semi_infinite,
-                                    matsubara_sum, semi_infinite_nodes)
+                                    _nested_values, clenshaw_curtis,
+                                    double_matsubara_sum,
+                                    integrate_semi_infinite, matsubara_sum,
+                                    semi_infinite_nodes)
 
 
 def test_order_two_is_simpson():
@@ -159,20 +160,6 @@ def test_result_fields():
     assert res.converged
 
 
-def test_integrate_2d_separable():
-    res = integrate_2d(lambda x, y: math.exp(-x - y), rel_tol=1e-10)
-    assert res.converged
-    assert abs(res.value - 1.0) < 1e-9
-
-
-def test_integrate_2d_polynomial_damped():
-    # int x y exp(-x^2 - y^2) = 1/4
-    res = integrate_2d(lambda x, y: x * y * math.exp(-x * x - y * y),
-                       rel_tol=1e-10)
-    assert res.converged
-    assert abs(res.value - 0.25) < 1e-9
-
-
 def _replay(level_total, rel_tol, max_level):
     """The refinement rule, restated: (m, total, change, converged)."""
     m, total, err = 8, level_total(8), math.inf
@@ -226,23 +213,8 @@ def test_refinement_contract_semi_infinite():
                         lambda m: 3 * m)
 
 
-def test_refinement_contract_2d():
-    def f(x, y):
-        return math.exp(-x - 2.0 * y) / (1.0 + x * y)
-
-    def level(m):
-        x, wx = semi_infinite_nodes(m, 1.0)
-        y, wy = semi_infinite_nodes(m, 0.5)
-        return float(wx @ np.array([[f(a, b) for b in y] for a in x]) @ wy)
-
-    for tol, cap in ((1e-4, 256), (1e-9, 256), (1e-15, 16)):
-        res = integrate_2d(f, rel_tol=tol, scale=(1.0, 0.5), max_level=cap)
-        _check_contract(res, _replay(level, tol, cap), lambda m: m * m)
-    assert not res.converged and res.n_evals == 256
-
-
 def test_refinement_contract_pair_quadrature():
-    # both momentum grids hold m nodes at level m: 2 * (8 + ... + m)
+    # both momentum grids hold m distinct nodes at level m: 2 * m
     x, xp = 0.3, 1.7
 
     def unprimed(y):
@@ -263,13 +235,12 @@ def test_refinement_contract_pair_quadrature():
 
     for tol in (1e-4, 1e-9):
         res = _pair_quadrature(unprimed, primed, 1.0, math.sqrt(xp), tol)
-        _check_contract(res, _replay(level, tol, 1024),
-                        lambda m: 4 * m - 16)
+        _check_contract(res, _replay(level, tol, 1024), lambda m: 2 * m)
 
 
 def test_refinement_contract_frequency_vectors():
-    # one grid of m nodes per level feeds both the unprimed and the
-    # primed vectors, counted once each: 2 * (8 + ... + m)
+    # one grid of m distinct nodes per level feeds both the unprimed
+    # and the primed vectors: m
     x, eps1, eps3 = 2.3, 2.0, 10.0
 
     def level(m):
@@ -281,9 +252,58 @@ def test_refinement_contract_frequency_vectors():
 
     for tol in (1e-4, 1e-9):
         f, res = _frequency_vectors(x, eps1, eps3, tol)
-        _check_contract(res, _replay(level, tol, 1024),
-                        lambda m: 4 * m - 16)
+        _check_contract(res, _replay(level, tol, 1024), lambda m: m)
         assert f.shape == (4, _COUPLING_T.size)
+
+
+def test_frequency_vectors_stop_at_the_level_cap():
+    # the last level's total, bitwise, flagged
+    f, res = _frequency_vectors(2.3, 2.0, 10.0, 1e-18)
+    assert res.value == -0.0005122569919398447
+    assert not res.converged and res.n_evals == 1024
+    assert f.shape == (4, _COUPLING_T.size)
+
+
+def _count_nodes(monkeypatch, names):
+    # sum of the y.size every named kernel function of the Kerr module sees
+    seen = [0]
+    for name in names:
+        def counted(x, y, *args, _f=getattr(lifshitz_nonlinear, name)):
+            seen[0] += y.size
+            return _f(x, y, *args)
+        monkeypatch.setattr(lifshitz_nonlinear, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-18])
+def test_momentum_quadratures_evaluate_each_node_once(tol, monkeypatch):
+    # n_evals counts distinct nodes, and each is evaluated exactly once
+    seen = _count_nodes(monkeypatch, ["_kernel_vectors"])
+    _, res = _frequency_vectors(2.3, 2.0, 10.0, tol)
+    assert seen[0] == res.n_evals
+    seen = _count_nodes(monkeypatch, ["_ct_unprimed", "_ct_primed"])
+    res = lifshitz_nonlinear._w_ct(0.3, 4.0, tol)
+    assert seen[0] == res.n_evals
+
+
+def test_nested_values_stack_vectorized_rows():
+    # a vectorized f may return one row per node; levels stack them in
+    # node order, each level evaluating only its new nodes
+    def rows(x):
+        return np.column_stack((x, x * x, np.exp(-x)))
+
+    calls, sizes = [], []
+
+    def f(x):
+        calls.append(x.size)
+        return rows(x)
+
+    for w, vals in _nested_values(f, 2.0, 32, True):
+        x, _ = semi_infinite_nodes(w.size, 2.0)
+        assert vals.shape == (x.size, 3)
+        assert np.array_equal(vals, rows(x))
+        sizes.append(w.size)
+    assert sizes == [8, 16, 32] and calls == [8, 8, 16]
 
 
 def test_temperature_validation():
@@ -449,7 +469,6 @@ _ZERO, _WARM, _HOT = (Temperature.zero(), Temperature.finite(300.0),
 _DRIVERS = {
     "semi_infinite": (lambda t: integrate_semi_infinite(t, vectorized=False),
                       lambda x: math.exp(-x)),
-    "2d": (integrate_2d, lambda x, y: math.exp(-x - 2.0 * y)),
     "sum_zero": (lambda t: matsubara_sum(t, _ZERO, zero_scale=30.0),
                  _decay(30.0)),
     "sum_series": (lambda t: matsubara_sum(t, _WARM, zero_scale=12.0),
@@ -575,6 +594,17 @@ def test_double_matsubara_high():
     temp = Temperature.high(300.0)
     res = double_matsubara_sum(lambda n, m: 8.0 + n + m, temp)
     assert res.value == 2.0
+
+
+@pytest.mark.parametrize("n", range(700, 746))
+def test_zero_t_integral_accepts_subnormal_round_off(n):
+    # the integral exp(-n)/2 lies in or near the subnormal range, where no
+    # refinement resolves it below n_evals units of 2**-1074
+    res = matsubara_sum(lambda m: math.exp(-n - 2.0 * m), Temperature.zero(),
+                        rel_tol=1e-11, zero_scale=0.5)
+    exact = 0.5 * math.exp(-n)
+    assert res.converged
+    assert abs(res.value - exact) <= 1e-11 * exact + res.n_evals * 2.0 ** -1074
 
 
 def test_double_matsubara_zero():

@@ -9,7 +9,7 @@ underlying fluctuation-operator identities to machine precision.
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import (ConfigError, KerrCasimirError, MaterialError,
                      NearResonanceError, UnconvergedError)
-from .fresnel import reflection_p, reflection_s
+from .fresnel import reflection
 from .lifshitz_linear import i_lin_high_t, i_lin_zero_t, pressure_linear
 from .lifshitz_nonlinear import (TotalPressure, casimir_pressure,
                                  crossover_distance, i_nl_high_t,
@@ -31,7 +31,7 @@ __all__ = [
     "C_LIGHT", "EPSILON_0", "HBAR", "K_BOLTZMANN",
     "KerrCasimirError", "ConfigError", "MaterialError",
     "UnconvergedError", "NearResonanceError",
-    "reflection_s", "reflection_p",
+    "reflection",
     "MaterialResponse", "LayerStack",
     "QuadratureResult", "Temperature", "clenshaw_curtis",
     "semi_infinite_nodes", "integrate_semi_infinite",

@@ -79,7 +79,7 @@ _SUBCOMMAND_KEYS = {
 
 def _parse_value(key, text):
     kind = _KEYS[key][0]
-    text = text.strip()
+    text = str(text).strip()
     try:
         if kind in ("float", "posfloat", "eps", "tol"):
             value = float(text)
@@ -183,8 +183,7 @@ def build_config(subcommand, config_path=None, overrides=None):
             continue
         if key not in allowed:
             raise ConfigError("unknown key %r for %s" % (key, subcommand))
-        values[key] = _parse_value(key, text) if isinstance(text, str) \
-            else text
+        values[key] = _parse_value(key, text)  # parsed as flag text
     return RunConfig(subcommand, values)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
-from .fresnel import reflection_p, reflection_s
+from .fresnel import reflection
 from .quadrature import Temperature, integrate_semi_infinite, matsubara_sum
 
 
@@ -56,8 +56,8 @@ def _gap_integrand(y, x, eps1, eps3):
     damp = damp_hat * math.exp(-2.0 * x)
     total = np.zeros_like(y)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for refl in (reflection_s, reflection_p):
-            r = refl(x, y, eps1) * refl(x, y, eps3)
+        for r1, r3 in zip(reflection(x, y, eps1), reflection(x, y, eps3)):
+            r = r1 * r3
             total = total + r * damp_hat / (1.0 - r * damp)
         out = y * k2 * total
     # the measure carries a factor y, so the y = 0 node is exactly zero

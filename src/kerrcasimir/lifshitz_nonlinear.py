@@ -76,7 +76,7 @@ import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
-from .fresnel import reflection_p, reflection_s
+from .fresnel import reflection
 from .lifshitz_linear import (_inner_tol, _n_star, as_permittivity,
                               i_lin_high_t, i_lin_zero_t, pressure_linear)
 from .quadrature import (QuadratureResult, Temperature, _nested_values,
@@ -102,20 +102,20 @@ def _kernel_vectors(x, y, eps1, eps3):
 
     A_k are the unprimed factors (x as the frequency of the cavity
     modes), B_k the primed ones (x as the fluctuation frequency); both
-    share the four Fresnel amplitudes.
+    share the Fresnel amplitudes of the two plates.
     """
     k2 = np.hypot(x, y)
     k1sq = eps1 * x * x + y * y
     k1 = np.sqrt(k1sq)
     damp = np.exp(-2.0 * k2)
-    fs21 = reflection_s(x, y, eps1)
-    fp21 = reflection_p(x, y, eps1)
-    fs23 = reflection_s(x, y, eps3)
-    fp23 = reflection_p(x, y, eps3)
-    gs = (1.0 - fs21) / (1.0 - fs21 * fs23 * damp)
-    gp = (1.0 - fp21) / (1.0 - fp21 * fp23 * damp)
-    rs = fs23 * (1.0 - fs21 * fs21) / (1.0 - fs21 * fs23 * damp)
-    rp = fp23 * (1.0 - fp21 * fp21) / (1.0 - fp21 * fp23 * damp)
+    fs21, fp21 = reflection(x, y, eps1)
+    fs23, fp23 = reflection(x, y, eps3)
+    ds = 1.0 - fs21 * fs23 * damp
+    dp = 1.0 - fp21 * fp23 * damp
+    gs = (1.0 - fs21) / ds
+    gp = (1.0 - fp21) / dp
+    rs = fs23 * (1.0 - fs21 * fs21) / ds
+    rp = fp23 * (1.0 - fp21 * fp21) / dp
     mx = 2.0 * x * x * rs - (3.0 * y * y / eps1 + 2.0 * x * x) * rp
     mz = x * x * rs - (4.0 * y * y / eps1 + x * x) * rp
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -305,6 +305,8 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise MaterialError("gap must be positive and finite")
+    if not isinstance(temperature, Temperature):
+        raise MaterialError("temperature must be a Temperature")
     chi3 = float(chi3)
     if chi3 == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)

@@ -12,7 +12,7 @@ import math
 import pytest
 
 import kerrcasimir.cli as cli
-from kerrcasimir import CheckResult
+from kerrcasimir import CheckResult, ConfigError
 from kerrcasimir.cli import build_config, main
 
 
@@ -331,3 +331,21 @@ def test_build_config_defaults_and_types():
     assert config["out"] is None
     digest = config.config_hash()
     assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("pressure", {"tol": 5.0, "gap": -1.0}),
+    ("pressure", {"gap": -1.0}),
+    ("verify", {"n_points": 0}),
+    ("scan-distance", {"d_count": 2.5}),
+])
+def test_build_config_validates_non_text_overrides(subcommand, overrides):
+    with pytest.raises(ConfigError):
+        build_config(subcommand, overrides=overrides)
+
+
+def test_build_config_parses_overrides_as_flag_text():
+    numbers = build_config("pressure", overrides={"tol": 5e-7, "gap": 2e-8})
+    text = build_config("pressure", overrides={"tol": "5e-7", "gap": "2e-8"})
+    assert numbers.values == text.values
+    assert numbers.config_hash() == text.config_hash()

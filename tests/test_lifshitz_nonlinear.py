@@ -313,6 +313,10 @@ def test_transparent_mirror_validation():
         pressure_transparent_mirror(math.inf, Temperature.zero(), CHI3)
     res = pressure_transparent_mirror(1e-8, Temperature.zero(), 0.0)
     assert res.value == 0.0 and res.converged
+    # a bare kelvin number fails as in LayerStack, chi3 = 0 or not
+    for chi3 in (CHI3, 0.0):
+        with pytest.raises(MaterialError, match="must be a Temperature"):
+            pressure_transparent_mirror(1e-7, 300.0, chi3)
 
 
 def test_pressure_linear_in_chi3():

@@ -14,7 +14,10 @@ comment); command-line flags mirror the keys and override the file.
 Unknown keys are rejected. Infinite permittivities are written ``inf``.
 The ``threads`` key of the two scans is accepted, validated and hashed
 like any other, but scans run serially: the work holds the interpreter
-lock, so a thread pool made it slower, not faster.
+lock, so a thread pool made it slower, not faster. Zero-temperature
+pressure rows, with no length scale but d, are the cached coefficients
+i_lin_zero_t and i_nl_zero_t times hbar c / d**4 and (chi3/eps0)
+(hbar c)**2 / d**8, so a scan integrates each coefficient once.
 
 Output is CSV with a header line, then a ``# config-hash:`` comment
 (SHA-256 over the sorted effective configuration, output path
@@ -27,13 +30,14 @@ numerics out of tolerance (including failed verification rows).
 import argparse
 import hashlib
 import math
+import re
 import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, KerrCasimirError, MaterialError
-from .lifshitz_linear import _i_lin
-from .lifshitz_nonlinear import (_i_nl, casimir_pressure, crossover_distance,
-                                 pressure_nonlinear,
+from .lifshitz_linear import _i_lin, _i_lin_zero_cached, pressure_linear
+from .lifshitz_nonlinear import (_i_nl, _i_nl_zero_raw, _zero_t_law,
+                                 crossover_distance, pressure_nonlinear,
                                  pressure_transparent_mirror)
 from .materials import LayerStack, MaterialResponse
 from .operator_lab import run_verification_suite
@@ -235,30 +239,34 @@ _PRESSURE_HEADER = ("d", "temperature", "p_lin", "p_nl", "p_total",
 
 
 def _pressure_row(config, gap):
-    total = casimir_pressure(_stack(config, gap),
-                             rel_tol_linear=min(config["tol"], 1e-8),
-                             rel_tol_nonlinear=config["tol"])
-    row = (gap, _kelvin_column(config), total.linear.value,
-           total.nonlinear.value, total.value, total.linear.error,
-           total.nonlinear.error)
-    return row, total.converged
+    stack = _stack(config, gap)
+    tol, chi3 = config["tol"], config["chi3"]
+    if config["regime"] == "zero":
+        # without chi3 the direct Kerr route returns its 0.0 at once
+        eps = (config["eps_nl"], config["eps_lin"])
+        s_lin, s_nl = _zero_t_law(chi3, gap)
+        lin = _i_lin_zero_cached(*eps, min(tol, 1e-8)).scaled(s_lin)
+        nl = (_i_nl_zero_raw(*eps, tol).scaled(s_nl) if chi3
+              else pressure_nonlinear(stack))
+    else:
+        lin = pressure_linear(stack, min(tol, 1e-8))
+        nl = pressure_nonlinear(stack, tol)
+    row = (gap, _kelvin_column(config), lin.value, nl.value,
+           lin.value + nl.value, lin.error, nl.error)
+    return row, lin.converged and nl.converged
 
 
-def _run_pressure(config):
-    row, converged = _pressure_row(config, config["gap"])
-    _emit(config, _PRESSURE_HEADER, [row])
-    return 0 if converged else 2
-
-
-def _distance_grid(config):
+def _gaps(config):
+    if "gap" in config.values:  # pressure, not scan-distance
+        return [config["gap"]]
     lo = math.log(config["d_min"])
     hi = math.log(config["d_max"])
     count = config["d_count"]
     return [math.exp(lo + (hi - lo) * i / (count - 1)) for i in range(count)]
 
 
-def _run_scan_distance(config):
-    results = [_pressure_row(config, d) for d in _distance_grid(config)]
+def _run_pressure(config):
+    results = [_pressure_row(config, d) for d in _gaps(config)]
     _emit(config, _PRESSURE_HEADER, [row for row, _ in results])
     return 0 if all(ok for _, ok in results) else 2
 
@@ -318,7 +326,7 @@ def _run_verify(config):
 
 _RUNNERS = {
     "pressure": _run_pressure,
-    "scan-distance": _run_scan_distance,
+    "scan-distance": _run_pressure,
     "scan-epsilon": _run_scan_epsilon,
     "transparent": _run_transparent,
     "crossover": _run_crossover,
@@ -341,6 +349,8 @@ def _build_parser():
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, keys in _SUBCOMMAND_KEYS.items():
         sub = subparsers.add_parser(name)
+        # argparse's own pattern takes "-1" but not "-2e-16" for a value
+        sub._negative_number_matcher = re.compile(r"^-\.?\d")
         sub.add_argument("--config", default=None)
         for key in keys:
             sub.add_argument("--" + key.replace("_", "-"), dest=key,

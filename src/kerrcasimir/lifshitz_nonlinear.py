@@ -397,6 +397,12 @@ def casimir_pressure(stack, rel_tol_linear=1e-8, rel_tol_nonlinear=1e-6):
                                             rel_tol=rel_tol_nonlinear))
 
 
+def _zero_t_law(chi3, d):
+    """Factors of i_lin_zero_t, i_nl_zero_t in the signed P_lin, P_nl at d."""
+    return (HBAR * C_LIGHT / d ** 4,
+            chi3 / EPSILON_0 * (HBAR * C_LIGHT) ** 2 / d ** 8)
+
+
 def _abs_pressure_pair(stack, rel_tol):
     """Return d -> (|P_lin|, |P_nl|) for the stack, fast when possible.
 
@@ -414,11 +420,10 @@ def _abs_pressure_pair(stack, rel_tol):
         e3 = st.layer3.permittivity(0.0)
         chi3 = st.layer1.chi3
         if kind == "zero":
-            c_lin = HBAR * C_LIGHT * i_lin_zero_t(e1, e3,
-                                                  rel_tol=min(rel_tol, 1e-9))
-            c_nl = abs(chi3) / EPSILON_0 * (HBAR * C_LIGHT) ** 2 \
-                * i_nl_zero_t(e1, e3, rel_tol=rel_tol)
-            return lambda d: (c_lin / d ** 4, c_nl / d ** 8)
+            coeffs = (i_lin_zero_t(e1, e3, rel_tol=min(rel_tol, 1e-9)),
+                      i_nl_zero_t(e1, e3, rel_tol=rel_tol))
+            return lambda d: tuple(abs(s * c) for s, c
+                                   in zip(_zero_t_law(chi3, d), coeffs))
         kbt = K_BOLTZMANN * temp.kelvin
         c_lin = kbt * i_lin_high_t(e1, e3, rel_tol=min(rel_tol, 1e-9))
         c_nl = abs(chi3) / EPSILON_0 * kbt ** 2 \

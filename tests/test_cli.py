@@ -7,12 +7,17 @@ across the accepted thread counts), and the 0/1/2 exit-status
 convention.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 import kerrcasimir.cli as cli
-from kerrcasimir import CheckResult, ConfigError
+import kerrcasimir.lifshitz_linear as ll
+import kerrcasimir.lifshitz_nonlinear as ln
+from kerrcasimir import (CheckResult, ConfigError, LayerStack,
+                         MaterialResponse, Temperature, casimir_pressure,
+                         pressure_nonlinear)
 from kerrcasimir.cli import build_config, main
 
 
@@ -349,3 +354,140 @@ def test_build_config_parses_overrides_as_flag_text():
     text = build_config("pressure", overrides={"tol": "5e-7", "gap": "2e-8"})
     assert numbers.values == text.values
     assert numbers.config_hash() == text.config_hash()
+
+
+def test_negative_chi3_parses_in_every_spelling(capsys, tmp_path):
+    # argparse's own negative-number pattern has no exponent form, so
+    # "--chi3 -2e-16" used to exit 1 with "expected one argument"
+    conf = tmp_path / "kerr.conf"
+    conf.write_text("chi3 = -2e-16\n", encoding="utf-8")
+    base = ["pressure", "--regime", "high", "--gap", "1e-7"]
+    outs = []
+    for extra in (["--chi3", "-2e-16"], ["--chi3=-2e-16"],
+                  ["--config", str(conf)]):
+        status, out = _run(capsys, base + extra)
+        assert status == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert float(_parse_csv(outs[0])[2][0][3]) < 0.0
+    assert main(base + ["--chi3", "-x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --chi3: expected one argument" in captured.err
+
+
+def _scan_zero(capsys, plates, d_count=4):
+    status, out = _run(capsys, [
+        "scan-distance", "--regime", "zero", "--d-min", "1e-9",
+        "--d-max", "1e-6", "--d-count", str(d_count)] + plates)
+    return status, out
+
+
+@pytest.mark.parametrize("eps_nl, eps_lin, chi3", [
+    ("2", "inf", "2e-16"), ("1", "10", "2e-16"), ("5", "2", "-1e-16"),
+    ("2", "inf", "0")])
+def test_zero_t_rows_match_the_direct_route(capsys, eps_nl, eps_lin, chi3):
+    # zero-T rows are d-independent coefficients times d**-4 and d**-8;
+    # each lies within both stated errors of a direct evaluation at its
+    # gap, and pressure --gap d prints the scan's row at d
+    plates = ["--eps-nl", eps_nl, "--eps-lin", eps_lin, "--chi3", chi3]
+    status, out = _scan_zero(capsys, plates)
+    assert status == 0
+    lines = out.strip().split("\n")[2:]
+    assert len(lines) == 4
+    for line in lines:
+        d, _, p_lin, p_nl, p_total, err_lin, err_nl = map(
+            float, line.split(","))
+        stack = cli._stack(build_config(
+            "pressure", overrides={"eps_nl": eps_nl, "eps_lin": eps_lin,
+                                   "chi3": chi3}), d)
+        direct = casimir_pressure(stack, rel_tol_linear=1e-8,
+                                  rel_tol_nonlinear=1e-6)
+        for value, err, ref in ((p_lin, err_lin, direct.linear),
+                                (p_nl, err_nl, direct.nonlinear)):
+            bound = err + ref.error + 4 * math.ulp(ref.value)
+            assert abs(value - ref.value) <= bound
+        assert p_total == p_lin + p_nl
+        status, single = _run(capsys, ["pressure", "--regime", "zero",
+                                       "--gap", repr(d)] + plates)
+        assert status == 0
+        assert single.strip().split("\n")[2] == line
+        if float(chi3) == 0.0:
+            assert line.split(",")[3] == line.split(",")[6] \
+                == "0.0000000000000000e+00"
+
+
+def test_zero_t_rows_without_chi3_compute_no_kerr_coefficient(
+        capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Kerr coefficient computed for chi3 = 0")
+
+    monkeypatch.setattr(cli, "_i_nl_zero_raw", refuse)
+    for chi3 in ("0", "-0.0"):
+        status, out = _scan_zero(capsys, ["--chi3", chi3], d_count=3)
+        assert status == 0
+        for row in _parse_csv(out)[2]:
+            assert row[3] == row[6] == "0.0000000000000000e+00"
+
+
+def test_zero_t_rows_reject_a_kerr_mirror(capsys):
+    for argv in (["pressure", "--regime", "zero"],
+                 ["scan-distance", "--regime", "zero", "--d-count", "3"]):
+        assert main(argv + ["--eps-nl", "inf", "--chi3", "2e-16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == "error: a perfect mirror cannot carry a Kerr response\n"
+
+
+def _count_double_sums(monkeypatch):
+    ln._i_nl_zero_raw.cache_clear()
+    ll._i_lin_zero_cached.cache_clear()
+    calls = []
+    real = ln._separable_double_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ln, "_separable_double_sum", counted)
+    return calls
+
+
+def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
+    # a count, not a timing: it does not depend on the machine
+    calls = _count_double_sums(monkeypatch)
+    status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
+    assert status == 0 and len(_parse_csv(out)[2]) == 25
+    assert len(calls) == 1
+    # finite-T rows keep their per-gap evaluation
+    del calls[:]
+    status, out = _run(capsys, ["scan-distance", "--regime", "finite",
+                                "--d-min", "2e-7", "--d-max", "1e-6",
+                                "--d-count", "3"])
+    assert status == 0 and len(_parse_csv(out)[2]) == 3
+    assert len(calls) == 3
+
+
+def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
+    calls = _count_double_sums(monkeypatch)
+    for gap in (1e-8, 1e-7):
+        stack = LayerStack(MaterialResponse.constant(2.0, chi3=2e-16),
+                           MaterialResponse.perfect_mirror(), gap,
+                           Temperature.zero())
+        assert pressure_nonlinear(stack, rel_tol=1e-6).n_evals == 4320
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["_i_nl_zero_raw", "_i_lin_zero_cached"])
+def test_zero_t_scan_with_unconverged_coefficient_exits_two(
+        capsys, monkeypatch, name):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: dataclasses.replace(
+        real(*args), converged=False))
+    # the rows are still printed, flagged by the exit status alone
+    status = main(["scan-distance", "--regime", "zero", "--d-count", "5"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == ""
+    assert len(_parse_csv(captured.out)[2]) == 5

@@ -15,9 +15,12 @@ Unknown keys are rejected. Infinite permittivities are written ``inf``.
 The ``threads`` key of the two scans is accepted, validated and hashed
 like any other, but scans run serially: the work holds the interpreter
 lock, so a thread pool made it slower, not faster. Zero-temperature
-pressure rows, with no length scale but d, are the cached coefficients
-i_lin_zero_t and i_nl_zero_t times hbar c / d**4 and (chi3/eps0)
-(hbar c)**2 / d**8, so a scan integrates each coefficient once.
+and classical pressure rows, with no length scale but d, are cached
+d-independent coefficients times powers of d (i_lin_zero_t and
+i_nl_zero_t times hbar c / d**4 and (chi3/eps0) (hbar c)**2 / d**8,
+i_lin_high_t and i_nl_high_t times kB T / d**3 and (chi3/eps0)
+(kB T)**2 / d**6; lifshitz_nonlinear._pressure_pair), so a scan
+integrates each coefficient once; crossover takes the same ones.
 
 Output is CSV with a header line, then a ``# config-hash:`` comment
 (SHA-256 over the sorted effective configuration, output path
@@ -35,9 +38,9 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, KerrCasimirError, MaterialError
-from .lifshitz_linear import _i_lin, _i_lin_zero_cached, pressure_linear
-from .lifshitz_nonlinear import (_i_nl, _i_nl_zero_raw, _zero_t_law,
-                                 crossover_distance, pressure_nonlinear,
+from .lifshitz_linear import _coefficient_tol, _i_lin
+from .lifshitz_nonlinear import (_i_nl, _pressure_pair, crossover_distance,
+                                 pressure_nonlinear,
                                  pressure_transparent_mirror)
 from .materials import LayerStack, MaterialResponse
 from .operator_lab import run_verification_suite
@@ -238,24 +241,6 @@ _PRESSURE_HEADER = ("d", "temperature", "p_lin", "p_nl", "p_total",
                     "err_lin", "err_nl")
 
 
-def _pressure_row(config, gap):
-    stack = _stack(config, gap)
-    tol, chi3 = config["tol"], config["chi3"]
-    if config["regime"] == "zero":
-        # without chi3 the direct Kerr route returns its 0.0 at once
-        eps = (config["eps_nl"], config["eps_lin"])
-        s_lin, s_nl = _zero_t_law(chi3, gap)
-        lin = _i_lin_zero_cached(*eps, min(tol, 1e-8)).scaled(s_lin)
-        nl = (_i_nl_zero_raw(*eps, tol).scaled(s_nl) if chi3
-              else pressure_nonlinear(stack))
-    else:
-        lin = pressure_linear(stack, min(tol, 1e-8))
-        nl = pressure_nonlinear(stack, tol)
-    row = (gap, _kelvin_column(config), lin.value, nl.value,
-           lin.value + nl.value, lin.error, nl.error)
-    return row, lin.converged and nl.converged
-
-
 def _gaps(config):
     if "gap" in config.values:  # pressure, not scan-distance
         return [config["gap"]]
@@ -266,9 +251,14 @@ def _gaps(config):
 
 
 def _run_pressure(config):
-    results = [_pressure_row(config, d) for d in _gaps(config)]
-    _emit(config, _PRESSURE_HEADER, [row for row, _ in results])
-    return 0 if all(ok for _, ok in results) else 2
+    gaps = _gaps(config)
+    pair = _pressure_pair(_stack(config, gaps[0]), config["tol"])
+    results = [pair(d) for d in gaps]
+    _emit(config, _PRESSURE_HEADER,
+          [(d, _kelvin_column(config), p.linear.value, p.nonlinear.value,
+            p.value, p.linear.error, p.nonlinear.error)
+           for d, p in zip(gaps, results)])
+    return 0 if all(p.converged for p in results) else 2
 
 
 def _run_scan_epsilon(config):
@@ -278,7 +268,7 @@ def _run_scan_epsilon(config):
     rows = []
     for eps_lin in config["eps_lin_values"]:
         for eps_nl in config["eps_nl_values"]:
-            lin = _i_lin(limit, eps_nl, eps_lin, min(tol, 1e-9))
+            lin = _i_lin(limit, eps_nl, eps_lin, _coefficient_tol(tol))
             nl = _i_nl(limit, eps_nl, eps_lin, tol)
             rows.append((eps_lin, eps_nl, lin.value, nl.value, lin.error,
                          nl.error))

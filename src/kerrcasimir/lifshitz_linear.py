@@ -138,21 +138,30 @@ def pressure_linear(stack, rel_tol=1e-8):
     return msum.scaled(prefactor)
 
 
+def _coefficient_tol(rel_tol):
+    # the d-independent linear coefficients are cached: run them tight
+    return min(rel_tol, 1e-9)
+
+
 @lru_cache(maxsize=256)
-def _i_lin_zero_cached(eps1, eps3, rel_tol):
-    inner_tol = _inner_tol(rel_tol)
-    outer = matsubara_sum(
-        lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
-        Temperature.zero(), rel_tol=rel_tol)
-    c = 2.0 * math.pi ** 2
-    return replace(outer, value=outer.value / c, error=outer.error / c)
+def _i_lin_raw(limit, eps1, eps3, rel_tol):
+    # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult
+    if limit == "zero":
+        inner_tol = _inner_tol(rel_tol)
+        res = matsubara_sum(
+            lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
+            Temperature.zero(), rel_tol=rel_tol)
+        c = 2.0 * math.pi ** 2
+    else:
+        res = _g_hat(0.0, eps1, eps3, rel_tol)
+        c = 2.0 * math.pi
+    return replace(res, value=res.value / c, error=res.error / c)
 
 
 def _i_lin(limit, eps1, eps3, rel_tol):
-    # i_lin_zero_t or i_lin_high_t as a QuadratureResult, with its error
-    cached = _i_lin_zero_cached if limit == "zero" else _i_lin_high_cached
-    res = cached(as_permittivity(eps1), as_permittivity(eps3),
-                 float(rel_tol))
+    # _i_lin_raw with validated arguments; raises when unconverged
+    res = _i_lin_raw(limit, as_permittivity(eps1), as_permittivity(eps3),
+                     float(rel_tol))
     if not res.converged:
         raise UnconvergedError("%s-temperature pressure integral missed "
                                "tolerance %g" % (limit, rel_tol))
@@ -168,13 +177,6 @@ def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
     UnconvergedError instead of returning a flagged estimate.
     """
     return _i_lin("zero", eps1, eps3, rel_tol).value
-
-
-@lru_cache(maxsize=256)
-def _i_lin_high_cached(eps1, eps3, rel_tol):
-    res = _g_hat(0.0, eps1, eps3, rel_tol)
-    c = 2.0 * math.pi
-    return replace(res, value=res.value / c, error=res.error / c)
 
 
 def i_lin_high_t(eps1, eps3, rel_tol=1e-9):

@@ -77,8 +77,8 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_inner_tol, _n_star, as_permittivity,
-                              i_lin_high_t, i_lin_zero_t, pressure_linear)
+from .lifshitz_linear import (_coefficient_tol, _i_lin_raw, _inner_tol,
+                              _n_star, as_permittivity, pressure_linear)
 from .quadrature import (QuadratureResult, Temperature, _nested_values,
                          _refine, double_matsubara_sum, matsubara_sum)
 
@@ -92,6 +92,8 @@ _INNER_MAX_LEVEL = 1024
 _COUPLING_H = 0.35
 _COUPLING_T = np.exp(-32.0 + _COUPLING_H * np.arange(127.0))
 _COUPLING_W = _COUPLING_H * _COUPLING_T
+
+_NO_KERR = QuadratureResult(0.0, 0.0, 0, True)
 
 _CROSSOVER_LO = 1e-11
 _CROSSOVER_HI = 1e-4
@@ -270,7 +272,7 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     st = stack.oriented()
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
+        return _NO_KERR
     temp = st.temperature
     x_factor = st.gap / C_LIGHT
 
@@ -309,7 +311,7 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
         raise MaterialError("temperature must be a Temperature")
     chi3 = float(chi3)
     if chi3 == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
+        return _NO_KERR
     x_factor = d / C_LIGHT
     inner_tol = _inner_tol(rel_tol)
     n_star = _n_star(temperature, d)
@@ -321,19 +323,22 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
 
 
 @lru_cache(maxsize=128)
-def _i_nl_zero_raw(eps_nl, eps_lin, rel_tol):
-    res = _separable_double_sum(lambda x: (x, eps_nl, eps_lin),
-                                Temperature.zero(), 1.0, rel_tol)
-    return res.scaled(-_I_ZERO_FACTOR)
+def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
+    # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult
+    if limit == "zero":
+        res = _separable_double_sum(lambda x: (x, eps_nl, eps_lin),
+                                    Temperature.zero(), 1.0, rel_tol)
+        return res.scaled(-_I_ZERO_FACTOR)
+    _, res = _frequency_vectors(0.0, eps_nl, eps_lin, rel_tol)
+    return res.scaled(-_I_HIGH_FACTOR)
 
 
 def _i_nl(limit, eps_nl, eps_lin, rel_tol):
-    # i_nl_zero_t or i_nl_high_t as a QuadratureResult, with its error
+    # _i_nl_raw with validated arguments; raises when unconverged
     eps_nl = as_permittivity(eps_nl)
     if math.isinf(eps_nl):
         raise MaterialError("the Kerr plate permittivity must be finite")
-    raw = _i_nl_zero_raw if limit == "zero" else _i_nl_high_raw
-    res = raw(eps_nl, as_permittivity(eps_lin), float(rel_tol))
+    res = _i_nl_raw(limit, eps_nl, as_permittivity(eps_lin), float(rel_tol))
     if not res.converged:
         raise UnconvergedError(
             "%s-temperature Kerr integral missed tolerance %g"
@@ -352,12 +357,6 @@ def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
     UnconvergedError instead of returning a flagged estimate.
     """
     return _i_nl("zero", eps_nl, eps_lin, rel_tol).value
-
-
-@lru_cache(maxsize=128)
-def _i_nl_high_raw(eps_nl, eps_lin, rel_tol):
-    _, res = _frequency_vectors(0.0, eps_nl, eps_lin, rel_tol)
-    return res.scaled(-_I_HIGH_FACTOR)
 
 
 def i_nl_high_t(eps_nl, eps_lin, rel_tol=1e-6):
@@ -397,49 +396,39 @@ def casimir_pressure(stack, rel_tol_linear=1e-8, rel_tol_nonlinear=1e-6):
                                             rel_tol=rel_tol_nonlinear))
 
 
-def _zero_t_law(chi3, d):
-    """Factors of i_lin_zero_t, i_nl_zero_t in the signed P_lin, P_nl at d."""
-    return (HBAR * C_LIGHT / d ** 4,
-            chi3 / EPSILON_0 * (HBAR * C_LIGHT) ** 2 / d ** 8)
+def _pressure_pair(stack, rel_tol):
+    """Return d -> TotalPressure of the stack at gap d; nothing raised.
 
-
-def _abs_pressure_pair(stack, rel_tol):
-    """Return d -> (|P_lin|, |P_nl|) for the stack, fast when possible.
-
-    For constant permittivities in the zero and high regimes both parts
-    are exact power laws with cached dimensionless coefficients, which
-    makes the crossover bisection essentially free. Everything else
-    falls back to full pressure evaluations per probe distance.
+    Constant plates at zero or high temperature set no length scale but
+    d, so both parts are exact power laws: cached d-independent
+    coefficients times E / d**p and (chi3/eps0) E**2 / d**(2p), with
+    E = hbar c and p = 4 at zero temperature, E = kB T and p = 3 in the
+    classical limit. The linear coefficient runs at _coefficient_tol;
+    the Kerr one at rel_tol at zero temperature, and in the classical
+    limit at the momentum tolerance pressure_nonlinear gives its single
+    x = 0 frequency. Every other stack is evaluated directly at each d.
     """
     st = stack.oriented()
     temp = st.temperature
-    kind = temp.kind
-    constant = st.layer1.is_constant and st.layer3.is_constant
-    if constant and kind in ("zero", "high"):
-        e1 = st.layer1.permittivity(0.0)
-        e3 = st.layer3.permittivity(0.0)
-        chi3 = st.layer1.chi3
-        if kind == "zero":
-            coeffs = (i_lin_zero_t(e1, e3, rel_tol=min(rel_tol, 1e-9)),
-                      i_nl_zero_t(e1, e3, rel_tol=rel_tol))
-            return lambda d: tuple(abs(s * c) for s, c
-                                   in zip(_zero_t_law(chi3, d), coeffs))
-        kbt = K_BOLTZMANN * temp.kelvin
-        c_lin = kbt * i_lin_high_t(e1, e3, rel_tol=min(rel_tol, 1e-9))
-        c_nl = abs(chi3) / EPSILON_0 * kbt ** 2 \
-            * i_nl_high_t(e1, e3, rel_tol=rel_tol)
-        return lambda d: (c_lin / d ** 3, c_nl / d ** 6)
-
-    def full(d):
-        probe = replace(stack, gap=d)
-        lin = pressure_linear(probe, rel_tol=min(rel_tol, 1e-8))
-        nl = pressure_nonlinear(probe, rel_tol=rel_tol)
-        if not (lin.converged and nl.converged):
-            raise UnconvergedError(
-                "pressure evaluation at d = %g m missed tolerance" % d)
-        return abs(lin.value), abs(nl.value)
-
-    return full
+    limit = temp.kind
+    if not (st.layer1.is_constant and st.layer3.is_constant
+            and limit in ("zero", "high")):
+        return lambda d: casimir_pressure(replace(stack, gap=d),
+                                          min(rel_tol, 1e-8), rel_tol)
+    if limit == "zero":
+        energy, power, nl_tol = HBAR * C_LIGHT, 4, rel_tol
+    else:
+        energy, power = K_BOLTZMANN * temp.kelvin, 3
+        nl_tol = _inner_tol(rel_tol)
+    eps = (st.layer1.permittivity(0.0), st.layer3.permittivity(0.0))
+    chi3 = st.layer1.chi3
+    lin = _i_lin_raw(limit, *eps, _coefficient_tol(rel_tol))
+    # chi3 = -0.0 too: no Kerr coefficient, and a Kerr part of +0.0
+    nl = _i_nl_raw(limit, *eps, nl_tol) if chi3 else _NO_KERR
+    return lambda d: TotalPressure(
+        lin.scaled(energy / d ** power),
+        nl.scaled(chi3 / EPSILON_0 * energy ** 2 / d ** (2 * power))
+        if chi3 else nl)
 
 
 def crossover_distance(stack, rel_tol=1e-6, d_tol=1e-6):
@@ -447,16 +436,23 @@ def crossover_distance(stack, rel_tol=1e-6, d_tol=1e-6):
 
     Bisects log d over [1e-11, 1e-4] m for |P_nl(d)| = |P_lin(d)| and
     returns the root, or None when the difference keeps one sign over
-    the whole bracket (chi3 = 0 included). d_tol is the relative width
-    at which the bisection stops.
+    the whole bracket (chi3 = 0 included). d_tol > 0 is the relative
+    width at which the bisection stops, or earlier once the midpoint no
+    longer splits the bracket in floating point. Raises
+    UnconvergedError if a pressure evaluation misses its tolerance.
     """
+    if not (d_tol > 0.0 and math.isfinite(d_tol)):
+        raise ValueError("d_tol must be positive and finite")
     if stack.kerr_layer is None:
         return None
-    pair = _abs_pressure_pair(stack, rel_tol)
+    pair = _pressure_pair(stack, rel_tol)
 
     def h(d):
-        lin, nl = pair(d)
-        return nl - lin
+        p = pair(d)
+        if not p.converged:
+            raise UnconvergedError(
+                "pressure evaluation at d = %g m missed tolerance" % d)
+        return abs(p.nonlinear.value) - abs(p.linear.value)
 
     lo, hi = _CROSSOVER_LO, _CROSSOVER_HI
     h_lo, h_hi = h(lo), h(hi)
@@ -469,6 +465,8 @@ def crossover_distance(stack, rel_tol=1e-6, d_tol=1e-6):
     log_lo, log_hi = math.log(lo), math.log(hi)
     while log_hi - log_lo > d_tol:
         log_mid = 0.5 * (log_lo + log_hi)
+        if not log_lo < log_mid < log_hi:
+            break
         if (h(math.exp(log_mid)) > 0.0) == (h_lo > 0.0):
             log_lo = log_mid
         else:

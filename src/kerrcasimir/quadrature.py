@@ -49,6 +49,7 @@ innermost evaluations.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -174,6 +175,13 @@ def _cc_rule(m):
     return x, 0.5 * w
 
 
+def _cc_order(m):
+    # a Clenshaw-Curtis order: an even integer >= 2
+    if not (isinstance(m, numbers.Integral) and m >= 2 and m % 2 == 0):
+        raise ValueError("order must be an even integer >= 2")
+    return int(m)
+
+
 def clenshaw_curtis(m):
     """Nodes and weights of the (m+1)-point Clenshaw-Curtis rule on [0, 1].
 
@@ -188,10 +196,7 @@ def clenshaw_curtis(m):
     x, w : ndarray
         Nodes in ascending order and the matching weights.
     """
-    m = int(m)
-    if m < 2 or m % 2:
-        raise ValueError("order must be even and >= 2")
-    x, w = _cc_rule(m)
+    x, w = _cc_rule(_cc_order(m))
     return x.copy(), w.copy()
 
 
@@ -213,7 +218,7 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be positive and finite")
-    u, wu = _cc_rule(int(m))
+    u, wu = _cc_rule(_cc_order(m))
     end_weight = wu[-1]
     u = u[:-1]
     wu = wu[:-1]

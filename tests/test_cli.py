@@ -376,22 +376,33 @@ def test_negative_chi3_parses_in_every_spelling(capsys, tmp_path):
     assert "argument --chi3: expected one argument" in captured.err
 
 
-def _scan_zero(capsys, plates, d_count=4):
+_REGIMES = {"zero": ["--regime", "zero"],
+            "high": ["--regime", "high", "--temperature", "300"]}
+
+
+def _scan(capsys, plates, d_count=4, regime="zero"):
     status, out = _run(capsys, [
-        "scan-distance", "--regime", "zero", "--d-min", "1e-9",
-        "--d-max", "1e-6", "--d-count", str(d_count)] + plates)
+        "scan-distance", "--d-min", "1e-9", "--d-max", "1e-6",
+        "--d-count", str(d_count)] + _REGIMES[regime] + plates)
     return status, out
 
 
-@pytest.mark.parametrize("eps_nl, eps_lin, chi3", [
-    ("2", "inf", "2e-16"), ("1", "10", "2e-16"), ("5", "2", "-1e-16"),
-    ("2", "inf", "0")])
-def test_zero_t_rows_match_the_direct_route(capsys, eps_nl, eps_lin, chi3):
-    # zero-T rows are d-independent coefficients times d**-4 and d**-8;
-    # each lies within both stated errors of a direct evaluation at its
-    # gap, and pressure --gap d prints the scan's row at d
+_PLATES = [("2", "inf", "2e-16"), ("1", "10", "2e-16"),
+           ("5", "2", "-1e-16"), ("2", "inf", "0")]
+
+
+# the zero-T cases keep their bare ids
+@pytest.mark.parametrize("regime, eps_nl, eps_lin, chi3", [
+    pytest.param(regime, *plates, id="-".join(
+        plates if regime == "zero" else (regime,) + plates))
+    for regime in _REGIMES for plates in _PLATES])
+def test_zero_t_rows_match_the_direct_route(capsys, regime, eps_nl, eps_lin,
+                                            chi3):
+    # zero-T and high-T rows are d-independent coefficients times powers
+    # of d; each lies within both stated errors of a direct evaluation
+    # at its gap, and pressure --gap d prints the scan's row at d
     plates = ["--eps-nl", eps_nl, "--eps-lin", eps_lin, "--chi3", chi3]
-    status, out = _scan_zero(capsys, plates)
+    status, out = _scan(capsys, plates, regime=regime)
     assert status == 0
     lines = out.strip().split("\n")[2:]
     assert len(lines) == 4
@@ -400,7 +411,7 @@ def test_zero_t_rows_match_the_direct_route(capsys, eps_nl, eps_lin, chi3):
             float, line.split(","))
         stack = cli._stack(build_config(
             "pressure", overrides={"eps_nl": eps_nl, "eps_lin": eps_lin,
-                                   "chi3": chi3}), d)
+                                   "chi3": chi3, "regime": regime}), d)
         direct = casimir_pressure(stack, rel_tol_linear=1e-8,
                                   rel_tol_nonlinear=1e-6)
         for value, err, ref in ((p_lin, err_lin, direct.linear),
@@ -408,8 +419,8 @@ def test_zero_t_rows_match_the_direct_route(capsys, eps_nl, eps_lin, chi3):
             bound = err + ref.error + 4 * math.ulp(ref.value)
             assert abs(value - ref.value) <= bound
         assert p_total == p_lin + p_nl
-        status, single = _run(capsys, ["pressure", "--regime", "zero",
-                                       "--gap", repr(d)] + plates)
+        status, single = _run(capsys, ["pressure", "--gap", repr(d)]
+                              + _REGIMES[regime] + plates)
         assert status == 0
         assert single.strip().split("\n")[2] == line
         if float(chi3) == 0.0:
@@ -422,12 +433,14 @@ def test_zero_t_rows_without_chi3_compute_no_kerr_coefficient(
     def refuse(*args):
         raise AssertionError("Kerr coefficient computed for chi3 = 0")
 
-    monkeypatch.setattr(cli, "_i_nl_zero_raw", refuse)
-    for chi3 in ("0", "-0.0"):
-        status, out = _scan_zero(capsys, ["--chi3", chi3], d_count=3)
-        assert status == 0
-        for row in _parse_csv(out)[2]:
-            assert row[3] == row[6] == "0.0000000000000000e+00"
+    monkeypatch.setattr(ln, "_i_nl_raw", refuse)
+    for regime in _REGIMES:
+        for chi3 in ("0", "-0.0"):
+            status, out = _scan(capsys, ["--chi3", chi3], d_count=3,
+                                regime=regime)
+            assert status == 0
+            for row in _parse_csv(out)[2]:
+                assert row[3] == row[6] == "0.0000000000000000e+00"
 
 
 def test_zero_t_rows_reject_a_kerr_mirror(capsys):
@@ -440,23 +453,24 @@ def test_zero_t_rows_reject_a_kerr_mirror(capsys):
             == "error: a perfect mirror cannot carry a Kerr response\n"
 
 
-def _count_double_sums(monkeypatch):
-    ln._i_nl_zero_raw.cache_clear()
-    ll._i_lin_zero_cached.cache_clear()
+def _count_calls(monkeypatch, module, name):
+    # counts calls of module.name, starting from empty coefficient caches
+    ln._i_nl_raw.cache_clear()
+    ll._i_lin_raw.cache_clear()
     calls = []
-    real = ln._separable_double_sum
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ln, "_separable_double_sum", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
     # a count, not a timing: it does not depend on the machine
-    calls = _count_double_sums(monkeypatch)
+    calls = _count_calls(monkeypatch, ln, "_separable_double_sum")
     status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
     assert status == 0 and len(_parse_csv(out)[2]) == 25
     assert len(calls) == 1
@@ -470,7 +484,7 @@ def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
 
 
 def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
-    calls = _count_double_sums(monkeypatch)
+    calls = _count_calls(monkeypatch, ln, "_separable_double_sum")
     for gap in (1e-8, 1e-7):
         stack = LayerStack(MaterialResponse.constant(2.0, chi3=2e-16),
                            MaterialResponse.perfect_mirror(), gap,
@@ -479,15 +493,40 @@ def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("name", ["_i_nl_zero_raw", "_i_lin_zero_cached"])
+@pytest.mark.parametrize("name", ["_i_nl_raw", "_i_lin_raw"])
 def test_zero_t_scan_with_unconverged_coefficient_exits_two(
         capsys, monkeypatch, name):
-    real = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: dataclasses.replace(
+    real = getattr(ln, name)
+    monkeypatch.setattr(ln, name, lambda *args: dataclasses.replace(
         real(*args), converged=False))
     # the rows are still printed, flagged by the exit status alone
-    status = main(["scan-distance", "--regime", "zero", "--d-count", "5"])
-    captured = capsys.readouterr()
-    assert status == 2
-    assert captured.err == ""
-    assert len(_parse_csv(captured.out)[2]) == 5
+    for regime in _REGIMES:
+        status = main(["scan-distance", "--d-count", "5"]
+                      + _REGIMES[regime])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == ""
+        assert len(_parse_csv(captured.out)[2]) == 5
+
+
+def test_crossover_after_a_zero_t_scan_reuses_its_coefficients(
+        capsys, monkeypatch):
+    # rows and crossover take the linear coefficient at one tolerance
+    g_hats = _count_calls(monkeypatch, ll, "_g_hat")
+    double_sums = _count_calls(monkeypatch, ln, "_separable_double_sum")
+    assert _run(capsys, ["scan-distance", "--regime", "zero"])[0] == 0
+    assert len(g_hats) > 0 and len(double_sums) == 1
+    del g_hats[:], double_sums[:]
+    status, out = _run(capsys, ["crossover", "--regime", "zero"])
+    assert status == 0
+    assert float(_parse_csv(out)[2][0][0]) \
+        == pytest.approx(4.2519035e-9, rel=1e-4)
+    assert len(g_hats) == len(double_sums) == 0
+
+
+def test_high_t_scan_computes_each_coefficient_once(capsys, monkeypatch):
+    g_hats = _count_calls(monkeypatch, ll, "_g_hat")
+    vectors = _count_calls(monkeypatch, ln, "_frequency_vectors")
+    status, out = _run(capsys, ["scan-distance"] + _REGIMES["high"])
+    assert status == 0 and len(_parse_csv(out)[2]) == 25
+    assert len(g_hats) == len(vectors) == 1

@@ -29,7 +29,7 @@ from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
                                             _frequency_vectors,
-                                            _i_nl_zero_raw, _kernel_vectors,
+                                            _i_nl_raw, _kernel_vectors,
                                             _pair_quadrature)
 
 CHI3 = 2e-16
@@ -450,7 +450,7 @@ def test_finite_t_tends_to_zero_t_at_fixed_gap():
 def test_zero_t_coefficient_counts_momentum_nodes():
     # i_nl_zero_t and pressure_nonlinear integrate the same frequency
     # vectors and report the same momentum-node work
-    coeff = _i_nl_zero_raw(2.0, 10.0, 1e-6)
+    coeff = _i_nl_raw("zero", 2.0, 10.0, 1e-6)
     res = pressure_nonlinear(_stack(2.0, 10.0, CHI3, 2e-8,
                                     Temperature.zero()), rel_tol=1e-6)
     assert coeff.converged and res.converged
@@ -561,6 +561,51 @@ def test_crossover_distance_none_without_kerr():
                        MaterialResponse.perfect_mirror(), 1e-8,
                        Temperature.zero())
     assert crossover_distance(stack) is None
+
+
+def _count_probes(monkeypatch):
+    # pressure evaluations of crossover_distance, capped so that a
+    # bisection that never stops fails instead of hanging
+    probes = []
+    real = lifshitz_nonlinear._pressure_pair
+
+    def counted(stack, rel_tol):
+        pair = real(stack, rel_tol)
+
+        def probe(d):
+            probes.append(d)
+            assert len(probes) <= 200, "the bisection does not stop"
+            return pair(d)
+
+        return probe
+
+    monkeypatch.setattr(lifshitz_nonlinear, "_pressure_pair", counted)
+    return probes
+
+
+def test_crossover_distance_rejects_a_bad_d_tol(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    stack = _stack(2.0, math.inf, CHI3, 1e-8, Temperature.zero())
+    for d_tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            crossover_distance(stack, d_tol=d_tol)
+    assert probes == []
+
+
+def test_crossover_distance_stops_once_the_midpoint_stops_splitting(
+        monkeypatch):
+    # a count, not a timing: at d_tol = 1e-15 the bracket never gets
+    # that narrow in log d, so the bisection must stop on the midpoint
+    probes = _count_probes(monkeypatch)
+    stack = _stack(2.0, math.inf, CHI3, 1e-8, Temperature.zero())
+    d_ref = crossover_distance(stack, rel_tol=1e-6, d_tol=1e-9)
+    # two bracket ends, then ceil(log2(ln(1e7) / 1e-9)) = 34 halvings
+    assert len(probes) == 2 + 34
+    del probes[:]
+    d_star = crossover_distance(stack, rel_tol=1e-6, d_tol=1e-15)
+    # about 52 halvings take ln(1e7) down to the spacing of log d
+    assert len(probes) <= 2 + 64
+    assert d_star == pytest.approx(d_ref, rel=1e-8)
 
 
 def test_monotone_in_kerr_permittivity():

@@ -38,9 +38,16 @@ def test_weights_positive_and_normalized():
 
 
 def test_order_validation():
-    for bad in (0, 1, 3, -2):
+    # both rules share the check: an odd order breaks exactness and
+    # nesting, and a float order is rejected, not truncated
+    for bad in (0, 1, 3, -2, 2.5, 4.0, "8", None):
         with pytest.raises(ValueError):
             clenshaw_curtis(bad)
+        with pytest.raises(ValueError):
+            semi_infinite_nodes(bad)
+    x, w = semi_infinite_nodes(np.int64(8), 2.0, breaks=(1.0,))
+    assert x.size == w.size == 16
+    assert np.array_equal(x, semi_infinite_nodes(8, 2.0, (1.0,))[0])
 
 
 def test_nesting_is_bitwise():

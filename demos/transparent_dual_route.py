@@ -2,10 +2,12 @@
 
 For an index-matched Kerr plate (eps = 1) facing a perfect mirror the
 spectral kernel collapses to a closed polynomial bracket.
-pressure_transparent_mirror integrates that bracket directly, while
+pressure_transparent_mirror integrates that bracket over both momenta
+in closed form and sums the result over n + m, one thermal sum, while
 pressure_nonlinear runs the full machinery of Fresnel amplitudes,
-cavity factors and folded mode sums. The two routes share no kernel
-code, so their agreement cross-validates both.
+cavity factors, folded mode sums and the separable coupling of the two
+frequencies. The two routes share no kernel code, so their agreement
+cross-validates both.
 """
 
 import math

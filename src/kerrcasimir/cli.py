@@ -283,10 +283,9 @@ def _run_transparent(config):
     chi3 = config["chi3"]
     tol = config["tol"]
     direct = pressure_transparent_mirror(gap, temp, chi3, rel_tol=tol)
-    layer1 = MaterialResponse(eps_constant=1.0, chi3=chi3)
-    layer3 = MaterialResponse.perfect_mirror()
-    general = pressure_nonlinear(LayerStack(layer1, layer3, gap, temp),
-                                 rel_tol=tol)
+    general = pressure_nonlinear(LayerStack(
+        MaterialResponse(eps_constant=1.0, chi3=chi3),
+        MaterialResponse.perfect_mirror(), gap, temp), rel_tol=tol)
     scale = max(abs(direct.value), abs(general.value))
     rel_diff = abs(direct.value - general.value) / scale if scale else 0.0
     _emit(config, ("d", "temperature", "p_transparent", "p_general",

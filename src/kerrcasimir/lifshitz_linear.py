@@ -101,6 +101,11 @@ def _inner_tol(rel_tol):
     return max(1e-2 * rel_tol, 1e-11)
 
 
+def _check_rel_tol(rel_tol):
+    if not 0.0 < rel_tol < 1.0:  # NaN included
+        raise ValueError("rel_tol must lie in (0, 1)")
+
+
 def pressure_linear(stack, rel_tol=1e-8):
     """Equilibrium pressure of the two-plate stack, in pascals.
 
@@ -117,9 +122,10 @@ def pressure_linear(stack, rel_tol=1e-8):
     -------
     QuadratureResult
         In pascals, positive value meaning attraction; n_evals counts
-        momentum nodes. Convergence problems set the flag, nothing is
-        raised.
+        momentum nodes. Convergence problems set the flag; only a
+        rel_tol outside (0, 1) raises (ValueError).
     """
+    _check_rel_tol(rel_tol)
     d = stack.gap
     temp = stack.temperature
     inner_tol = max(0.1 * rel_tol, 1e-12)

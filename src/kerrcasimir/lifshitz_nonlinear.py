@@ -63,9 +63,11 @@ the double sum or double integral is the contraction of the summed or
 integrated vectors: O(N) momentum quadratures for N frequencies, where
 a quadrature per pair costs O(N**2). The vectors are summed or
 integrated as array terms by quadrature.matsubara_sum, which sums the
-linear pressure too. pressure_transparent_mirror keeps
-the exact coupling matrix, one quadrature per frequency pair, so the
-dual-route check compares two independent evaluations.
+linear pressure too.
+
+The dual route, pressure_transparent_mirror, integrates the closed
+kernel of a transparent plate and a mirror over both momenta exactly
+and sums over n + m: no kernel vectors, no exponential-sum coupling.
 """
 
 import math
@@ -77,10 +79,12 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_coefficient_tol, _i_lin_raw, _inner_tol,
-                              _n_star, as_permittivity, pressure_linear)
+from .lifshitz_linear import (_check_rel_tol, _coefficient_tol, _i_lin_raw,
+                              _inner_tol, _n_star, as_permittivity,
+                              pressure_linear)
+from .materials import LayerStack, MaterialResponse
 from .quadrature import (QuadratureResult, Temperature, _nested_values,
-                         _refine, double_matsubara_sum, matsubara_sum)
+                         _refine, matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
@@ -127,60 +131,6 @@ def _kernel_vectors(x, y, eps1, eps3):
                 y * damp * mx / k1, y * damp * mz / k1)
     zero = y == 0.0
     return tuple(np.where(zero, 0.0, vec) for vec in vecs) + (k1,)
-
-
-def _ct_unprimed(x, y):
-    damp = np.exp(-2.0 * np.hypot(x, y))
-    u = y * damp
-    return u * x * x, u * y * y, np.hypot(x, y)
-
-
-def _ct_primed(x, y):
-    k = np.hypot(x, y)
-    damp = np.exp(-2.0 * k)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = y * damp / k
-    b1 = -(8.0 * x * x + 6.0 * y * y) * v
-    b2 = -(6.0 * x * x + 7.0 * y * y) * v
-    zero = (y == 0.0) & (k == 0.0)
-    return np.where(zero, 0.0, b1), np.where(zero, 0.0, b2), k
-
-
-def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
-    """Joint momentum quadrature of (A1 B1 + A2 B2) / (kappa + kappa').
-
-    unprimed/primed map a node array to (vec1, vec2, kappa). Both grids
-    double together, each evaluated on its new nodes only; the value at
-    each level is assembled from two quadratic forms against the
-    1/(kappa_i + kappa'_j) coupling matrix. This direct form serves the
-    transparent-plate/mirror route, which must not share the separable
-    coupling it is compared against. n_evals counts the distinct nodes
-    of both grids.
-    """
-
-    def levels():
-        for (wy, a), (wyp, b) in zip(
-                _nested_values(lambda y: np.array(unprimed(y)).T, scale_y,
-                               _INNER_MAX_LEVEL, True),
-                _nested_values(lambda y: np.array(primed(y)).T, scale_yp,
-                               _INNER_MAX_LEVEL, True)):
-            a1, a2, k1 = a.T
-            b1, b2, k1p = b.T
-            den = k1[:, None] + k1p[None, :]
-            with np.errstate(divide="ignore"):
-                cross = np.where(den == 0.0, 0.0, 1.0 / den)
-            yield float((wy * a1) @ cross @ (wyp * b1)
-                        + (wy * a2) @ cross @ (wyp * b2)), wy.size + wyp.size
-
-    return _refine(levels(), rel_tol)
-
-
-def _w_ct(x, xp, rel_tol):
-    """Transparent-plate/mirror kernel integrated over both momenta."""
-    return _pair_quadrature(
-        lambda y: _ct_unprimed(x, y),
-        lambda y: _ct_primed(xp, y),
-        max(1.0, math.sqrt(x)), max(1.0, math.sqrt(xp)), rel_tol)
 
 
 def _contract(f, g):
@@ -266,9 +216,10 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     -------
     QuadratureResult
         In pascals. n_evals counts distinct momentum nodes, summed over
-        the frequencies; convergence failures set the flag, nothing is
-        raised.
+        the frequencies. Convergence failures set the flag; only a
+        rel_tol outside (0, 1) raises (ValueError).
     """
+    _check_rel_tol(rel_tol)
     st = stack.oriented()
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
@@ -286,40 +237,87 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     return _kerr_pressure(dsum, temp, st.gap, chi3)
 
 
+# Transparent plate and mirror: W_ct(x, x') = -sum_j c_j(x, x') K_j(x + x'),
+# j = 1..6, with c_1..c_6 = 8 x**3 x'**2, 6 x**3 x' + 10 x**2 x'**2,
+# 2 x**3 + 20 x**2 x'/3 + 6 x x'**2, 5 x**2/3 + 7 x x'/2 + 3 x'**2/2,
+# 7 (x + x')/10 and 7/60. Over x = m tau, x' = (N - m) tau, m = 0..N,
+# end terms halved, c_j sums (Euler-Maclaurin, exact) to
+# sum_k _CT_P[j-1, k] tau**(2k-1) s**(7-j-2k), s = N tau; column 0
+# alone is the integral over continuous m.
+_CT_P = np.array([[2 / 15, 0, -2 / 15], [19 / 30, -1 / 2, -2 / 15],
+                  [14 / 9, -5 / 9, 0], [59 / 36, -1 / 18, 0],
+                  [7 / 10, 0, 0], [7 / 60, 0, 0]])
+_CT_POW = np.maximum(6 - np.arange(6)[:, None] - 2 * np.arange(3), 0)
+# K_j beyond s = 1: int_0^inf u**j e^(-u) / (u + 2s) du by the trapezoidal
+# rule in ln u over [-18, 4.3] (error geometric in 1/_K_H); nodes u and,
+# as rows, the weights times (u/2)**j
+_K_H = 0.2
+_K_U = np.exp(np.arange(-18.0, 4.3, _K_H))
+_K_W = (_K_H * _K_U * np.exp(-_K_U)
+        * (0.5 * _K_U) ** np.arange(1, 7)[:, None])
+
+
+def _k_moments(s):
+    """K_j(s) = int_s^inf (t - s)**j e^(-2t) / t dt, j = 1..6, s >= 0.
+
+    Up to s = 1 by K_(j+1) = e^(-2s) j!/2**(j+1) - s K_j from K_0 =
+    E_1(2s) (power series); beyond, where that cancels digits, by a
+    quadrature in u = 2(t - s) (_K_U). Within about 2e-14 relative,
+    finite and >= 0; (j-1)!/2**j at s = 0.
+    """
+    damp = math.exp(-2.0 * s)
+    if s > 1.0:
+        return damp * (_K_W @ (1.0 / (2.0 * s + _K_U)))
+    k = np.arange(1.0, 31.0)
+    # s K_0 = s E_1(2s) = -s (gamma + ln 2s + sum_k (-2s)**k / (k k!)),
+    # which vanishes with s
+    sk = s and -s * (np.euler_gamma + math.log(2.0 * s)
+                     + (np.cumprod(-2.0 * s / k) / k).sum())
+    out = np.empty(6)
+    for j in range(6):
+        out[j] = damp * math.factorial(j) / 2.0 ** (j + 1) - sk
+        sk = s * out[j]
+    return out
+
+
+def _ct_pair_sum(n, tau, discrete):
+    """W_ct over the pairs (m tau, (n - m) tau): weighted as in the
+    discrete sum'_n sum'_m, else integrated over continuous m."""
+    if discrete and n == 0:
+        # lone pair (0, 0), halved twice: W_ct(0, 0) = -(7/60) K_6(0)
+        return -7.0 / 64.0
+    s = n * tau
+    t2 = tau * tau if discrete else 0.0
+    poly = (_CT_P * (1.0, t2, t2 * t2) * s ** _CT_POW).sum(axis=1)
+    return -float(_k_moments(s) @ poly) / tau
+
+
 def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
     """Pressure on a fully transparent Kerr slab facing a perfect mirror.
 
-    Independent evaluation path: the mode sum collapses to a closed
-    polynomial bracket when the Kerr plate has the response of vacuum
-    and the other plate reflects perfectly, and this routine integrates
-    that bracket directly, one momentum quadrature per frequency pair
-    with the exact 1/(kappa + kappa') coupling. It must agree with
-    pressure_nonlinear(eps_nl=1, eps_lin=inf), which exercises the full
-    kernel through the separable coupling; the acceptance suite pins the
-    two paths together.
+    Independent path: for a vacuum-like Kerr plate and a perfect mirror
+    the kernel is a closed bracket, its momentum integrals with the exact
+    coupling are closed forms, and the double sum is one thermal sum over
+    N = n + m of _ct_pair_sum. The acceptance suite pins it to
+    pressure_nonlinear(eps_nl=1, eps_lin=inf). Arguments are validated
+    as for a LayerStack; a rel_tol outside (0, 1) raises ValueError.
 
     Returns
     -------
     QuadratureResult
-        In pascals. n_evals counts distinct momentum nodes, both grids
-        of every frequency pair, and the flag covers the pair
-        quadratures of the sums returned.
+        In pascals. n_evals counts the calls of _ct_pair_sum (one per N
+        in every attempt of the thermal sum); the flag is the sum's.
     """
-    if not (d > 0.0 and math.isfinite(d)):
-        raise MaterialError("gap must be positive and finite")
-    if not isinstance(temperature, Temperature):
-        raise MaterialError("temperature must be a Temperature")
-    chi3 = float(chi3)
-    if chi3 == 0.0:
+    kerr = MaterialResponse(eps_constant=1.0, chi3=chi3)
+    LayerStack(kerr, MaterialResponse.perfect_mirror(), d, temperature)
+    _check_rel_tol(rel_tol)
+    if kerr.chi3 == 0.0:
         return _NO_KERR
-    x_factor = d / C_LIGHT
-    inner_tol = _inner_tol(rel_tol)
-    n_star = _n_star(temperature, d)
-    dsum = double_matsubara_sum(
-        lambda n, m: _w_ct(temperature.xi(n) * x_factor,
-                           temperature.xi(m) * x_factor, inner_tol),
-        temperature, rel_tol=rel_tol, zero_scale=(n_star, n_star))
-    return _kerr_pressure(dsum, temperature, d, chi3)
+    tau = temperature.xi(1) * d / C_LIGHT
+    discrete = temperature.kind != "zero"
+    dsum = matsubara_sum(lambda n: _ct_pair_sum(n, tau, discrete),
+                         temperature, rel_tol, zero_scale=1.0 / tau)
+    return _kerr_pressure(dsum, temperature, d, kerr.chi3)
 
 
 @lru_cache(maxsize=128)

@@ -461,17 +461,12 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
 
 def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
                          zero_scale=(1.0, 1.0)):
-    """Doubly primed double sum: sum'_n sum'_m term(n, m).
+    """Doubly primed double sum sum'_n sum'_m term(n, m); a QuadratureResult.
 
-    Both the n = 0 and the m = 0 slices carry weight 1/2 (so the (0, 0)
-    term carries 1/4). In every regime it is the matsubara_sum over n
-    of the matsubara_sums over m, which run to a tenth of rel_tol: at
-    zero temperature nested integrals over continuous (n, m), in the
-    classical limit each keeping its halved zero term.
-
-    Returns
-    -------
-    QuadratureResult
+    The matsubara_sum over n of the matsubara_sums over m (to a tenth of
+    rel_tol), so the (0, 0) term weighs 1/4, in every regime. Public
+    only: the package's own double sums contract frequency vectors
+    (pressure_nonlinear) or run over n + m (pressure_transparent_mirror).
     """
     return matsubara_sum(
         lambda n: matsubara_sum(lambda m: term(n, m), temperature,

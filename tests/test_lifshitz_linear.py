@@ -353,3 +353,12 @@ def test_permittivity_below_one_rejected():
         i_lin_zero_t(0.5, 2.0)
     with pytest.raises(MaterialError):
         i_lin_high_t(2.0, -1.0)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_pressure_linear_rejects_a_bad_rel_tol(rel_tol):
+    # rel_tol = 0 or -1 used to take 579,584 momentum nodes and return
+    # error 0.0, converged
+    for temp in (Temperature.zero(), Temperature.finite(300.0)):
+        with pytest.raises(ValueError, match="rel_tol"):
+            pressure_linear(_stack(2.0, INF, 1e-7, temp), rel_tol=rel_tol)

@@ -6,15 +6,17 @@ real-axis and imaginary-axis evaluation; the kernel reduces to a
 closed polynomial form for a transparent plate facing a mirror,
 checked pointwise in raw SI variables; the dimensionless
 coefficients hit their closed-form transparent-mirror values; the
-separable (exponential-sum) coupling agrees with the direct
+separable (exponential-sum) coupling agrees with a test-local direct
 1/(kappa1 + kappa1') quadrature per frequency pair and per double sum;
-and the general double-sum machinery agrees with the direct
-closed-bracket path at zero and finite temperature.
+the closed-form momentum integrals of the transparent-mirror route
+agree with that quadrature and with mpmath; and the general double-sum
+machinery agrees with that route at zero and finite temperature.
 """
 
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -28,9 +30,11 @@ from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
+                                            _ct_pair_sum,
                                             _frequency_vectors,
-                                            _i_nl_raw, _kernel_vectors,
-                                            _pair_quadrature)
+                                            _i_nl_raw, _k_moments,
+                                            _kernel_vectors)
+from kerrcasimir.quadrature import _nested_values, _refine
 
 CHI3 = 2e-16
 TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
@@ -183,6 +187,32 @@ def test_kernel_one_signed():
             assert _w_point(xi, q, xi_p, q_p, d, eps_nl, eps_lin) <= 0.0
 
 
+def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
+    """Joint momentum quadrature of (A1 B1 + A2 B2) / (kappa + kappa').
+
+    unprimed/primed map a node array to (vec1, vec2, kappa). Both grids
+    double together up to 1024 nodes, and each level is two quadratic
+    forms against the exact 1/(kappa_i + kappa'_j) coupling matrix: the
+    oracle for the separable coupling and the closed transparent route.
+    """
+
+    def levels():
+        for (wy, a), (wyp, b) in zip(
+                _nested_values(lambda y: np.array(unprimed(y)).T, scale_y,
+                               1024, True),
+                _nested_values(lambda y: np.array(primed(y)).T, scale_yp,
+                               1024, True)):
+            a1, a2, k1 = a.T
+            b1, b2, k1p = b.T
+            den = k1[:, None] + k1p[None, :]
+            with np.errstate(divide="ignore"):
+                cross = np.where(den == 0.0, 0.0, 1.0 / den)
+            yield float((wy * a1) @ cross @ (wyp * b1)
+                        + (wy * a2) @ cross @ (wyp * b2)), wy.size + wyp.size
+
+    return _refine(levels(), rel_tol)
+
+
 def _w_direct(x, xp, eps, eps_p, rel_tol):
     """W(x, x') with the exact 1/(kappa1 + kappa1') coupling matrix."""
     return _pair_quadrature(
@@ -289,11 +319,12 @@ def test_transparent_mirror_two_paths_finite_t():
 
 def test_transparent_mirror_route_is_independent(monkeypatch):
     # the dual-route check is only a check while the transparent route
-    # never reaches the general kernel vectors
+    # never reaches the general kernel vectors or the separable coupling
     def forbidden(*args):
         raise AssertionError("general kernel reached")
 
-    monkeypatch.setattr(lifshitz_nonlinear, "_kernel_vectors", forbidden)
+    for name in ("_kernel_vectors", "_frequency_vectors", "_contract"):
+        monkeypatch.setattr(lifshitz_nonlinear, name, forbidden)
     d, temp = 1e-7, Temperature.high(300.0)
     res = pressure_transparent_mirror(d, temp, CHI3, rel_tol=1e-8)
     assert res.converged
@@ -317,6 +348,139 @@ def test_transparent_mirror_validation():
     for chi3 in (CHI3, 0.0):
         with pytest.raises(MaterialError, match="must be a Temperature"):
             pressure_transparent_mirror(1e-7, 300.0, chi3)
+
+
+def test_transparent_mirror_rejects_non_finite_chi3():
+    # as MaterialResponse does; both used to return nan or inf, converged
+    for chi3 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MaterialError, match="chi3 must be finite"):
+            pressure_transparent_mirror(1e-7, Temperature.finite(300.0),
+                                        chi3)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_kerr_pressures_reject_a_bad_rel_tol(rel_tol):
+    # rel_tol = 0 or -1 used to run to the level caps and report
+    # converged; chi3 = 0 is checked too, before its early return
+    temp = Temperature.finite(300.0)
+    for chi3 in (CHI3, 0.0):
+        with pytest.raises(ValueError, match="rel_tol"):
+            pressure_nonlinear(_stack(2.0, 10.0, chi3, 1e-7, temp),
+                               rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            pressure_transparent_mirror(1e-7, temp, chi3, rel_tol=rel_tol)
+
+
+# W_ct(x, x') = -sum_j c_j(x, x') K_j(x + x'), j = 1..6, from the closed
+# bracket by sympy: row j - 1 lists the coefficients of x**a x'**(6-j-a)
+_CT_C = ((0, 0, 0, 8, 0, 0), (0, 0, 10, 6, 0), (0, 6, 20 / 3, 2),
+         (3 / 2, 7 / 2, 5 / 3), (7 / 10, 7 / 10), (7 / 60,))
+
+
+def _w_closed(x, xp):
+    c = [sum(cf * x ** a * xp ** (len(row) - 1 - a)
+             for a, cf in enumerate(row)) for row in _CT_C]
+    return -float(_k_moments(x + xp) @ c)
+
+
+def _k_oracle(j, s):
+    # 20 digits; agrees with a 40-digit run split at 7 points to 1e-19
+    with mpmath.workdps(20):
+        s = mpmath.mpf(s)
+        return float(mpmath.exp(-2 * s) * mpmath.quad(
+            lambda g: g ** j * mpmath.exp(-2 * g) / (s + g),
+            [0, 2, mpmath.inf]))
+
+
+def test_k_moments_match_mpmath():
+    # both branches and their seam at s = 1
+    points = np.concatenate((np.logspace(-6, math.log10(200.0), 22),
+                             [0.999, 1.0, 1.001]))
+    for s in points:
+        k = _k_moments(float(s))
+        for j in range(1, 7):
+            assert k[j - 1] == pytest.approx(_k_oracle(j, s), rel=1e-13)
+
+
+def test_k_moments_at_zero_and_far_out():
+    assert list(_k_moments(0.0)) == [math.factorial(j - 1) / 2.0 ** j
+                                     for j in range(1, 7)]
+    # finite and >= 0 through underflow, without a warning
+    for s in (5e-324, 1e-300, 1.0, math.nextafter(1.0, 2.0), 50.0, 372.0,
+              400.0, 1e4, 1e300):
+        k = _k_moments(s)
+        assert np.all(np.isfinite(k)) and np.all(k >= 0.0)
+    assert not np.any(_k_moments(400.0))
+
+
+@pytest.mark.parametrize("x, xp", [(0.3, 1.7), (2.0, 0.5), (12.0, 20.0),
+                                   (0.01, 0.02), (80.0, 3.0)])
+def test_closed_transparent_kernel_matches_pair_quadrature(x, xp):
+    # the general kernel at eps = 1 against a mirror, exact coupling
+    direct = _w_direct(x, xp, (1.0, math.inf), (1.0, math.inf), 1e-12)
+    assert direct.converged
+    assert _w_closed(x, xp) == pytest.approx(direct.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.3, 2.0])
+def test_pair_sums_are_sums_over_the_pairs(tau):
+    # discrete: the Euler-Maclaurin polynomials of _CT_P against the
+    # trapezoidal sum over the pairs; continuum: against the integral
+    # over m, of a polynomial in m at fixed n (Gauss-Legendre, exact)
+    u, w = np.polynomial.legendre.leggauss(4)
+    for n in (1, 2, 3, 7, 40):
+        pairs = [_w_closed(m * tau, (n - m) * tau) for m in range(n + 1)]
+        trapezoid = math.fsum(pairs) - 0.5 * (pairs[0] + pairs[-1])
+        assert _ct_pair_sum(n, tau, True) == pytest.approx(trapezoid,
+                                                          rel=1e-13)
+        m = 0.5 * n * (u + 1.0)
+        integral = 0.5 * n * math.fsum(
+            wi * _w_closed(mi * tau, (n - mi) * tau) for wi, mi in zip(w, m))
+        assert _ct_pair_sum(n, tau, False) == pytest.approx(integral,
+                                                           rel=1e-13)
+    assert _ct_pair_sum(0, tau, True) == 0.5 * _w_closed(0.0, 0.0)
+    assert _ct_pair_sum(0.0, tau, False) == 0.0
+
+
+def test_transparent_route_closed_forms():
+    d = 2e-8
+    zero = pressure_transparent_mirror(d, Temperature.zero(), CHI3)
+    closed = (CHI3 / EPSILON_0) * (HBAR * C_LIGHT) ** 2 / d ** 8 \
+        * 45.0 / (4096.0 * math.pi ** 6)
+    assert zero.converged
+    assert zero.value == pytest.approx(closed, rel=1e-12)
+    high = pressure_transparent_mirror(d, Temperature.high(300.0), CHI3)
+    closed = (CHI3 / EPSILON_0) * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 \
+        * 21.0 / (4096.0 * math.pi ** 4)
+    assert high.converged and high.n_evals == 1
+    assert high.value == pytest.approx(closed, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_transparent_route_matches_general_kernel_at_finite_t(d):
+    temp = Temperature.finite(300.0)
+    general = pressure_nonlinear(_stack(1.0, math.inf, CHI3, d, temp),
+                                 rel_tol=1e-8)
+    assert general.converged
+    for rel_tol in (1e-6, 1e-8):
+        direct = pressure_transparent_mirror(d, temp, CHI3, rel_tol=rel_tol)
+        assert direct.converged
+        assert abs(direct.value - general.value) \
+            <= direct.error + general.error
+
+
+@pytest.mark.parametrize("kelvin", [3.0, 300.0])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+def test_transparent_route_work_is_bounded(kelvin, rel_tol):
+    # a count, not a timing: n_evals counts pair sums. The tail takes at
+    # most 143 of them at 1e-6; at 1e-10 the series runs where n_star ~
+    # 121 is too small for the tail, 2,083 terms. The pair quadratures
+    # took 741,952 momentum nodes at 10 nm and 300 K
+    bound = 200 if rel_tol == 1e-6 else 2_500
+    for d in (1e-9, 1e-8, 1e-7, 1e-6):
+        res = pressure_transparent_mirror(d, Temperature.finite(kelvin),
+                                          CHI3, rel_tol=rel_tol)
+        assert res.converged and res.n_evals <= bound
 
 
 def test_pressure_linear_in_chi3():
@@ -414,26 +578,26 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
 
 
 def test_transparent_flags_come_from_the_returned_attempts(monkeypatch):
-    # both nested tails are capped at their first level and dropped for
-    # the series; a stand-in kernel reports failure at every non-integer
-    # index, which only the dropped attempts visit
+    # the tail is capped at its first level and dropped for the series;
+    # the wrapped pair sum reports failure at every non-integer N, which
+    # only the dropped attempt visits
     temp = Temperature.finite(300.0)
-    x1 = temp.xi(1) * 5e-8 / C_LIGHT
     flagged = []
 
-    def kernel(x, xp, rel_tol):
-        ok = all(abs(v / x1 - round(v / x1)) < 1e-6 for v in (x, xp))
-        flagged.extend([] if ok else [(x, xp)])
-        return quadrature.QuadratureResult(math.exp(-2.0 * (x + xp)), 0.0,
-                                           1, ok)
+    def pair_sum(n, tau, discrete):
+        ok = n == round(n)
+        flagged.extend([] if ok else [n])
+        return quadrature.QuadratureResult(_ct_pair_sum(n, tau, discrete),
+                                           0.0, 1, ok)
 
-    monkeypatch.setattr(lifshitz_nonlinear, "_w_ct", kernel)
+    monkeypatch.setattr(lifshitz_nonlinear, "_ct_pair_sum", pair_sum)
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
     dropped = pressure_transparent_mirror(5e-8, temp, CHI3, rel_tol=1e-5)
     monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
     series = pressure_transparent_mirror(5e-8, temp, CHI3, rel_tol=1e-5)
     assert flagged and dropped.converged and series.converged
-    assert dropped.value == series.value
+    assert (dropped.value, dropped.error) == (series.value, series.error)
+    assert dropped.n_evals > series.n_evals
 
 
 def test_finite_t_tends_to_zero_t_at_fixed_gap():

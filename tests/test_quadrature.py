@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _frequency_vectors,
-                                            _kernel_vectors, _pair_quadrature)
+                                            _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
                                     _nested_values, clenshaw_curtis,
@@ -220,31 +220,6 @@ def test_refinement_contract_semi_infinite():
                         lambda m: 3 * m)
 
 
-def test_refinement_contract_pair_quadrature():
-    # both momentum grids hold m distinct nodes at level m: 2 * m
-    x, xp = 0.3, 1.7
-
-    def unprimed(y):
-        a1, a2, _, _, k1 = _kernel_vectors(x, y, 2.0, 10.0)
-        return a1, a2, k1
-
-    def primed(y):
-        return _kernel_vectors(xp, y, 2.5, 9.0)[2:]
-
-    def level(m):
-        y, wy = semi_infinite_nodes(m, 1.0)
-        yp, wyp = semi_infinite_nodes(m, math.sqrt(xp))
-        a1, a2, k1 = unprimed(y)
-        b1, b2, k1p = primed(yp)
-        cross = 1.0 / (k1[:, None] + k1p[None, :])
-        return float((wy * a1) @ cross @ (wyp * b1)
-                     + (wy * a2) @ cross @ (wyp * b2))
-
-    for tol in (1e-4, 1e-9):
-        res = _pair_quadrature(unprimed, primed, 1.0, math.sqrt(xp), tol)
-        _check_contract(res, _replay(level, tol, 1024), lambda m: 2 * m)
-
-
 def test_refinement_contract_frequency_vectors():
     # one grid of m distinct nodes per level feeds both the unprimed
     # and the primed vectors: m
@@ -287,9 +262,6 @@ def test_momentum_quadratures_evaluate_each_node_once(tol, monkeypatch):
     # n_evals counts distinct nodes, and each is evaluated exactly once
     seen = _count_nodes(monkeypatch, ["_kernel_vectors"])
     _, res = _frequency_vectors(2.3, 2.0, 10.0, tol)
-    assert seen[0] == res.n_evals
-    seen = _count_nodes(monkeypatch, ["_ct_unprimed", "_ct_primed"])
-    res = lifshitz_nonlinear._w_ct(0.3, 4.0, tol)
     assert seen[0] == res.n_evals
 
 

@@ -34,7 +34,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .quadrature import Temperature, integrate_semi_infinite, matsubara_sum
+from .quadrature import (MAX_LEVEL, Temperature, _matsubara_rows,
+                         _refine_rows)
 
 
 def as_permittivity(value):
@@ -49,11 +50,13 @@ def as_permittivity(value):
     return value
 
 
-def _gap_integrand(y, x, eps1, eps3):
-    # e^(2x) times the integrand of g (see the module docstring)
+def _gap_integrand(y, x, eps1, eps3, edge):
+    # e^(2x) times the integrand of g (see the module docstring), with
+    # edge = math.exp(-2x): numpy's SIMD exp does not always match its
+    # bits. x, the permittivities and edge may be arrays, one per node
     k2 = np.hypot(x, y)
     damp_hat = np.exp(-2.0 * (k2 - x))
-    damp = damp_hat * math.exp(-2.0 * x)
+    damp = damp_hat * edge
     total = np.zeros_like(y)
     with np.errstate(invalid="ignore", divide="ignore"):
         for r1, r3 in zip(reflection(x, y, eps1), reflection(x, y, eps3)):
@@ -74,20 +77,35 @@ _X_FLOOR = 1e-300
 
 
 def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
-    """Momentum integral g at one scaled frequency; QuadratureResult.
+    """Momentum integral g at each scaled frequency of the 1-D array x.
 
-    With continuum=True the x = 0 node is evaluated as the limit from
-    above (the s channel of a mirror stays alive), which is the correct
-    integrand of the continuous zero-temperature frequency integral;
-    the discrete sums keep the x = 0 prescription instead.
+    Returns one QuadratureResult per frequency, each refined on
+    semi_infinite_nodes(m, max(1, sqrt(x))) by the row driver: one
+    _gap_integrand call per level for all frequencies. eps1 and eps3
+    are floats or one permittivity per frequency. With continuum=True
+    the x = 0 node is evaluated as the limit from above (the s channel
+    of a mirror stays alive), which is the correct integrand of the
+    continuous zero-temperature frequency integral; the discrete sums
+    keep the x = 0 prescription instead.
     """
-    if continuum and x == 0.0:
-        x = _X_FLOOR
-    scale = max(1.0, math.sqrt(x))
-    res = integrate_semi_infinite(
-        lambda y: _gap_integrand(y, x, eps1, eps3),
-        rel_tol=rel_tol, scale=scale, vectorized=True)
-    return res.scaled(math.exp(-2.0 * x))
+    x = np.asarray(x, dtype=float)
+    if continuum:
+        x = np.where(x == 0.0, _X_FLOOR, x)
+    xs = x.tolist()
+    edge = [math.exp(-2.0 * v) for v in xs]
+    rows = _refine_rows(_gap_integrand, _dot, _scales(xs), rel_tol,
+                        MAX_LEVEL, x, eps1, eps3, edge)
+    return [res.scaled(e) for e, (_, res) in zip(edge, rows)]
+
+
+def _scales(xs):
+    # momentum scale of each frequency's quadrature
+    return [max(1.0, math.sqrt(v)) for v in xs]
+
+
+def _dot(w, vals):
+    # a quadrature level of one row of _g_hat
+    return float(w @ vals), None
 
 
 def _n_star(temperature, d):
@@ -131,16 +149,16 @@ def pressure_linear(stack, rel_tol=1e-8):
     inner_tol = max(0.1 * rel_tol, 1e-12)
     continuum = temp.kind == "zero"
 
-    def term(n):
-        xi = temp.xi(n)
+    def terms(ns):
+        xi = temp.xi(np.asarray(ns, dtype=float))
         return _g_hat(xi * d / C_LIGHT, stack.layer1.permittivity(xi),
                       stack.layer3.permittivity(xi), inner_tol,
                       continuum=continuum)
 
     prefactor = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3)
-    msum = matsubara_sum(term, temp, rel_tol=rel_tol,
-                         zero_scale=_n_star(temp, d),
-                         zero_breaks=stack.breakpoints / temp.xi(1))
+    msum = _matsubara_rows(terms, temp, rel_tol=rel_tol,
+                           zero_scale=_n_star(temp, d),
+                           zero_breaks=stack.breakpoints / temp.xi(1))
     return msum.scaled(prefactor)
 
 
@@ -154,18 +172,19 @@ def _i_lin_raw(limit, eps1, eps3, rel_tol):
     # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult
     if limit == "zero":
         inner_tol = _inner_tol(rel_tol)
-        res = matsubara_sum(
+        res = _matsubara_rows(
             lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
             Temperature.zero(), rel_tol=rel_tol)
         c = 2.0 * math.pi ** 2
     else:
-        res = _g_hat(0.0, eps1, eps3, rel_tol)
+        res, = _g_hat(np.zeros(1), eps1, eps3, rel_tol)
         c = 2.0 * math.pi
     return replace(res, value=res.value / c, error=res.error / c)
 
 
 def _i_lin(limit, eps1, eps3, rel_tol):
     # _i_lin_raw with validated arguments; raises when unconverged
+    _check_rel_tol(rel_tol)
     res = _i_lin_raw(limit, as_permittivity(eps1), as_permittivity(eps3),
                      float(rel_tol))
     if not res.converged:
@@ -180,7 +199,8 @@ def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):
     For constant permittivities the linear pressure at zero temperature
     is (hbar c / d**4) * i_lin_zero_t(eps1, eps3). Either argument may
     be math.inf; the ideal-mirror pair gives pi**2 / 240. Raises
-    UnconvergedError instead of returning a flagged estimate.
+    UnconvergedError instead of returning a flagged estimate, and
+    ValueError for a rel_tol outside (0, 1).
     """
     return _i_lin("zero", eps1, eps3, rel_tol).value
 
@@ -192,6 +212,6 @@ def i_lin_high_t(eps1, eps3, rel_tol=1e-9):
     contributes at zero frequency. Ideal mirrors give zeta(3)/(8 pi),
     and for finite permittivities the closed form is
     Li_3(r) / (8 pi) with r the product of the two static p-channel
-    amplitudes (eps - 1)/(eps + 1).
+    amplitudes (eps - 1)/(eps + 1). Raises as i_lin_zero_t.
     """
     return _i_lin("high", eps1, eps3, rel_tol).value

@@ -57,13 +57,18 @@ accurate to 1e-10 relative for a + b between 1e-4 and about 9e3. Then
     W(x, x') = sum_r w_r (U1(x)_r V1(x')_r + U2(x)_r V2(x')_r),
     U_k(x)_r = int dy A_k(x, y) e^(-t_r kappa1(x, y)),
 
-and V_k the same with B_k. Each thermal frequency needs one momentum
-quadrature (_frequency_vectors, refined on the diagonal W(x, x)), and
-the double sum or double integral is the contraction of the summed or
-integrated vectors: O(N) momentum quadratures for N frequencies, where
-a quadrature per pair costs O(N**2). The vectors are summed or
-integrated as array terms by quadrature.matsubara_sum, which sums the
-linear pressure too.
+and V_k the same with B_k. The momentum integrals are one per thermal
+frequency, not one per pair (_frequency_vectors, each refined on the
+diagonal W(x, x)), and the double sum or double integral is the
+contraction of the summed or integrated vectors: O(N) momentum
+integrals for N frequencies, where a quadrature per pair costs
+O(N**2). The vectors are summed or integrated as array terms by the
+quadrature module's frequency drivers, which sum the linear pressure
+too. Each level of a frequency integral, and the Euler-Maclaurin head
+of a thermal sum, hands all its frequencies to one _frequency_vectors
+batch: one kernel call per momentum level for all of them, each
+frequency stopping by its own tolerance test. Only the
+finite-temperature series asks for one frequency at a time.
 
 The dual route, pressure_transparent_mirror, integrates the closed
 kernel of a transparent plate and a mirror over both momenta exactly
@@ -80,11 +85,11 @@ from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
 from .lifshitz_linear import (_check_rel_tol, _coefficient_tol, _i_lin_raw,
-                              _inner_tol, _n_star, as_permittivity,
+                              _inner_tol, _n_star, _scales, as_permittivity,
                               pressure_linear)
 from .materials import LayerStack, MaterialResponse
-from .quadrature import (QuadratureResult, Temperature, _nested_values,
-                         _refine, matsubara_sum)
+from .quadrature import (QuadratureResult, Temperature, _matsubara_rows,
+                         _refine_rows, matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
@@ -108,7 +113,8 @@ def _kernel_vectors(x, y, eps1, eps3):
 
     A_k are the unprimed factors (x as the frequency of the cavity
     modes), B_k the primed ones (x as the fluctuation frequency); both
-    share the Fresnel amplitudes of the two plates.
+    share the Fresnel amplitudes of the two plates. x and the
+    permittivities may be arrays, one per node.
     """
     k2 = np.hypot(x, y)
     k1sq = eps1 * x * x + y * y
@@ -139,45 +145,51 @@ def _contract(f, g):
 
 
 def _frequency_vectors(x, eps1, eps3, rel_tol):
-    """Separable factors of the kernel at one scaled frequency x.
+    """Separable factors of the kernel at each scaled frequency of x.
 
-    Returns (f, res). The rows of f are U1, U2, V1, V2 with
-    U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y)) and V_k the same
-    with B_k; both share the y nodes of semi_infinite_nodes(m,
-    max(1, sqrt(x))), each evaluated once. res is the refinement of the
-    diagonal W(x, x) = _contract(f, f), n_evals its distinct nodes, and
-    f belongs to its last level.
+    x is a 1-D array, eps1 and eps3 floats or one permittivity per
+    frequency. Returns one (f, res) per frequency. The rows of f are
+    U1, U2, V1, V2 with U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y))
+    and V_k the same with B_k; both share the y nodes of
+    semi_infinite_nodes(m, max(1, sqrt(x))), each evaluated once. res
+    is the refinement of the diagonal W(x, x) = _contract(f, f), n_evals
+    its distinct nodes, and f belongs to its last level. The row driver
+    refines all frequencies with one _kernel_vectors call per level;
+    only A_k, B_k and kappa1 are kept per node, and each level's
+    contraction recomputes the coupling exponentials of its rows.
     """
-    f = None
+    x = np.asarray(x, dtype=float)
+    return _refine_rows(_node_vectors, _level_vectors, _scales(x.tolist()),
+                        rel_tol, _INNER_MAX_LEVEL, x, eps1, eps3)
 
-    def rows(y):
-        *vecs, k1 = _kernel_vectors(x, y, eps1, eps3)
-        return np.column_stack(
-            (*vecs, np.exp(np.multiply.outer(k1, -_COUPLING_T))))
 
-    def levels():
-        nonlocal f
-        for w, vals in _nested_values(rows, max(1.0, math.sqrt(x)),
-                                      _INNER_MAX_LEVEL, True):
-            f = (w * vals[:, :4].T) @ vals[:, 4:]
-            yield _contract(f, f), w.size
+def _node_vectors(y, x, eps1, eps3):
+    # A1, A2, B1, B2 and kappa1 stacked on a last axis
+    return np.stack(_kernel_vectors(x, y, eps1, eps3), axis=-1)
 
-    res = _refine(levels(), rel_tol)
-    return f, res
+
+def _level_vectors(w, vals):
+    # one row's frequency vectors f at a level, and their W(x, x)
+    f = (w * vals[:, :4].T) @ np.exp(
+        np.multiply.outer(vals[:, 4], -_COUPLING_T))
+    return _contract(f, f), f
 
 
 def _separable_double_sum(frequency, temperature, n_star, rel_tol,
                           breaks=()):
     """sum'_n sum'_m W(x_n, x_m) contracted from per-frequency vectors.
 
-    frequency(n) gives (x, eps1, eps3) at thermal index n. The double
-    sum is <F, F> = _contract(F, F) of the single sum F = sum'_n f_n of
+    frequency(n) gives (x, eps1, eps3) at the array n of thermal
+    indices: one of each per index, or a float for all. The double sum
+    is <F, F> = _contract(F, F) of the single sum F = sum'_n f_n of
     the frequency vectors, so matsubara_sum sums the 4 x 127 arrays f_n
     elementwise with value <F, F>, in every regime: the integral over
     continuous n at zero temperature (n_star the decay scale, breaks
     the thermal indices of the table nodes), the head plus the
     integrated tail or the series at finite temperature, and
-    <f_0/2, f_0/2> in the classical limit.
+    <f_0/2, f_0/2> in the classical limit. Each level of the thermal
+    integrals, and the Euler-Maclaurin head, is one _frequency_vectors
+    batch.
 
     Returns
     -------
@@ -188,13 +200,14 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     """
     inner_tol = _inner_tol(rel_tol)
 
-    def vectors(n):
-        f, res = _frequency_vectors(*frequency(n), inner_tol)
-        return replace(res, value=f)
+    def vectors(ns):
+        return [QuadratureResult(f, res.error, res.n_evals, res.converged)
+                for f, res in _frequency_vectors(
+                    *frequency(np.asarray(ns, dtype=float)), inner_tol)]
 
-    return matsubara_sum(vectors, temperature, rel_tol, zero_scale=n_star,
-                         zero_breaks=breaks,
-                         value=lambda total: _contract(total, total))
+    return _matsubara_rows(vectors, temperature, rel_tol, zero_scale=n_star,
+                           zero_breaks=breaks,
+                           value=lambda total: _contract(total, total))
 
 
 def _kerr_pressure(dsum, temperature, d, chi3):
@@ -227,8 +240,8 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     temp = st.temperature
     x_factor = st.gap / C_LIGHT
 
-    def frequency(n):
-        xi = temp.xi(n)
+    def frequency(ns):
+        xi = temp.xi(ns)
         return (xi * x_factor, st.layer1.permittivity(xi),
                 st.layer3.permittivity(xi))
 
@@ -327,12 +340,13 @@ def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
         res = _separable_double_sum(lambda x: (x, eps_nl, eps_lin),
                                     Temperature.zero(), 1.0, rel_tol)
         return res.scaled(-_I_ZERO_FACTOR)
-    _, res = _frequency_vectors(0.0, eps_nl, eps_lin, rel_tol)
+    (_, res), = _frequency_vectors(np.zeros(1), eps_nl, eps_lin, rel_tol)
     return res.scaled(-_I_HIGH_FACTOR)
 
 
 def _i_nl(limit, eps_nl, eps_lin, rel_tol):
     # _i_nl_raw with validated arguments; raises when unconverged
+    _check_rel_tol(rel_tol)
     eps_nl = as_permittivity(eps_nl)
     if math.isinf(eps_nl):
         raise MaterialError("the Kerr plate permittivity must be finite")
@@ -352,7 +366,8 @@ def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
     Positive, monotonically decreasing in eps_nl (vanishing as the Kerr
     plate turns opaque) and increasing in eps_lin. The transparent
     plate facing a mirror gives 45/(4096 pi**6). Raises
-    UnconvergedError instead of returning a flagged estimate.
+    UnconvergedError instead of returning a flagged estimate, and
+    ValueError for a rel_tol outside (0, 1).
     """
     return _i_nl("zero", eps_nl, eps_lin, rel_tol).value
 
@@ -361,8 +376,8 @@ def i_nl_high_t(eps_nl, eps_lin, rel_tol=1e-6):
     """Dimensionless high-temperature Kerr coefficient.
 
     P_nl = (chi3/eps0) * (kB*T)**2 / d**6 * i_nl_high_t(eps_nl,
-    eps_lin); monotonicity as in i_nl_zero_t. The transparent
-    plate facing a mirror gives 21/(4096 pi**4).
+    eps_lin); monotonicity and errors as in i_nl_zero_t. The
+    transparent plate facing a mirror gives 21/(4096 pi**4).
     """
     return _i_nl("high", eps_nl, eps_lin, rel_tol).value
 
@@ -437,8 +452,10 @@ def crossover_distance(stack, rel_tol=1e-6, d_tol=1e-6):
     the whole bracket (chi3 = 0 included). d_tol > 0 is the relative
     width at which the bisection stops, or earlier once the midpoint no
     longer splits the bracket in floating point. Raises
-    UnconvergedError if a pressure evaluation misses its tolerance.
+    UnconvergedError if a pressure evaluation misses its tolerance, and
+    ValueError for a rel_tol outside (0, 1).
     """
+    _check_rel_tol(rel_tol)
     if not (d_tol > 0.0 and math.isfinite(d_tol)):
         raise ValueError("d_tol must be positive and finite")
     if stack.kerr_layer is None:

@@ -19,14 +19,15 @@ smooth on every panel, so the rule converges geometrically where one
 rule across the kinks converges only algebraically. Level caps count m,
 the nodes per panel.
 
-One refinement rule serves every adaptive quadrature here (_refine):
+One refinement rule serves every adaptive quadrature here (_settled):
 the order doubles from 8 until the change between two successive
 levels is at most rel_tol times the latest total, which is returned
 with that change as its error. A sum of n_evals products can be off
 by n_evals units of the subnormal spacing 2**-1074 however far the rule
 is refined, so a change that small is accepted too. An integrator that
 reaches its level cap first returns its last total and change with
-converged=False.
+converged=False. _refine drives one refinement by it, _refine_rows
+many in lockstep.
 
 The same machinery drives the three thermal regimes, all through
 matsubara_sum. A sum over discrete thermal frequencies (weight 1/2 on
@@ -46,6 +47,16 @@ The driver uses its value, adds up its n_evals over every call, dropped
 attempts included (a plain number counts 1), and ANDs its flag into
 that of the attempt it returns (_Books). So n_evals counts the
 innermost evaluations.
+
+A level is one call. The drivers run on row terms, which map all the
+new indices or nodes of a level to one term value each: every level of
+a thermal integral, and the Euler-Maclaurin head, asks for its terms in
+one call, so an inner quadrature can refine all of them at once
+(_refine_rows, the row driver: one refinement per row, lockstep
+levels, each row stopping by the same rule as alone). The public
+scalar-term contracts of matsubara_sum and integrate_semi_infinite are
+adapted to row terms in one place (_rowwise); the finite-temperature
+series and the classical limit pass one index per call.
 """
 
 import math
@@ -98,19 +109,36 @@ def _as_result(value):
             else QuadratureResult(value, 0.0, 1, True))
 
 
-class _Books:
-    """A term's work since the first attempt, its flags in this one."""
+def _rowwise(term):
+    # a scalar term as a row term: the one place the public scalar-term
+    # contracts meet the batched drivers
+    return lambda ns: [term(n) for n in ns]
 
-    def __init__(self, term, n_evals=0):
-        self.term = term
+
+class _Books:
+    """A row term's work since the first attempt, its flags in this one.
+
+    A row term maps a sequence of indices or nodes to one term value
+    (float, array or QuadratureResult) per entry; called with one, the
+    books return the list of values.
+    """
+
+    def __init__(self, rows, n_evals=0):
+        self.rows = rows
         self.n_evals = n_evals
         self.ok = True
 
-    def __call__(self, *args):
-        res = _as_result(self.term(*args))
-        self.n_evals += res.n_evals
-        self.ok = self.ok and res.converged
-        return res.value
+    def __call__(self, ns):
+        values = []
+        for res in self.rows(ns):
+            if isinstance(res, QuadratureResult):
+                self.n_evals += res.n_evals
+                self.ok = self.ok and res.converged
+                res = res.value
+            else:
+                self.n_evals += 1
+            values.append(res)
+        return values
 
     def close(self, res):
         """res, an attempt over these books, with their work and flags."""
@@ -162,17 +190,44 @@ class Temperature:
 
 @lru_cache(maxsize=64)
 def _cc_rule(m):
-    # Clenshaw-Curtis on [0, 1]: nodes ascending, endpoints included.
+    # Clenshaw-Curtis on [0, 1]: nodes ascending, endpoints included. The
+    # cosine rows j = 0 .. m/2 of the weight sum are added one at a time,
+    # in order: O(m) memory, and the bits of the row-by-row matrix sum
     theta = np.pi * np.arange(m + 1) / m
-    j = np.arange(m // 2 + 1)
-    terms = np.cos(2.0 * np.outer(j, theta)) / (1.0 - 4.0 * j * j)[:, None]
-    terms[0] *= 0.5
-    terms[-1] *= 0.5
-    w = (4.0 / m) * terms.sum(axis=0)
+    half = m // 2
+    total = np.full(m + 1, 0.5)  # row j = 0, halved
+    for j in range(1, half + 1):
+        row = np.cos(2.0 * (j * theta)) / (1.0 - 4.0 * j * j)
+        total += 0.5 * row if j == half else row
+    w = (4.0 / m) * total
     w[0] *= 0.5
     w[-1] *= 0.5
     x = 0.5 * (1.0 - np.cos(theta))
-    return x, 0.5 * w
+    return _frozen(x, 0.5 * w)
+
+
+@lru_cache(maxsize=64)
+def _unit_rule(m):
+    # the order-m rule without u = 1: u, wu, 1 - u, (1 - u)**2, and the
+    # weight of the dropped end node
+    u, wu = _cc_rule(m)
+    om = 1.0 - u[:-1]
+    return _frozen(u[:-1], wu[:-1], om, om ** 2) + (wu[-1],)
+
+
+def _frozen(*arrays):
+    # cached rules are shared: read-only
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _tail_rule(m, scale, nodes=slice(None)):
+    # the order-m rule mapped to [0, inf) by x = scale*u/(1-u), without
+    # u = 1 (x = inf), and only its nodes[] nodes; scale may be a column,
+    # one row per scale
+    u, wu, om, om2, _ = _unit_rule(m)
+    return scale * u[nodes] / om[nodes], wu * scale / om2
 
 
 def _cc_order(m):
@@ -218,10 +273,8 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be positive and finite")
-    u, wu = _cc_rule(_cc_order(m))
-    end_weight = wu[-1]
-    u = u[:-1]
-    wu = wu[:-1]
+    m = _cc_order(m)
+    u, wu, _, _, end_weight = _unit_rule(m)
     xs, ws = [], []
     a = carry = 0.0
     for b in breaks:
@@ -233,8 +286,7 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
         xs.append(a + (b - a) * u)
         ws.append(w)
         a, carry = b, (b - a) * end_weight
-    x = scale * u / (1.0 - u)
-    w = wu * scale / (1.0 - u) ** 2
+    x, w = _tail_rule(m, scale)
     if not xs:
         return x, w
     w[0] += carry
@@ -243,8 +295,13 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _settled(err, total, n_evals, rel_tol):
+    # the module's one stopping rule (see the module docstring)
+    return err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074
+
+
 def _refine(levels, rel_tol):
-    """Drive a doubling refinement to rel_tol: the module's one stopping rule.
+    """Drive a doubling refinement to rel_tol by the stopping rule.
 
     levels yields (total, cumulative n_evals), coarsest level first, and
     is only advanced while the tolerance is unmet; it ends at the
@@ -255,36 +312,95 @@ def _refine(levels, rel_tol):
     for new_total, n_evals in levels:
         err = abs(new_total - total)
         total = new_total
-        if err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074:
+        if _settled(err, total, n_evals, rel_tol):
             return QuadratureResult(total, err, n_evals, True)
     return QuadratureResult(total, err, n_evals, False)
 
 
-def _evaluate(f, x, vectorized):
-    if vectorized:
-        return np.asarray(f(x), dtype=float)
-    return np.array([f(v) for v in x], dtype=float)
+def _refine_rows(kernel, total, scales, rel_tol, max_level, *params):
+    """One doubling refinement per row, in lockstep: the row driver.
+
+    Row i integrates over semi_infinite_nodes(m, scales[i]), m = 8, 16,
+    ..., max_level. Each level makes one call kernel(y, *params) for all
+    rows still refining: y holds their new nodes, row after row, and a
+    param is a float shared by all rows or an array with one entry per
+    row, repeated for each of its nodes. kernel returns one value or
+    one 1-D array of values per node. total(w, vals) maps one row's
+    weights and node values to (total, payload). A row stops by
+    _refine's rule and drops out, so it ends as its own _refine would,
+    bit for bit, whatever rows share its batch.
+
+    Returns
+    -------
+    list of (payload, QuadratureResult)
+        One per row, from its last level; n_evals counts its nodes.
+    """
+    def values(y):
+        n = y.shape[1]
+        vals = kernel(y.ravel(), *[p if isinstance(p, float)
+                                   else np.repeat(p, n) for p in params])
+        return vals.reshape(y.shape + vals.shape[1:])
+
+    params = [_shared(p) for p in params]
+    scales = np.array(scales, dtype=float)[:, None]
+    rows = list(range(len(scales)))
+    out, totals = [None] * len(rows), [None] * len(rows)
+    m = MIN_LEVEL
+    y, w = _tail_rule(m, scales)
+    vals = values(y)
+    while True:
+        keep = []
+        for j, i in enumerate(rows):
+            t, payload = total(w[j], vals[j])
+            err = math.inf if totals[j] is None else abs(t - totals[j])
+            ok = totals[j] is not None and _settled(err, t, m, rel_tol)
+            if ok or m >= max_level:
+                out[i] = payload, QuadratureResult(t, err, m, ok)
+            totals[j] = t
+            keep.append(not ok)
+        if m >= max_level or not any(keep):
+            return out
+        if not all(keep):
+            rows = [i for i, k in zip(rows, keep) if k]
+            totals = [t for t, k in zip(totals, keep) if k]
+            scales, vals = scales[keep], vals[keep]
+            params = [p if isinstance(p, float) else p[keep]
+                      for p in params]
+        m *= 2
+        y, w = _tail_rule(m, scales, slice(1, None, 2))
+        fine = np.empty(w.shape + vals.shape[2:])
+        fine[:, 0::2] = vals
+        fine[:, 1::2] = values(y)
+        vals = fine
 
 
-def _nested_values(f, scale, max_level, vectorized, breaks=()):
+def _shared(values):
+    # a row driver param: one float if all rows share it, else 1-D
+    values = np.asarray(values, dtype=float).ravel()
+    if values.size == 1 or (values == values[0]).all():
+        return float(values[0])
+    return values
+
+
+def _nested_values(f, scale, max_level, breaks=()):
     """Weights and values of f on semi_infinite_nodes(m, scale, breaks),
     m = 8, 16, ..., max_level: each level evaluates f on its new nodes
-    only.
+    only, in one call.
 
-    f may return arrays: one per node when unvectorized, or shape
-    (n, k) for n nodes when vectorized. vals then stacks them on the
-    first axis, node by node.
+    f maps a 1-D node array to its values, one per node or one array
+    per node (shape (n, k) for n nodes); vals stacks them on the first
+    axis, node by node.
     """
     m = MIN_LEVEL
     x, w = semi_infinite_nodes(m, scale, breaks)
-    vals = _evaluate(f, x, vectorized)
+    vals = np.asarray(f(x), dtype=float)
     yield w, vals
     while m < max_level:
         m *= 2
         x, w = semi_infinite_nodes(m, scale, breaks)
         fine = np.empty(x.shape + vals.shape[1:])
         fine[0::2] = vals
-        fine[1::2] = _evaluate(f, x[1::2], vectorized)
+        fine[1::2] = f(x[1::2])
         vals = fine
         yield w, vals
 
@@ -319,11 +435,17 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     """
     if vectorized:
         return _refine(((float(w @ vals), w.size) for w, vals
-                        in _nested_values(f, scale, max_level, True, breaks)),
+                        in _nested_values(f, scale, max_level, breaks)),
                        rel_tol)
-    books = _Books(f)
+    return _integrate_rows(_rowwise(f), rel_tol, scale, max_level, breaks,
+                           value)
+
+
+def _integrate_rows(rows, rel_tol, scale, max_level, breaks, value):
+    # integrate_semi_infinite of a row term (see _Books)
+    books = _Books(rows)
     levels = ((value(np.tensordot(w, vals, 1)), books.n_evals) for w, vals
-              in _nested_values(books, scale, max_level, False, breaks))
+              in _nested_values(books, scale, max_level, breaks))
     return books.close(_refine(levels, rel_tol))
 
 
@@ -334,8 +456,9 @@ _TAIL_MAX_LEVEL = 256
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
 
 
-def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
-    """sum'_n f(n), f = term, by midpoint Euler-Maclaurin beyond a head.
+def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
+    """sum'_n f(n), f a row term on _Books, by midpoint Euler-Maclaurin
+    beyond a head.
 
     sum'_n f(n) = f(0)/2 + sum_(1 <= n < N0) f(n) + int_(N0-1/2)^inf f dn
     + f'(N0-1/2)/24 - 7 f'''(N0-1/2)/5760, with the derivatives from the
@@ -348,7 +471,8 @@ def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
     terms (floats or arrays) to the float rel_tol refers to. The error
     adds those shifts, the integral's level change and the effect of
     the f''' term, which must stay under rel_tol/10; n_evals counts the
-    calls of term. None where the series is predicted cheaper or the
+    term values. The head is one call of books, and so is each level
+    of the integral. None where the series is predicted cheaper or the
     rule too coarse.
     """
     if not (0.0 < rel_tol < 1.0
@@ -362,15 +486,15 @@ def _euler_maclaurin(term, n_star, rel_tol, breaks=(), value=float):
     if n0 + 2 + 32 * (len(light) + 1) >= budget:
         return None
     start = n0 - 0.5
-    fs = [term(n) for n in range(n0 + 2)]
+    fs = books(range(n0 + 2))
     d1, d3 = np.tensordot(_CENTRED, np.array(fs[n0 - 2:]), 1)
     last = -7.0 * d3 / 5760.0
     total = fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
 
     def levels():
         nonlocal total
-        for w, vals in _nested_values(lambda x: term(start + x), n_star,
-                                      _TAIL_MAX_LEVEL, False,
+        for w, vals in _nested_values(lambda x: books(start + x), n_star,
+                                      _TAIL_MAX_LEVEL,
                                       [b - start for b in light]):
             total = fixed + np.tensordot(w, vals, 1)
             yield value(total), n0 + 2 + w.size
@@ -416,23 +540,31 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
         n_evals counts the innermost evaluations of every attempt; the
         flag is that of the attempt whose value is returned.
     """
+    return _matsubara_rows(_rowwise(term), temperature, rel_tol, max_terms,
+                           zero_scale, zero_breaks, value)
+
+
+def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
+                    zero_scale=1.0, zero_breaks=(), value=float):
+    # matsubara_sum of a row term (see _Books): one call per level of the
+    # zero-T integral, for the Euler-Maclaurin head and per level of its
+    # tail; the series and the classical limit pass one index at a time
     kind = temperature.kind
     if kind == "high":
-        res = _as_result(term(0))
+        res = _as_result(rows([0])[0])
         full, half = value(res.value), value(0.5 * res.value)
         return replace(res, value=half,
                        error=abs(half / full if full else 0.5) * res.error)
     if kind == "zero":
-        return integrate_semi_infinite(term, rel_tol, zero_scale,
-                                       _TAIL_MAX_LEVEL, False, zero_breaks,
-                                       value)
-    books = _Books(term)
+        return _integrate_rows(rows, rel_tol, zero_scale, _TAIL_MAX_LEVEL,
+                               zero_breaks, value)
+    books = _Books(rows)
     tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks, value)
     if tail is not None and tail.converged:
         return books.close(tail)
-    books = _Books(term, books.n_evals)
+    books = _Books(rows, books.n_evals)
 
-    total = 0.5 * books(0)
+    total = 0.5 * books([0])[0]
     cur = value(total)
     last = []
     est = math.inf
@@ -440,7 +572,7 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     n = 0
     while n < max_terms and not converged:
         n += 1
-        t = books(n)
+        t = books([n])[0]
         total = total + t
         prev, cur = cur, value(total)
         # a float term is its own step, exact where the difference of

@@ -483,6 +483,19 @@ def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_zero_t_scan_refines_each_frequency_level_at_once(capsys,
+                                                         monkeypatch):
+    # a count, not a timing: each level of the frequency integrals hands
+    # all its frequencies to one momentum refinement, one kernel call per
+    # momentum level (257 _kernel_vectors and 322 _gap_integrand calls
+    # with one frequency per call)
+    vectors = _count_calls(monkeypatch, ln, "_kernel_vectors")
+    gaps = _count_calls(monkeypatch, ll, "_gap_integrand")
+    status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
+    assert status == 0 and len(_parse_csv(out)[2]) == 25
+    assert 0 < len(vectors) <= 25 and 0 < len(gaps) <= 30
+
+
 def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
     calls = _count_calls(monkeypatch, ln, "_separable_double_sum")
     for gap in (1e-8, 1e-7):

@@ -158,8 +158,34 @@ def test_kernels_call_reflection_once_per_plate(monkeypatch):
     y = np.linspace(0.0, 6.0, 13)
     for eps1, eps3 in ((2.0, INF), (1.0, INF), (2.0, 10.0)):
         calls.clear()
-        lifshitz_linear._gap_integrand(y, 0.8, eps1, eps3)
+        lifshitz_linear._gap_integrand(y, 0.8, eps1, eps3, math.exp(-1.6))
         assert calls == [eps1, eps3]
         calls.clear()
         lifshitz_nonlinear._kernel_vectors(0.8, y, eps1, eps3)
         assert calls == [eps1, eps3]
+
+
+_EPS_ROWS = np.array([INF, 1.0, 2.0, INF, 1.0001, 1.0, 1e8])
+_X_ROWS = np.array([0.0, 0.0, 0.0, 0.7, 1e-300, 0.8, 50.0])
+
+
+@pytest.mark.parametrize("y", [0.0, 1.3, np.linspace(0.0, 6.0, 7)])
+def test_reflection_array_eps_bitwise_equals_elementwise_reference(y):
+    # one eps per entry, mirrors and vacua among them: each entry as the
+    # float eps would give it, without a warning
+    y = np.broadcast_to(np.asarray(y, dtype=float), _X_ROWS.shape)
+    got = reflection(_X_ROWS, y, _EPS_ROWS)
+    for i, (x, eps) in enumerate(zip(_X_ROWS, _EPS_ROWS)):
+        for g, pol in zip(got, "sp"):
+            want = _reference(x, y[i], eps, pol)
+            assert g[i].hex() == want.hex(), (x, y[i], eps, pol)
+
+
+def test_reflection_eps_column_broadcasts_over_rows():
+    # a column of permittivities against a row of momenta, as the batched
+    # kernels pass them: row i is the float eps_i call
+    got = reflection(_X_ROWS[:, None], _Y[None, :], _EPS_ROWS[:, None])
+    for i, (x, eps) in enumerate(zip(_X_ROWS, _EPS_ROWS)):
+        for g, pol in zip(got, "sp"):
+            assert np.array_equal(_bits(g[i]), _bits(_reference(x, _Y, eps,
+                                                                pol)))

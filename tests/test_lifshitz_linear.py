@@ -194,7 +194,7 @@ def test_high_t_error_is_the_momentum_estimate():
     # the classical limit keeps half the n = 0 term, and half its error
     d = 1e-7
     res = pressure_linear(_stack(2.0, INF, d, Temperature.high(300.0)))
-    g = _g_hat(0.0, 2.0, INF, 1e-9)
+    g, = _g_hat(np.zeros(1), 2.0, INF, 1e-9)
     prefactor = K_BOLTZMANN * 300.0 / (math.pi * d ** 3)
     assert res.value == prefactor * (0.5 * g.value)
     assert res.error == prefactor * (0.5 * g.error) > 0.0
@@ -210,12 +210,14 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
     x1 = temp.xi(1) * 5e-8 / C_LIGHT
     flagged = []
 
-    def flaky(x, *args, **kwargs):
-        res = _g_hat(x, *args, **kwargs)
-        if abs(x / x1 - round(x / x1)) > 1e-6:
-            flagged.append(x)
-            return dataclasses.replace(res, converged=False)
-        return res
+    def flaky(xs, *args, **kwargs):
+        rows = []
+        for x, res in zip(xs, _g_hat(xs, *args, **kwargs)):
+            if abs(x / x1 - round(x / x1)) > 1e-6:
+                flagged.append(x)
+                res = dataclasses.replace(res, converged=False)
+            rows.append(res)
+        return rows
 
     monkeypatch.setattr(lifshitz_linear, "_g_hat", flaky)
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
@@ -299,8 +301,8 @@ def test_tabulated_zero_temperature_matches_scipy_with_breakpoints():
 
     def term(n):
         xi = temp.xi(n)
-        return _g_hat(xi * d / C_LIGHT, mat.permittivity(xi), 10.0, 1e-13,
-                      continuum=True).value
+        return _g_hat(np.array([xi * d / C_LIGHT]), mat.permittivity(xi),
+                      10.0, 1e-13, continuum=True)[0].value
 
     head, _ = quad(term, 0.0, breaks[-1], points=breaks[:-1],
                    epsabs=0.0, epsrel=1e-11, limit=200)
@@ -338,12 +340,12 @@ def test_g_hat_converges_where_its_integrand_is_subnormal():
     # at x = 362.17 the integrand of g is about 1e-314, and subnormal
     # numbers cannot carry a relative tolerance of 1e-9; the momentum
     # quadrature refines e^(2x) g instead
-    res = _g_hat(362.17, 1.01, 1.05, 1e-9)
+    res, = _g_hat(np.array([362.17]), 1.01, 1.05, 1e-9)
     assert res.converged and res.n_evals < 4096
     assert 0.0 < res.value < 1e-300
     assert res.value == pytest.approx(float(_g_mpmath(362.17, 1.01, 1.05)),
                                       rel=1e-8)
-    res = _g_hat(3.0, 2.0, 10.0, 1e-11)
+    res, = _g_hat(np.array([3.0]), 2.0, 10.0, 1e-11)
     assert res.value == pytest.approx(float(_g_mpmath(3.0, 2.0, 10.0)),
                                       rel=1e-10)
 
@@ -362,3 +364,61 @@ def test_pressure_linear_rejects_a_bad_rel_tol(rel_tol):
     for temp in (Temperature.zero(), Temperature.finite(300.0)):
         with pytest.raises(ValueError, match="rel_tol"):
             pressure_linear(_stack(2.0, INF, 1e-7, temp), rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_linear_coefficients_reject_a_bad_rel_tol(rel_tol):
+    # rel_tol = 0 used to return a value, nan to raise UnconvergedError
+    for coefficient in (i_lin_zero_t, i_lin_high_t):
+        with pytest.raises(ValueError, match="rel_tol"):
+            coefficient(2.0, 3.0, rel_tol=rel_tol)
+
+
+def _tabulated_row(x, d=1e-7):
+    # (x, eps1, eps3) of the tabulated pair at scaled frequency x
+    xi = x * C_LIGHT / d
+    return (x, MaterialResponse.from_table(TABLE_NL).permittivity(xi),
+            MaterialResponse.from_table(TABLE_LIN).permittivity(xi))
+
+
+# x = 0, small and large x; mirror, vacuum, eps = 2 and tabulated plates
+_ROWS = [(0.0, 2.0, INF), (1e-6, 1.0, INF), (0.3, 2.0, 1.0),
+         (2.0, INF, INF), (50.0, 2.0, INF), _tabulated_row(0.7),
+         _tabulated_row(12.0)]
+
+
+def _key(res):
+    return res.value.hex(), res.error.hex(), res.n_evals, res.converged
+
+
+@pytest.mark.parametrize("continuum", [False, True])
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-16])
+def test_g_hat_rows_equal_single_rows_bitwise(continuum, rel_tol):
+    # rows refine in lockstep and stop on their own, each as if alone;
+    # x = 0 takes the discrete or the continuum prescription
+    x, eps1, eps3 = (np.array(col) for col in zip(*_ROWS))
+    batch = _g_hat(x, eps1, eps3, rel_tol, continuum=continuum)
+    for (xi, e1, e3), res in zip(_ROWS, batch):
+        alone, = _g_hat(np.array([xi]), e1, e3, rel_tol, continuum=continuum)
+        assert _key(res) == _key(alone), xi
+    assert len({res.n_evals for res in batch}) >= 3
+
+
+def test_tabulated_zero_t_refines_each_frequency_level_at_once(monkeypatch):
+    # a count, not a timing: one _gap_integrand call per momentum level
+    # of each frequency level, where each frequency used to take 1,752
+    # calls in all; the work itself stays 38,400 momentum nodes
+    calls = []
+    real = lifshitz_linear._gap_integrand
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(lifshitz_linear, "_gap_integrand", counted)
+    stack = LayerStack(MaterialResponse.from_table(TABLE_NL),
+                       MaterialResponse.from_table(TABLE_LIN), 1e-7,
+                       Temperature.zero())
+    res = pressure_linear(stack)
+    assert res.converged and res.n_evals == sum(calls) == 38_400
+    assert len(calls) <= 1752 // 5

@@ -199,9 +199,9 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     def levels():
         for (wy, a), (wyp, b) in zip(
                 _nested_values(lambda y: np.array(unprimed(y)).T, scale_y,
-                               1024, True),
+                               1024),
                 _nested_values(lambda y: np.array(primed(y)).T, scale_yp,
-                               1024, True)):
+                               1024)):
             a1, a2, k1 = a.T
             b1, b2, k1p = b.T
             den = k1[:, None] + k1p[None, :]
@@ -250,8 +250,8 @@ def test_separable_kernel_matches_direct_pair_quadrature():
              (18.0, 18.0, (5.0, 2.0), (5.0, 2.0)),
              (0.4, 3.0, tabulated(0.4), tabulated(3.0))]
     for x, xp, eps, eps_p in cases:
-        f, res = _frequency_vectors(x, *eps, 1e-10)
-        fp, res_p = _frequency_vectors(xp, *eps_p, 1e-10)
+        (f, res), = _frequency_vectors(np.array([x]), *eps, 1e-10)
+        (fp, res_p), = _frequency_vectors(np.array([xp]), *eps_p, 1e-10)
         direct = _w_direct(x, xp, eps, eps_p, 1e-10)
         assert res.converged and res_p.converged and direct.converged
         assert _contract(f, fp) == pytest.approx(direct.value, rel=1e-8)
@@ -560,12 +560,14 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
     x1 = temp.xi(1) * 5e-8 / C_LIGHT
     flagged = []
 
-    def flaky(x, *args):
-        f, res = _frequency_vectors(x, *args)
-        if abs(x / x1 - round(x / x1)) > 1e-6:
-            flagged.append(x)
-            res = dataclasses.replace(res, converged=False)
-        return f, res
+    def flaky(xs, *args):
+        rows = []
+        for x, (f, res) in zip(xs, _frequency_vectors(xs, *args)):
+            if abs(x / x1 - round(x / x1)) > 1e-6:
+                flagged.append(x)
+                res = dataclasses.replace(res, converged=False)
+            rows.append((f, res))
+        return rows
 
     monkeypatch.setattr(lifshitz_nonlinear, "_frequency_vectors", flaky)
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
@@ -781,3 +783,51 @@ def test_monotone_in_linear_permittivity():
     values = [i_nl_high_t(2.0, e, rel_tol=1e-7)
               for e in (2.0, 10.0, math.inf)]
     assert 0.0 < values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_kerr_coefficients_and_crossover_reject_a_bad_rel_tol(rel_tol):
+    # i_nl_zero_t(rel_tol=2) used to return 3.79e-7, and crossover_distance
+    # to raise UnconvergedError at 0 and to return 4.25e-9 at 2
+    for coefficient in (i_nl_zero_t, i_nl_high_t):
+        with pytest.raises(ValueError, match="rel_tol"):
+            coefficient(2.0, 3.0, rel_tol=rel_tol)
+    for chi3 in (CHI3, 0.0):
+        stack = _stack(2.0, math.inf, chi3, 1e-7, Temperature.zero())
+        with pytest.raises(ValueError, match="rel_tol"):
+            crossover_distance(stack, rel_tol=rel_tol)
+
+
+def _tabulated_row(x, d=1e-7):
+    # (x, eps1, eps3) of the tabulated pair at scaled frequency x
+    xi = x * C_LIGHT / d
+    return (x, MaterialResponse.from_table(TABLE_NL).permittivity(xi),
+            MaterialResponse.from_table(TABLE_LIN).permittivity(xi))
+
+
+# x = 0, small and large x; mirror, vacuum, eps = 2 and tabulated plates
+_ROWS = [(0.0, 2.0, math.inf), (1e-6, 1.0, math.inf), (0.3, 2.0, 1.0),
+         (5.0, 2.0, 10.0), (50.0, 1.0001, math.inf), _tabulated_row(0.7),
+         _tabulated_row(12.0)]
+
+
+def _key(res):
+    return res.value.hex(), res.error.hex(), res.n_evals, res.converged
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
+def test_frequency_vectors_rows_equal_single_rows_bitwise(rel_tol):
+    # rows refine in lockstep and stop on their own, each as if alone,
+    # vectors included; at 1e-16 some stop at the 1024 cap, flagged
+    x, eps1, eps3 = (np.array(col) for col in zip(*_ROWS))
+    batch = _frequency_vectors(x, eps1, eps3, rel_tol)
+    for (xi, e1, e3), (f, res) in zip(_ROWS, batch):
+        (f_alone, alone), = _frequency_vectors(np.array([xi]), e1, e3,
+                                               rel_tol)
+        assert _key(res) == _key(alone), xi
+        assert f.shape == (4, _COUPLING_T.size)
+        assert np.array_equal(f.view(np.uint64), f_alone.view(np.uint64))
+    capped = [res.n_evals == 1024 and not res.converged for _, res in batch]
+    if rel_tol == 1e-16:
+        assert any(capped) and not all(capped)
+    assert len({res.n_evals for _, res in batch}) >= 2

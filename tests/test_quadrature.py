@@ -37,6 +37,47 @@ def test_weights_positive_and_normalized():
         assert np.all(np.diff(x) > 0)
 
 
+def _cc_matrix_rule(m):
+    # the (m/2 + 1) x (m + 1) cosine matrix construction of the weights
+    theta = np.pi * np.arange(m + 1) / m
+    j = np.arange(m // 2 + 1)
+    terms = np.cos(2.0 * np.outer(j, theta)) / (1.0 - 4.0 * j * j)[:, None]
+    terms[0] *= 0.5
+    terms[-1] *= 0.5
+    w = (4.0 / m) * terms.sum(axis=0)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return 0.5 * (1.0 - np.cos(theta)), 0.5 * w
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_cc_rule_bitwise_equals_the_matrix_construction():
+    # the weights accumulate one cosine row at a time, in O(m) memory;
+    # every even order to 256 and the doubling levels to 1024
+    for m in [*range(2, 257, 2), 300, 512, 766, 1024]:
+        for got, want in zip(quadrature._cc_rule.__wrapped__(m),
+                             _cc_matrix_rule(m)):
+            assert np.array_equal(_bits(got), _bits(want)), m
+
+
+def test_semi_infinite_nodes_keep_their_bits():
+    # the cached unit rule keeps the operation order of the mapping
+    for m in (8, 64, 1024):
+        u, wu = clenshaw_curtis(m)
+        for scale in (1.0, 2.7, 1e3):
+            x, w = semi_infinite_nodes(m, scale)
+            assert np.array_equal(_bits(x),
+                                  _bits(scale * u[:-1] / (1.0 - u[:-1])))
+            assert np.array_equal(
+                _bits(w), _bits(wu[:-1] * scale / (1.0 - u[:-1]) ** 2))
+            x[:] = w[:] = 0.0  # the caller's copies
+    assert not any(a.flags.writeable for a in quadrature._unit_rule(8)[:4])
+    assert semi_infinite_nodes(8, 1.0)[0][1] > 0.0
+
+
 def test_order_validation():
     # both rules share the check: an odd order breaks exactness and
     # nesting, and a float order is rejected, not truncated
@@ -233,14 +274,14 @@ def test_refinement_contract_frequency_vectors():
         return float(_COUPLING_W @ (u1 * v1 + u2 * v2))
 
     for tol in (1e-4, 1e-9):
-        f, res = _frequency_vectors(x, eps1, eps3, tol)
+        (f, res), = _frequency_vectors(np.array([x]), eps1, eps3, tol)
         _check_contract(res, _replay(level, tol, 1024), lambda m: m)
         assert f.shape == (4, _COUPLING_T.size)
 
 
 def test_frequency_vectors_stop_at_the_level_cap():
     # the last level's total, bitwise, flagged
-    f, res = _frequency_vectors(2.3, 2.0, 10.0, 1e-18)
+    (f, res), = _frequency_vectors(np.array([2.3]), 2.0, 10.0, 1e-18)
     assert res.value == -0.0005122569919398447
     assert not res.converged and res.n_evals == 1024
     assert f.shape == (4, _COUPLING_T.size)
@@ -261,7 +302,7 @@ def _count_nodes(monkeypatch, names):
 def test_momentum_quadratures_evaluate_each_node_once(tol, monkeypatch):
     # n_evals counts distinct nodes, and each is evaluated exactly once
     seen = _count_nodes(monkeypatch, ["_kernel_vectors"])
-    _, res = _frequency_vectors(2.3, 2.0, 10.0, tol)
+    (_, res), = _frequency_vectors(np.array([2.3]), 2.0, 10.0, tol)
     assert seen[0] == res.n_evals
 
 
@@ -277,7 +318,7 @@ def test_nested_values_stack_vectorized_rows():
         calls.append(x.size)
         return rows(x)
 
-    for w, vals in _nested_values(f, 2.0, 32, True):
+    for w, vals in _nested_values(f, 2.0, 32):
         x, _ = semi_infinite_nodes(w.size, 2.0)
         assert vals.shape == (x.size, 3)
         assert np.array_equal(vals, rows(x))
@@ -377,7 +418,8 @@ def test_matsubara_sum_tail_heads_past_kinks():
     assert res.converged and res.n_evals < 1000
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
     # the rule blind to the kinks misses (and the series takes over)
-    blind = quadrature._euler_maclaurin(_kinked, 300.0, 1e-10)
+    blind = quadrature._euler_maclaurin(
+        quadrature._Books(quadrature._rowwise(_kinked)), 300.0, 1e-10)
     assert not (blind.converged and abs(blind.value - exact) <= blind.error)
 
 

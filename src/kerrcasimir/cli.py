@@ -128,7 +128,7 @@ def _read_config_file(path, allowed):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -34,8 +34,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .quadrature import (MAX_LEVEL, Temperature, _matsubara_rows,
-                         _refine_rows)
+from .quadrature import (MAX_LEVEL, Temperature, _check_rel_tol,
+                         _matsubara_rows, _refine_rows)
 
 
 def as_permittivity(value):
@@ -117,11 +117,6 @@ def _n_star(temperature, d):
 def _inner_tol(rel_tol):
     # momentum tolerance under an outer frequency integral or double sum
     return max(1e-2 * rel_tol, 1e-11)
-
-
-def _check_rel_tol(rel_tol):
-    if not 0.0 < rel_tol < 1.0:  # NaN included
-        raise ValueError("rel_tol must lie in (0, 1)")
 
 
 def pressure_linear(stack, rel_tol=1e-8):

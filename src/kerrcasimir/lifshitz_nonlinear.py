@@ -84,12 +84,12 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_check_rel_tol, _coefficient_tol, _i_lin_raw,
-                              _inner_tol, _n_star, _scales, as_permittivity,
+from .lifshitz_linear import (_coefficient_tol, _i_lin_raw, _inner_tol,
+                              _n_star, _scales, as_permittivity,
                               pressure_linear)
 from .materials import LayerStack, MaterialResponse
-from .quadrature import (QuadratureResult, Temperature, _matsubara_rows,
-                         _refine_rows, matsubara_sum)
+from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
+                         _matsubara_rows, _refine_rows, matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)

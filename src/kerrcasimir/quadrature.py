@@ -17,17 +17,22 @@ exactly as without breakpoints, and without breakpoints the rule is the
 mapped rule alone. Breakpoints at the kinks of an integrand leave it
 smooth on every panel, so the rule converges geometrically where one
 rule across the kinks converges only algebraically. Level caps count m,
-the nodes per panel.
+the nodes per panel, and no refinement goes past its cap. One private
+function (_rule) builds the rule for a scale or for a column of scales.
 
-One refinement rule serves every adaptive quadrature here (_settled):
-the order doubles from 8 until the change between two successive
-levels is at most rel_tol times the latest total, which is returned
-with that change as its error. A sum of n_evals products can be off
-by n_evals units of the subnormal spacing 2**-1074 however far the rule
-is refined, so a change that small is accepted too. An integrator that
-reaches its level cap first returns its last total and change with
-converged=False. _refine drives one refinement by it, _refine_rows
-many in lockstep.
+One driver and one rule serve every adaptive quadrature here. The row
+driver (_refine_rows) doubles the order from 8 for many rows in
+lockstep: the momentum quadratures of a frequency level are one batch,
+and the zero-temperature frequency integral, the Euler-Maclaurin tail
+and integrate_semi_infinite are batches of one row. The rule
+(_settled) stops a row once the change between two successive levels
+is at most rel_tol times the latest total, which is returned with that
+change as its error. A sum of n products can be off by n units of the
+subnormal spacing 2**-1074 however far the rule is refined, so a change
+that small is accepted too. Here n is the node count of the level (the
+products of the sum), not the evaluations nested under the nodes; the
+floor binds only when |total| <~ 1e-307. A row that reaches its level
+cap first returns its last total and change with converged=False.
 
 The same machinery drives the three thermal regimes, all through
 matsubara_sum. A sum over discrete thermal frequencies (weight 1/2 on
@@ -51,11 +56,11 @@ innermost evaluations.
 A level is one call. The drivers run on row terms, which map all the
 new indices or nodes of a level to one term value each: every level of
 a thermal integral, and the Euler-Maclaurin head, asks for its terms in
-one call, so an inner quadrature can refine all of them at once
-(_refine_rows, the row driver: one refinement per row, lockstep
-levels, each row stopping by the same rule as alone). The public
-scalar-term contracts of matsubara_sum and integrate_semi_infinite are
-adapted to row terms in one place (_rowwise); the finite-temperature
+one call, so an inner quadrature can refine all of them at once as the
+rows of one batch, each row stopping by the same rule as alone. A
+vectorized integrand of integrate_semi_infinite is a row term already;
+the scalar-term contracts of matsubara_sum and integrate_semi_infinite
+are adapted to row terms in one place (_rowwise). The finite-temperature
 series and the classical limit pass one index per call.
 """
 
@@ -120,7 +125,8 @@ class _Books:
 
     A row term maps a sequence of indices or nodes to one term value
     (float, array or QuadratureResult) per entry; called with one, the
-    books return the list of values.
+    books return the list of values. A row term that returns one array
+    (a vectorized integrand) holds plain values, passed on as they are.
     """
 
     def __init__(self, rows, n_evals=0):
@@ -129,8 +135,12 @@ class _Books:
         self.ok = True
 
     def __call__(self, ns):
+        terms = self.rows(ns)
+        if isinstance(terms, np.ndarray):
+            self.n_evals += len(terms)
+            return terms
         values = []
-        for res in self.rows(ns):
+        for res in terms:
             if isinstance(res, QuadratureResult):
                 self.n_evals += res.n_evals
                 self.ok = self.ok and res.converged
@@ -222,14 +232,6 @@ def _frozen(*arrays):
     return arrays
 
 
-def _tail_rule(m, scale, nodes=slice(None)):
-    # the order-m rule mapped to [0, inf) by x = scale*u/(1-u), without
-    # u = 1 (x = inf), and only its nodes[] nodes; scale may be a column,
-    # one row per scale
-    u, wu, om, om2, _ = _unit_rule(m)
-    return scale * u[nodes] / om[nodes], wu * scale / om2
-
-
 def _cc_order(m):
     # a Clenshaw-Curtis order: an even integer >= 2
     if not (isinstance(m, numbers.Integral) and m >= 2 and m % 2 == 0):
@@ -271,10 +273,15 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
     stay nested across panel edges: node k of level m is node 2*k of
     level 2*m, bitwise.
     """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    m = _cc_order(m)
-    u, wu, _, _, end_weight = _unit_rule(m)
+    _check_scale(scale)
+    return _rule(_cc_order(m), scale, breaks)
+
+
+def _rule(m, scale, breaks=()):
+    # semi_infinite_nodes(m, scale, breaks) for a valid m and scale, or
+    # for a column of scales: one row of nodes and weights per scale,
+    # all sharing the breaks
+    u, wu, om, om2, end_weight = _unit_rule(m)
     xs, ws = [], []
     a = carry = 0.0
     for b in breaks:
@@ -286,13 +293,24 @@ def semi_infinite_nodes(m, scale=1.0, breaks=()):
         xs.append(a + (b - a) * u)
         ws.append(w)
         a, carry = b, (b - a) * end_weight
-    x, w = _tail_rule(m, scale)
+    x, w = scale * u / om, wu * scale / om2
     if not xs:
         return x, w
-    w[0] += carry
+    w[..., 0] += carry
     xs.append(a + x)
     ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return tuple(np.concatenate(np.broadcast_arrays(*v), axis=-1)
+                 for v in (xs, ws))
+
+
+def _check_scale(scale):
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
+
+
+def _check_rel_tol(rel_tol):
+    if not 0.0 < rel_tol < 1.0:  # NaN included
+        raise ValueError("rel_tol must lie in (0, 1)")
 
 
 def _settled(err, total, n_evals, rel_tol):
@@ -300,41 +318,29 @@ def _settled(err, total, n_evals, rel_tol):
     return err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074
 
 
-def _refine(levels, rel_tol):
-    """Drive a doubling refinement to rel_tol by the stopping rule.
-
-    levels yields (total, cumulative n_evals), coarsest level first, and
-    is only advanced while the tolerance is unmet; it ends at the
-    caller's level cap.
-    """
-    total, n_evals = next(levels)
-    err = math.inf
-    for new_total, n_evals in levels:
-        err = abs(new_total - total)
-        total = new_total
-        if _settled(err, total, n_evals, rel_tol):
-            return QuadratureResult(total, err, n_evals, True)
-    return QuadratureResult(total, err, n_evals, False)
-
-
-def _refine_rows(kernel, total, scales, rel_tol, max_level, *params):
+def _refine_rows(kernel, total, scales, rel_tol, max_level, *params,
+                 breaks=()):
     """One doubling refinement per row, in lockstep: the row driver.
 
-    Row i integrates over semi_infinite_nodes(m, scales[i]), m = 8, 16,
-    ..., max_level. Each level makes one call kernel(y, *params) for all
-    rows still refining: y holds their new nodes, row after row, and a
-    param is a float shared by all rows or an array with one entry per
-    row, repeated for each of its nodes. kernel returns one value or
-    one 1-D array of values per node. total(w, vals) maps one row's
-    weights and node values to (total, payload). A row stops by
-    _refine's rule and drops out, so it ends as its own _refine would,
-    bit for bit, whatever rows share its batch.
+    Row i integrates over semi_infinite_nodes(m, scales[i], breaks),
+    m = 8, 16, ... up to max_level (>= 8, else ValueError). Each level
+    makes one call kernel(y, *params) for all rows still refining: y
+    holds their new nodes, row after row, and a param is a float shared
+    by all rows or an array with one entry per row, repeated for each
+    of its nodes. kernel returns one value or one array of values per
+    node. total(w, vals) maps one row's weights and node values to
+    (total, payload). A row stops by the module's rule (_settled) and
+    drops out, so it ends as it would alone, bit for bit, whatever rows
+    share its batch.
 
     Returns
     -------
     list of (payload, QuadratureResult)
         One per row, from its last level; n_evals counts its nodes.
     """
+    if not max_level >= MIN_LEVEL:
+        raise ValueError("max_level must be at least %d" % MIN_LEVEL)
+
     def values(y):
         n = y.shape[1]
         vals = kernel(y.ravel(), *[p if isinstance(p, float)
@@ -346,19 +352,21 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, *params):
     rows = list(range(len(scales)))
     out, totals = [None] * len(rows), [None] * len(rows)
     m = MIN_LEVEL
-    y, w = _tail_rule(m, scales)
+    y, w = _rule(m, scales, breaks)
     vals = values(y)
     while True:
+        last = 2 * m > max_level
+        n_nodes = w.shape[1]
         keep = []
         for j, i in enumerate(rows):
             t, payload = total(w[j], vals[j])
             err = math.inf if totals[j] is None else abs(t - totals[j])
-            ok = totals[j] is not None and _settled(err, t, m, rel_tol)
-            if ok or m >= max_level:
-                out[i] = payload, QuadratureResult(t, err, m, ok)
+            ok = totals[j] is not None and _settled(err, t, n_nodes, rel_tol)
+            if ok or last:
+                out[i] = payload, QuadratureResult(t, err, n_nodes, ok)
             totals[j] = t
             keep.append(not ok)
-        if m >= max_level or not any(keep):
+        if last or not any(keep):
             return out
         if not all(keep):
             rows = [i for i, k in zip(rows, keep) if k]
@@ -367,10 +375,10 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, *params):
             params = [p if isinstance(p, float) else p[keep]
                       for p in params]
         m *= 2
-        y, w = _tail_rule(m, scales, slice(1, None, 2))
+        y, w = _rule(m, scales, breaks)
         fine = np.empty(w.shape + vals.shape[2:])
         fine[:, 0::2] = vals
-        fine[:, 1::2] = values(y)
+        fine[:, 1::2] = values(y[:, 1::2])
         vals = fine
 
 
@@ -382,29 +390,6 @@ def _shared(values):
     return values
 
 
-def _nested_values(f, scale, max_level, breaks=()):
-    """Weights and values of f on semi_infinite_nodes(m, scale, breaks),
-    m = 8, 16, ..., max_level: each level evaluates f on its new nodes
-    only, in one call.
-
-    f maps a 1-D node array to its values, one per node or one array
-    per node (shape (n, k) for n nodes); vals stacks them on the first
-    axis, node by node.
-    """
-    m = MIN_LEVEL
-    x, w = semi_infinite_nodes(m, scale, breaks)
-    vals = np.asarray(f(x), dtype=float)
-    yield w, vals
-    while m < max_level:
-        m *= 2
-        x, w = semi_infinite_nodes(m, scale, breaks)
-        fine = np.empty(x.shape + vals.shape[1:])
-        fine[0::2] = vals
-        fine[1::2] = f(x[1::2])
-        vals = fine
-        yield w, vals
-
-
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
                             vectorized=True, breaks=(), value=float):
     """Integrate f over [0, inf) with doubling Clenshaw-Curtis rules.
@@ -412,12 +397,14 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     Parameters
     ----------
     f : callable
-        Integrand. Receives a 1-D array of abscissas when vectorized,
-        one float at a time otherwise, and may then return an array or
-        a QuadratureResult (see the module docstring). Must decay
-        faster than x**-2.
+        Integrand. Receives a 1-D array of abscissas when vectorized
+        and returns one value per abscissa, or receives one float at a
+        time otherwise. A value may be a float, an array or, unvectorized,
+        a QuadratureResult (see the module docstring). Must decay faster
+        than x**-2.
     rel_tol : float
-        Target for the level-to-level change relative to the integral.
+        Target for the level-to-level change relative to the integral;
+        a value outside (0, 1), NaN included, raises ValueError.
     scale : float
         Characteristic width of the integrand beyond its last
         breakpoint (beyond 0 without any); the tail nodes put half of
@@ -425,28 +412,35 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     breaks : sequence of float
         Ascending positive points where f has a kink (a discontinuous
         derivative); see semi_infinite_nodes.
+    max_level : int
+        Largest order per panel, at least 8 (else ValueError): the rule
+        doubles from 8 and stops at the last order not above it.
     value : callable
-        Unvectorized only: maps the elementwise integral of f to the
-        float that is returned and that rel_tol refers to.
+        Maps the elementwise integral of f to the float that is
+        returned and that rel_tol refers to.
 
     Returns
     -------
     QuadratureResult
+        n_evals counts the innermost evaluations. The refinement is a
+        batch of one row of the row driver: each level evaluates f on
+        its new nodes only.
     """
-    if vectorized:
-        return _refine(((float(w @ vals), w.size) for w, vals
-                        in _nested_values(f, scale, max_level, breaks)),
-                       rel_tol)
-    return _integrate_rows(_rowwise(f), rel_tol, scale, max_level, breaks,
-                           value)
+    _check_rel_tol(rel_tol)
+    return _integrate_rows(f if vectorized else _rowwise(f), rel_tol, scale,
+                           max_level, breaks, value)
 
 
 def _integrate_rows(rows, rel_tol, scale, max_level, breaks, value):
-    # integrate_semi_infinite of a row term (see _Books)
+    # integrate_semi_infinite of a row term (see _Books): a batch of one
+    # row for the row driver
+    _check_scale(scale)
     books = _Books(rows)
-    levels = ((value(np.tensordot(w, vals, 1)), books.n_evals) for w, vals
-              in _nested_values(books, scale, max_level, breaks))
-    return books.close(_refine(levels, rel_tol))
+    (_, res), = _refine_rows(
+        lambda x: np.asarray(books(x), dtype=float),
+        lambda w, vals: (value(np.tensordot(w, vals, 1)), None),
+        [scale], rel_tol, max_level, breaks=breaks)
+    return books.close(res)
 
 
 _TAIL_HEAD = 8
@@ -471,9 +465,10 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     terms (floats or arrays) to the float rel_tol refers to. The error
     adds those shifts, the integral's level change and the effect of
     the f''' term, which must stay under rel_tol/10; n_evals counts the
-    term values. The head is one call of books, and so is each level
-    of the integral. None where the series is predicted cheaper or the
-    rule too coarse.
+    term values. The head is one call of books. The integral is a batch
+    of one row of the row driver, one call of books per level, whose
+    payload is the array total of its last level, for the f''' check.
+    None where the series is predicted cheaper or the rule too coarse.
     """
     if not (0.0 < rel_tol < 1.0
             and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
@@ -489,17 +484,16 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     fs = books(range(n0 + 2))
     d1, d3 = np.tensordot(_CENTRED, np.array(fs[n0 - 2:]), 1)
     last = -7.0 * d3 / 5760.0
-    total = fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
+    fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
 
-    def levels():
-        nonlocal total
-        for w, vals in _nested_values(lambda x: books(start + x), n_star,
-                                      _TAIL_MAX_LEVEL,
-                                      [b - start for b in light]):
-            total = fixed + np.tensordot(w, vals, 1)
-            yield value(total), n0 + 2 + w.size
+    def level(w, vals):
+        total = fixed + np.tensordot(w, vals, 1)
+        return value(total), total
 
-    res = _refine(levels(), 0.5 * rel_tol)
+    (total, res), = _refine_rows(
+        lambda x: np.asarray(books(start + x), dtype=float), level,
+        [n_star], 0.5 * rel_tol, _TAIL_MAX_LEVEL,
+        breaks=[b - start for b in light])
     bound = rel_tol * abs(res.value)
     last_err = abs(value(total + last) - res.value)
     err = res.error + last_err + 2.0 * abs(res.value) * math.fsum(
@@ -532,7 +526,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
 
     term may return a float, an array or a QuadratureResult holding
     either (see the module docstring); arrays are summed elementwise
-    and value maps the sum to the float returned.
+    and value maps the sum to the float returned. A rel_tol outside
+    (0, 1), NaN included, raises ValueError.
 
     Returns
     -------
@@ -540,6 +535,7 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
         n_evals counts the innermost evaluations of every attempt; the
         flag is that of the attempt whose value is returned.
     """
+    _check_rel_tol(rel_tol)
     return _matsubara_rows(_rowwise(term), temperature, rel_tol, max_terms,
                            zero_scale, zero_breaks, value)
 
@@ -599,6 +595,7 @@ def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     rel_tol), so the (0, 0) term weighs 1/4, in every regime. Public
     only: the package's own double sums contract frequency vectors
     (pressure_nonlinear) or run over n + m (pressure_transparent_mirror).
+    The outer matsubara_sum rejects a bad rel_tol before any term runs.
     """
     return matsubara_sum(
         lambda n: matsubara_sum(lambda m: term(n, m), temperature,

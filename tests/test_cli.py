@@ -101,6 +101,15 @@ def test_missing_config_file(capsys):
     capsys.readouterr()
 
 
+def test_config_file_not_utf8(capsys, tmp_path):
+    conf = tmp_path / "latin.conf"
+    conf.write_bytes(b"gap = 1e-7 # \xff\n")
+    assert main(["pressure", "--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read config file: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_no_subcommand(capsys):
     assert main([]) == 1
     capsys.readouterr()

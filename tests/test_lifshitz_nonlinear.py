@@ -34,7 +34,7 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _frequency_vectors,
                                             _i_nl_raw, _k_moments,
                                             _kernel_vectors)
-from kerrcasimir.quadrature import _nested_values, _refine
+from kerrcasimir.quadrature import QuadratureResult, semi_infinite_nodes
 
 CHI3 = 2e-16
 TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
@@ -191,26 +191,28 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     """Joint momentum quadrature of (A1 B1 + A2 B2) / (kappa + kappa').
 
     unprimed/primed map a node array to (vec1, vec2, kappa). Both grids
-    double together up to 1024 nodes, and each level is two quadratic
-    forms against the exact 1/(kappa_i + kappa'_j) coupling matrix: the
-    oracle for the separable coupling and the closed transparent route.
+    (semi_infinite_nodes) double together from 8 up to 1024 nodes, and
+    each level is two quadratic forms against the exact
+    1/(kappa_i + kappa'_j) coupling matrix, accepted once it moves by at
+    most rel_tol relative: the oracle for the separable coupling and the
+    closed transparent route.
     """
-
-    def levels():
-        for (wy, a), (wyp, b) in zip(
-                _nested_values(lambda y: np.array(unprimed(y)).T, scale_y,
-                               1024),
-                _nested_values(lambda y: np.array(primed(y)).T, scale_yp,
-                               1024)):
-            a1, a2, k1 = a.T
-            b1, b2, k1p = b.T
-            den = k1[:, None] + k1p[None, :]
-            with np.errstate(divide="ignore"):
-                cross = np.where(den == 0.0, 0.0, 1.0 / den)
-            yield float((wy * a1) @ cross @ (wyp * b1)
-                        + (wy * a2) @ cross @ (wyp * b2)), wy.size + wyp.size
-
-    return _refine(levels(), rel_tol)
+    total, m = None, 8
+    while m <= 1024:
+        y, wy = semi_infinite_nodes(m, scale_y)
+        yp, wyp = semi_infinite_nodes(m, scale_yp)
+        a1, a2, k1 = unprimed(y)
+        b1, b2, k1p = primed(yp)
+        den = k1[:, None] + k1p[None, :]
+        with np.errstate(divide="ignore"):
+            cross = np.where(den == 0.0, 0.0, 1.0 / den)
+        prev, total = total, float((wy * a1) @ cross @ (wyp * b1)
+                                   + (wy * a2) @ cross @ (wyp * b2))
+        err = math.inf if prev is None else abs(total - prev)
+        if err <= rel_tol * abs(total):
+            return QuadratureResult(total, err, 2 * m, True)
+        m *= 2
+    return QuadratureResult(total, err, m, False)
 
 
 def _w_direct(x, xp, eps, eps_p, rel_tol):

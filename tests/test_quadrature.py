@@ -9,7 +9,7 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
-                                    _nested_values, clenshaw_curtis,
+                                    clenshaw_curtis,
                                     double_matsubara_sum,
                                     integrate_semi_infinite, matsubara_sum,
                                     semi_infinite_nodes)
@@ -261,6 +261,52 @@ def test_refinement_contract_semi_infinite():
                         lambda m: 3 * m)
 
 
+def test_level_cap_is_never_overshot():
+    # a cap between powers of two stops at the last level below it: at
+    # max_level=100 the rule used to refine to 128 nodes and converge
+    def f(x):
+        return 1.0 / (1.0 + x * x) ** 2
+
+    res = integrate_semi_infinite(f, rel_tol=1e-15, scale=2.0, max_level=100)
+    assert not res.converged and res.n_evals == 64
+    assert res == integrate_semi_infinite(f, rel_tol=1e-15, scale=2.0,
+                                          max_level=64)
+    res = integrate_semi_infinite(f, rel_tol=1e-15, scale=2.0, max_level=8)
+    assert not res.converged and res.n_evals == 8
+    for cap in (7, 4, 0, -8, math.nan):
+        with pytest.raises(ValueError, match="max_level"):
+            integrate_semi_infinite(f, max_level=cap)
+
+
+_BAD_REL_TOLS = [0.0, -1.0, 1.0, 2.0, math.nan]
+
+
+@pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
+def test_integrate_semi_infinite_rejects_a_bad_rel_tol(rel_tol):
+    # nan used to spend 4,096 nodes before it flagged
+    for vectorized in (True, False):
+        with pytest.raises(ValueError, match="rel_tol"):
+            integrate_semi_infinite(np.exp, rel_tol=rel_tol,
+                                    vectorized=vectorized)
+
+
+@pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
+def test_matsubara_sum_rejects_a_bad_rel_tol(rel_tol):
+    # at finite temperature nan and -1 used to return converged=True
+    for temp in (_ZERO, _WARM, _HOT):
+        with pytest.raises(ValueError, match="rel_tol"):
+            matsubara_sum(lambda n: 0.5 ** n, temp, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
+def test_double_matsubara_sum_rejects_a_bad_rel_tol(rel_tol):
+    # at finite temperature nan used to take 579,431 terms, converged
+    for temp in (_ZERO, _WARM, _HOT):
+        with pytest.raises(ValueError, match="rel_tol"):
+            double_matsubara_sum(lambda n, m: 0.5 ** (n + m), temp,
+                                 rel_tol=rel_tol)
+
+
 def test_refinement_contract_frequency_vectors():
     # one grid of m distinct nodes per level feeds both the unprimed
     # and the primed vectors: m
@@ -306,9 +352,9 @@ def test_momentum_quadratures_evaluate_each_node_once(tol, monkeypatch):
     assert seen[0] == res.n_evals
 
 
-def test_nested_values_stack_vectorized_rows():
-    # a vectorized f may return one row per node; levels stack them in
-    # node order, each level evaluating only its new nodes
+def test_row_driver_stacks_vectorized_rows():
+    # a kernel may return one row per node; levels stack them in node
+    # order, each level evaluating only its new nodes
     def rows(x):
         return np.column_stack((x, x * x, np.exp(-x)))
 
@@ -318,12 +364,16 @@ def test_nested_values_stack_vectorized_rows():
         calls.append(x.size)
         return rows(x)
 
-    for w, vals in _nested_values(f, 2.0, 32):
+    def total(w, vals):
         x, _ = semi_infinite_nodes(w.size, 2.0)
         assert vals.shape == (x.size, 3)
         assert np.array_equal(vals, rows(x))
         sizes.append(w.size)
+        return float(w @ vals[:, 2]), None
+
+    (_, res), = quadrature._refine_rows(f, total, [2.0], 1e-300, 32)
     assert sizes == [8, 16, 32] and calls == [8, 8, 16]
+    assert not res.converged and res.n_evals == 32
 
 
 def test_temperature_validation():

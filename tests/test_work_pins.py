@@ -1,0 +1,66 @@
+"""Work pins: the exact momentum-node count and flag of each regime.
+
+One gap (10 nm, where the 300 K sums take the Euler-Maclaurin tail),
+two plate pairs (eps = 2 against a mirror, and a tabulated pair whose
+table nodes split the frequency integrals into panels) and the three
+thermal regimes, for the three pressure routes. n_evals and converged
+are pinned exactly and the value to 1e-12 relative, so a refactor that
+is meant to keep every result's bits shows here when it moves the work
+of any regime. A change of the refinement rule moves these pins on
+purpose and says so.
+"""
+
+import pytest
+
+from kerrcasimir import (LayerStack, MaterialResponse, Temperature,
+                         pressure_linear, pressure_nonlinear,
+                         pressure_transparent_mirror)
+
+CHI3 = 2e-16
+GAP = 1e-8
+TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
+TABLE_LIN = ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0),
+             (1e17, 1.05))
+TEMPERATURES = {"zero": Temperature.zero(),
+                "finite": Temperature.finite(300.0),
+                "high": Temperature.high(300.0)}
+PLATES = {
+    "eps2_mirror": lambda: (MaterialResponse.constant(2.0, chi3=CHI3),
+                            MaterialResponse.perfect_mirror()),
+    "tabulated": lambda: (MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+                          MaterialResponse.from_table(TABLE_LIN)),
+}
+ROUTES = {"linear": pressure_linear, "nonlinear": pressure_nonlinear}
+
+# (route, plates, regime): (value in Pa, n_evals, converged), default
+# rel_tol of each route
+PINS = {
+    ("linear", "eps2_mirror", "zero"): (20660.27802754803, 5568, True),
+    ("nonlinear", "eps2_mirror", "zero"): (675.2576375671712, 4320, True),
+    ("linear", "tabulated", "zero"): (7559.907210115187, 18496, True),
+    ("nonlinear", "tabulated", "zero"): (97.28261272820706, 13840, True),
+    ("linear", "eps2_mirror", "finite"): (20660.278029491707, 6016, True),
+    ("nonlinear", "eps2_mirror", "finite"): (675.2576375189287, 4960, True),
+    ("linear", "tabulated", "finite"): (7559.975544684863, 43904, True),
+    ("nonlinear", "tabulated", "finite"): (97.28870304827346, 28368, True),
+    ("linear", "eps2_mirror", "high"): (57.48782036460648, 64, True),
+    ("nonlinear", "eps2_mirror", "high"): (0.004563570871253514, 64, True),
+    ("linear", "tabulated", "high"): (159.5767529912864, 64, True),
+    ("nonlinear", "tabulated", "high"): (1.8619151601946467e-05, 64, True),
+    ("transparent", "mirror", "zero"): (2580.0511940237325, 64, True),
+    ("transparent", "mirror", "finite"): (2580.0511938482746, 74, True),
+    ("transparent", "mirror", "high"): (0.020396243895648467, 1, True),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINS), ids="-".join)
+def test_work_per_regime_is_pinned(key):
+    route, plates, regime = key
+    temp = TEMPERATURES[regime]
+    if route == "transparent":
+        res = pressure_transparent_mirror(GAP, temp, CHI3)
+    else:
+        res = ROUTES[route](LayerStack(*PLATES[plates](), GAP, temp))
+    value, n_evals, converged = PINS[key]
+    assert (res.n_evals, res.converged) == (n_evals, converged)
+    assert res.value == pytest.approx(value, rel=1e-12)

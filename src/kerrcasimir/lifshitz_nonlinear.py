@@ -67,8 +67,9 @@ quadrature module's frequency drivers, which sum the linear pressure
 too. Each level of a frequency integral, and the Euler-Maclaurin head
 of a thermal sum, hands all its frequencies to one _frequency_vectors
 batch: one kernel call per momentum level for all of them, each
-frequency stopping by its own tolerance test. Only the
-finite-temperature series asks for one frequency at a time.
+frequency stopping by its own tolerance test. The finite-temperature
+series hands over a block of frequencies at a time, as many as its
+geometric tail estimate predicts it still needs.
 
 The dual route, pressure_transparent_mirror, integrates the closed
 kernel of a transparent plate and a mirror over both momenta exactly
@@ -188,8 +189,8 @@ def _separable_double_sum(frequency, temperature, n_star, rel_tol,
     the thermal indices of the table nodes), the head plus the
     integrated tail or the series at finite temperature, and
     <f_0/2, f_0/2> in the classical limit. Each level of the thermal
-    integrals, and the Euler-Maclaurin head, is one _frequency_vectors
-    batch.
+    integrals, the Euler-Maclaurin head and each block of the series is
+    one _frequency_vectors batch.
 
     Returns
     -------

@@ -61,7 +61,12 @@ rows of one batch, each row stopping by the same rule as alone. A
 vectorized integrand of integrate_semi_infinite is a row term already;
 the scalar-term contracts of matsubara_sum and integrate_semi_infinite
 are adapted to row terms in one place (_rowwise). The finite-temperature
-series and the classical limit pass one index per call.
+series asks for its terms in blocks: the first runs to the budget B of
+the decay scale (_series_budget), each later one holds the terms its
+geometric tail estimate still predicts, at most _SERIES_BLOCK. It folds
+them one at a time in index order under its stopping rule, so a block
+moves no value, error or flag; n_evals counts the terms evaluated past
+the stop too. The classical limit passes index 0 alone.
 """
 
 import math
@@ -139,16 +144,23 @@ class _Books:
         if isinstance(terms, np.ndarray):
             self.n_evals += len(terms)
             return terms
-        values = []
-        for res in terms:
-            if isinstance(res, QuadratureResult):
-                self.n_evals += res.n_evals
-                self.ok = self.ok and res.converged
-                res = res.value
-            else:
-                self.n_evals += 1
-            values.append(res)
+        values, flags = self._count(terms)
+        self.ok = self.ok and all(flags)
         return values
+
+    def entries(self, ns):
+        """The values of ns and one flag each, the flags left out of the
+        books': the series keeps those of the terms it folds."""
+        return self._count(self.rows(ns))
+
+    def _count(self, terms):
+        values, flags = [], []
+        for res in terms:
+            res = _as_result(res)
+            self.n_evals += res.n_evals
+            values.append(res.value)
+            flags.append(res.converged)
+        return values, flags
 
     def close(self, res):
         """res, an attempt over these books, with their work and flags."""
@@ -448,6 +460,15 @@ _TAIL_HEAD = 8
 _TAIL_MAX_LEVEL = 256
 # f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
+# most terms in one block of the finite-temperature series: a bound on
+# the momentum batch it hands to the row driver
+_SERIES_BLOCK = 64
+
+
+def _series_budget(n_star, rel_tol):
+    # B: the series terms that a term ~exp(-2n/n_star) takes to fall
+    # to rel_tol of the sum
+    return -0.5 * n_star * math.log(rel_tol)
 
 
 def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
@@ -473,7 +494,7 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     if not (0.0 < rel_tol < 1.0
             and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
         return None
-    budget = -0.5 * n_star * math.log(rel_tol)
+    budget = _series_budget(n_star, rel_tol)
     n0 = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
                              if b < budget])
     light = [float(b) for b in breaks if b >= budget]
@@ -513,7 +534,9 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
       beyond the head). Otherwise, or if that misses rel_tol, the
       series is summed until a geometric bound on the remaining tail,
       estimated from the last three steps of value(partial sum), drops
-      below rel_tol relative to value(partial sum).
+      below rel_tol relative to value(partial sum). Its terms are
+      evaluated in blocks (see the module docstring) and summed in
+      index order.
     * "high": only the halved n = 0 term survives, value(term(0) / 2),
       and its error is scaled like the value (1/2 for value = float,
       1/4 for a quadratic form).
@@ -533,7 +556,9 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     -------
     QuadratureResult
         n_evals counts the innermost evaluations of every attempt; the
-        flag is that of the attempt whose value is returned.
+        flag is that of the attempt whose value is returned. The series'
+        n_evals includes the terms its last block evaluated past the
+        stop, whose values and flags it does not use.
     """
     _check_rel_tol(rel_tol)
     return _matsubara_rows(_rowwise(term), temperature, rel_tol, max_terms,
@@ -543,8 +568,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
 def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
                     zero_scale=1.0, zero_breaks=(), value=float):
     # matsubara_sum of a row term (see _Books): one call per level of the
-    # zero-T integral, for the Euler-Maclaurin head and per level of its
-    # tail; the series and the classical limit pass one index at a time
+    # zero-T integral, for the Euler-Maclaurin head, per level of its tail
+    # and per block of the series; the classical limit passes index 0
     kind = temperature.kind
     if kind == "high":
         res = _as_result(rows([0])[0])
@@ -560,15 +585,33 @@ def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
         return books.close(tail)
     books = _Books(rows, books.n_evals)
 
-    total = 0.5 * books([0])[0]
+    def block(start, size):
+        # the values and flags of the next size terms from index start:
+        # at least one, at most _SERIES_BLOCK, none past max_terms
+        size = math.ceil(min(size, _SERIES_BLOCK)) if size >= 1.0 else 1
+        end = min(start + size, max(max_terms, start) + 1)
+        return zip(*books.entries(range(start, end)))
+
+    terms = block(0, max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0)
+    t, ok = next(terms)
+    total = 0.5 * t
     cur = value(total)
     last = []
-    est = math.inf
+    est, r = math.inf, 1.0
     converged = False
     n = 0
     while n < max_terms and not converged:
         n += 1
-        t = books([n])[0]
+        step = next(terms, None)
+        if step is None:
+            # a float sum is projected to its limit, so that the block
+            # ends where the estimate first meets the rule
+            ahead = t * r / (1.0 - r) if value is float and r < 1.0 else 0.0
+            terms = block(n, _terms_to_go(est, r,
+                                          rel_tol * abs(cur + ahead)))
+            step = next(terms)
+        t, flag = step
+        ok = ok and flag
         total = total + t
         prev, cur = cur, value(total)
         # a float term is its own step, exact where the difference of
@@ -584,7 +627,15 @@ def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
                 if r < 1.0:
                     est = last[2] * r / (1.0 - r)
                     converged = est <= rel_tol * abs(cur)
-    return books.close(QuadratureResult(cur, est, n + 1, converged))
+    return books.close(QuadratureResult(cur, est, n + 1, converged and ok))
+
+
+def _terms_to_go(est, r, target):
+    # the terms a geometric tail estimate est, shrinking by r a term,
+    # takes to fall to target; 1 where it predicts nothing
+    if 0.0 < r < 1.0 and 0.0 < target < est < math.inf:
+        return (math.log(target) - math.log(est)) / math.log(r)
+    return 1.0
 
 
 def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,

@@ -426,6 +426,7 @@ def test_matsubara_sum_flags_slow_decay():
     res = matsubara_sum(lambda n: 1.0 / (1.0 + n) ** 1.01, temp,
                         rel_tol=1e-10, max_terms=500)
     assert not res.converged
+    assert res.n_evals <= 500 + 1
 
 
 def test_matsubara_sum_euler_maclaurin_tail():
@@ -649,6 +650,122 @@ def test_matsubara_sum_keeps_the_series_below_threshold():
 
     assert matsubara_sum(term, temp, zero_scale=12.0) \
         == matsubara_sum(term, temp)
+
+
+def _series_replay(term, rel_tol, max_terms, value):
+    # the series' stopping rule taking one index at a time: value, error,
+    # flag and the last index folded
+    total = 0.5 * term(0)
+    cur, last, est, converged, n = value(total), [], math.inf, False, 0
+    while n < max_terms and not converged:
+        n += 1
+        t = term(n)
+        total = total + t
+        prev, cur = cur, value(total)
+        last = (last + [abs(t if value is float else cur - prev)])[-3:]
+        if len(last) == 3 and n >= 4:
+            if last[2] == 0.0:
+                est, converged = 0.0, True
+            elif last[0] > 0.0 and last[1] > 0.0:
+                r = max(last[2] / last[1], last[1] / last[0])
+                if r < 1.0:
+                    est = last[2] * r / (1.0 - r)
+                    converged = est <= rel_tol * abs(cur)
+    return cur, est, converged, n
+
+
+def _tabulated_like(s):
+    # decays over n ~ s/2 at a rate that changes at two kinks, as a term
+    # of a tabulated permittivity does
+    return lambda n: math.exp(-2.0 * n / s) * (
+        1.0 + 0.3 * abs(n - 0.7 * s) / s + 2.0 * max(n - 2.3 * s, 0.0) / s)
+
+
+class _Recorded:
+    """Stand-in row term: term at each index, each call's indices kept."""
+
+    def __init__(self, term):
+        self.term, self.calls = term, []
+
+    def __call__(self, ns):
+        self.calls.append(list(ns))
+        return [self.term(n) for n in self.calls[-1]]
+
+    @property
+    def indices(self):
+        return [n for call in self.calls for n in call]
+
+
+def _series(rows, rel_tol, s, value=float, max_terms=20000):
+    # the finite-temperature series alone, even where the Euler-Maclaurin
+    # tail would take over (n* = 30 at rel_tol 1e-6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_euler_maclaurin", lambda *args, **kw: None)
+        return quadrature._matsubara_rows(rows, _WARM, rel_tol,
+                                          max_terms=max_terms, zero_scale=s,
+                                          value=value)
+
+
+@pytest.mark.parametrize("kind", ["float", "array"])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("s", [1.0, 6.0, 30.0])
+@pytest.mark.parametrize("shape", ["geometric", "tabulated"])
+def test_blocked_series_matches_the_one_index_replay(shape, s, rel_tol,
+                                                     kind):
+    # the series asks for blocks of terms but folds them one at a time:
+    # value, error and flag are those of the one-index rule, bit for bit
+    f = _decay(s) if shape == "geometric" else _tabulated_like(s)
+    term, value = f, float
+    if kind == "array":
+        term, value = (lambda n: np.full(2, f(n))), _product
+    rows = _Recorded(term)
+    res = _series(rows, rel_tol, s, value)
+    cur, est, converged, stop = _series_replay(term, rel_tol, 20000, value)
+    assert converged
+    assert (res.value, res.error, res.converged) == (cur, est, converged)
+    # each index once and in order, every one counted
+    indices = rows.indices
+    assert indices == list(range(len(indices))) and res.n_evals == len(indices)
+    # one call per full block up to the stop, and at most one more
+    assert len(rows.calls) <= stop // quadrature._SERIES_BLOCK + 2
+    # past the stop: the rest of the first block (indices up to the
+    # budget B), or at most two terms
+    first = len(rows.calls[0]) - 1
+    assert first == min(max(4, math.ceil(-0.5 * s * math.log(rel_tol))),
+                        quadrature._SERIES_BLOCK - 1)
+    assert stop <= indices[-1] <= max(stop + 2, first)
+
+
+@pytest.mark.parametrize("max_terms", [0, 3, 20, 70, 130])
+def test_blocked_series_stops_at_max_terms(max_terms):
+    # n* = 30 at rel_tol 1e-10 takes about 350 terms: every run here is
+    # cut by max_terms, which no block reaches past
+    rows = _Recorded(_tabulated_like(30.0))
+    res = _series(rows, 1e-10, 30.0, max_terms=max_terms)
+    cur, est, _, stop = _series_replay(rows.term, 1e-10, max_terms, float)
+    assert (res.value, res.error, res.converged) == (cur, est, False)
+    assert rows.indices == list(range(max_terms + 1)) == list(range(stop + 1))
+
+
+def test_blocked_series_flags_only_the_terms_it_folds():
+    # the last block may run past the stop; the flags of those terms,
+    # whose values are not used, do not reach the result, their work does
+    term = _decay(6.0)
+    stop = _series_replay(term, 1e-6, 20000, float)[3]
+    plain = _Recorded(term)
+    res = _series(plain, 1e-6, 6.0)
+    assert plain.indices[-1] > stop
+
+    def flagged(bad):
+        return _Recorded(lambda n: QuadratureResult(term(n), 0.0, 2,
+                                                    not bad(n)))
+
+    rows = flagged(lambda n: n > stop)
+    past = _series(rows, 1e-6, 6.0)
+    assert (past.value, past.error, past.converged) \
+        == (res.value, res.error, True)
+    assert past.n_evals == 2 * res.n_evals == 2 * len(rows.indices)
+    assert not _series(flagged(lambda n: n == stop), 1e-6, 6.0).converged
 
 
 def test_double_matsubara_separable():

@@ -3,11 +3,12 @@
 One gap (10 nm, where the 300 K sums take the Euler-Maclaurin tail),
 two plate pairs (eps = 2 against a mirror, and a tabulated pair whose
 table nodes split the frequency integrals into panels) and the three
-thermal regimes, for the three pressure routes. n_evals and converged
-are pinned exactly and the value to 1e-12 relative, so a refactor that
-is meant to keep every result's bits shows here when it moves the work
-of any regime. A change of the refinement rule moves these pins on
-purpose and says so.
+thermal regimes, for the three pressure routes; and at 300 nm, where
+the 300 K sums are the plain series, the same routes and plates at
+300 K. n_evals and converged are pinned exactly and the value to 1e-12
+relative, so a refactor that is meant to keep every result's bits shows
+here when it moves the work of any regime. A change of the refinement
+rule moves these pins on purpose and says so.
 """
 
 import pytest
@@ -53,14 +54,35 @@ PINS = {
 }
 
 
+# (route, plates): the same at SERIES_GAP and 300 K, where the series
+# evaluates its terms in blocks and n_evals counts those it evaluated
+# past its stop
+SERIES_GAP = 3e-7
+SERIES_PINS = {
+    ("linear", "eps2_mirror"): (0.025506951831190987, 5120, True),
+    ("nonlinear", "eps2_mirror"): (1.0290831243727505e-09, 2560, True),
+    ("linear", "tabulated"): (0.053891248408988304, 4480, True),
+    ("nonlinear", "tabulated"): (6.06151714955183e-11, 2656, True),
+    ("transparent", "mirror"): (3.932192716437291e-09, 51, True),
+}
+
+
+def _check_pin(route, plates, gap, temp, pin):
+    if route == "transparent":
+        res = pressure_transparent_mirror(gap, temp, CHI3)
+    else:
+        res = ROUTES[route](LayerStack(*PLATES[plates](), gap, temp))
+    value, n_evals, converged = pin
+    assert (res.n_evals, res.converged) == (n_evals, converged)
+    assert res.value == pytest.approx(value, rel=1e-12)
+
+
 @pytest.mark.parametrize("key", sorted(PINS), ids="-".join)
 def test_work_per_regime_is_pinned(key):
     route, plates, regime = key
-    temp = TEMPERATURES[regime]
-    if route == "transparent":
-        res = pressure_transparent_mirror(GAP, temp, CHI3)
-    else:
-        res = ROUTES[route](LayerStack(*PLATES[plates](), GAP, temp))
-    value, n_evals, converged = PINS[key]
-    assert (res.n_evals, res.converged) == (n_evals, converged)
-    assert res.value == pytest.approx(value, rel=1e-12)
+    _check_pin(route, plates, GAP, TEMPERATURES[regime], PINS[key])
+
+
+@pytest.mark.parametrize("key", sorted(SERIES_PINS), ids="-".join)
+def test_series_work_is_pinned(key):
+    _check_pin(*key, SERIES_GAP, TEMPERATURES["finite"], SERIES_PINS[key])

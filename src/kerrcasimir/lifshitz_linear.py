@@ -18,6 +18,9 @@ frequencies x_n = 2 pi n kB T d / (hbar c),
 which the quadrature module turns into the continuous-frequency
 integral at zero temperature and into the halved n = 0 term in the
 classical high-temperature limit. Positive pressure means attraction.
+The Kerr correction sums over the same frequencies (_frequencies), and
+the d-independent coefficients of both parts at zero temperature and
+in the classical limit are these sums at x = n.
 
 The s-channel reflection vanishes identically at x = 0 for every
 material, the symbolic mirror included; that zero-frequency
@@ -108,10 +111,21 @@ def _dot(w, vals):
     return float(w @ vals), None
 
 
-def _n_star(temperature, d):
-    # thermal index at which xi reaches c/d: the kernel's decay scale
-    return HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
-                             * temperature.kelvin * d)
+def _frequencies(stack):
+    # the thermal frequencies of the stack, which both pressure parts
+    # sum: the map from thermal indices n to (x, eps1, eps3) at
+    # x = xi_n d / c; the terms' decay scale n*, the index at which xi
+    # reaches c/d; and the thermal indices of the table nodes (kinks)
+    temp, d = stack.temperature, stack.gap
+
+    def frequency(ns):
+        xi = temp.xi(np.asarray(ns, dtype=float))
+        return (xi * d / C_LIGHT, stack.layer1.permittivity(xi),
+                stack.layer3.permittivity(xi))
+
+    n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
+                               * temp.kelvin * d)
+    return frequency, n_star, stack.breakpoints / temp.xi(1)
 
 
 def _inner_tol(rel_tol):
@@ -139,22 +153,15 @@ def pressure_linear(stack, rel_tol=1e-8):
         rel_tol outside (0, 1) raises (ValueError).
     """
     _check_rel_tol(rel_tol)
-    d = stack.gap
     temp = stack.temperature
     inner_tol = max(0.1 * rel_tol, 1e-12)
     continuum = temp.kind == "zero"
-
-    def terms(ns):
-        xi = temp.xi(np.asarray(ns, dtype=float))
-        return _g_hat(xi * d / C_LIGHT, stack.layer1.permittivity(xi),
-                      stack.layer3.permittivity(xi), inner_tol,
-                      continuum=continuum)
-
-    prefactor = K_BOLTZMANN * temp.kelvin / (math.pi * d ** 3)
-    msum = _matsubara_rows(terms, temp, rel_tol=rel_tol,
-                           zero_scale=_n_star(temp, d),
-                           zero_breaks=stack.breakpoints / temp.xi(1))
-    return msum.scaled(prefactor)
+    frequency, n_star, kinks = _frequencies(stack)
+    msum = _matsubara_rows(
+        lambda ns: _g_hat(*frequency(ns), inner_tol, continuum=continuum),
+        temp, rel_tol, zero_scale=n_star, zero_breaks=kinks)
+    return msum.scaled(K_BOLTZMANN * temp.kelvin
+                       / (math.pi * stack.gap ** 3))
 
 
 def _coefficient_tol(rel_tol):
@@ -164,16 +171,16 @@ def _coefficient_tol(rel_tol):
 
 @lru_cache(maxsize=256)
 def _i_lin_raw(limit, eps1, eps3, rel_tol):
-    # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult
-    if limit == "zero":
-        inner_tol = _inner_tol(rel_tol)
-        res = _matsubara_rows(
-            lambda x: _g_hat(x, eps1, eps3, inner_tol, continuum=True),
-            Temperature.zero(), rel_tol=rel_tol)
-        c = 2.0 * math.pi ** 2
-    else:
-        res, = _g_hat(np.zeros(1), eps1, eps3, rel_tol)
-        c = 2.0 * math.pi
+    # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult: the
+    # thermal sum of g at x = n over pi, and at zero T over the 2 pi of
+    # the spacing of x_n too. The classical limit's one momentum
+    # integral is the whole sum and runs at rel_tol
+    zero = limit == "zero"
+    inner_tol = _inner_tol(rel_tol) if zero else rel_tol
+    res = _matsubara_rows(
+        lambda ns: _g_hat(ns, eps1, eps3, inner_tol, continuum=zero),
+        Temperature(limit, 1.0), rel_tol)
+    c = 2.0 * math.pi ** 2 if zero else math.pi
     return replace(res, value=res.value / c, error=res.error / c)
 
 

@@ -63,13 +63,15 @@ diagonal W(x, x)), and the double sum or double integral is the
 contraction of the summed or integrated vectors: O(N) momentum
 integrals for N frequencies, where a quadrature per pair costs
 O(N**2). The vectors are summed or integrated as array terms by the
-quadrature module's frequency drivers, which sum the linear pressure
-too. Each level of a frequency integral, and the Euler-Maclaurin head
-of a thermal sum, hands all its frequencies to one _frequency_vectors
-batch: one kernel call per momentum level for all of them, each
-frequency stopping by its own tolerance test. The finite-temperature
-series hands over a block of frequencies at a time, as many as its
-geometric tail estimate predicts it still needs.
+quadrature module's frequency driver, over the frequencies that the
+linear pressure sums too (lifshitz_linear._frequencies), with the
+value <F, F> (_gram). The zero-temperature and classical coefficients
+are the same sum at x = n. Each level of a frequency integral, and
+the Euler-Maclaurin head of a thermal sum, hands all its frequencies
+to one _frequency_vectors batch: one kernel call per momentum level
+for all of them, each frequency stopping by its own tolerance test.
+The finite-temperature series hands over a block of frequencies at a
+time, as many as its geometric tail estimate predicts it still needs.
 
 The dual route, pressure_transparent_mirror, integrates the closed
 kernel of a transparent plate and a mirror over both momenta exactly
@@ -85,8 +87,8 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_coefficient_tol, _i_lin_raw, _inner_tol,
-                              _n_star, _scales, as_permittivity,
+from .lifshitz_linear import (_coefficient_tol, _frequencies, _i_lin_raw,
+                              _inner_tol, _scales, as_permittivity,
                               pressure_linear)
 from .materials import LayerStack, MaterialResponse
 from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
@@ -94,7 +96,6 @@ from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
-_I_HIGH_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 4)
 _INNER_MAX_LEVEL = 1024
 
 # 1/(a + b) = int_0^inf e^(-t a) e^(-t b) dt, trapezoidal in s = ln t
@@ -149,19 +150,21 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
     """Separable factors of the kernel at each scaled frequency of x.
 
     x is a 1-D array, eps1 and eps3 floats or one permittivity per
-    frequency. Returns one (f, res) per frequency. The rows of f are
-    U1, U2, V1, V2 with U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y))
-    and V_k the same with B_k; both share the y nodes of
-    semi_infinite_nodes(m, max(1, sqrt(x))), each evaluated once. res
-    is the refinement of the diagonal W(x, x) = _contract(f, f), n_evals
-    its distinct nodes, and f belongs to its last level. The row driver
+    frequency. Returns one QuadratureResult per frequency, whose value
+    is the 4 x 127 array f: its rows are U1, U2, V1, V2 with
+    U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y)) and V_k the same
+    with B_k; both share the y nodes of semi_infinite_nodes(m,
+    max(1, sqrt(x))), each evaluated once. Error, n_evals (its distinct
+    nodes) and flag are those of the refinement of the diagonal
+    W(x, x) = _gram(f), and f belongs to its last level. The row driver
     refines all frequencies with one _kernel_vectors call per level;
     only A_k, B_k and kappa1 are kept per node, and each level's
     contraction recomputes the coupling exponentials of its rows.
     """
     x = np.asarray(x, dtype=float)
-    return _refine_rows(_node_vectors, _level_vectors, _scales(x.tolist()),
-                        rel_tol, _INNER_MAX_LEVEL, x, eps1, eps3)
+    return [replace(res, value=f) for f, res in _refine_rows(
+        _node_vectors, _level_vectors, _scales(x.tolist()), rel_tol,
+        _INNER_MAX_LEVEL, x, eps1, eps3)]
 
 
 def _node_vectors(y, x, eps1, eps3):
@@ -173,42 +176,13 @@ def _level_vectors(w, vals):
     # one row's frequency vectors f at a level, and their W(x, x)
     f = (w * vals[:, :4].T) @ np.exp(
         np.multiply.outer(vals[:, 4], -_COUPLING_T))
-    return _contract(f, f), f
+    return _gram(f), f
 
 
-def _separable_double_sum(frequency, temperature, n_star, rel_tol,
-                          breaks=()):
-    """sum'_n sum'_m W(x_n, x_m) contracted from per-frequency vectors.
-
-    frequency(n) gives (x, eps1, eps3) at the array n of thermal
-    indices: one of each per index, or a float for all. The double sum
-    is <F, F> = _contract(F, F) of the single sum F = sum'_n f_n of
-    the frequency vectors, so matsubara_sum sums the 4 x 127 arrays f_n
-    elementwise with value <F, F>, in every regime: the integral over
-    continuous n at zero temperature (n_star the decay scale, breaks
-    the thermal indices of the table nodes), the head plus the
-    integrated tail or the series at finite temperature, and
-    <f_0/2, f_0/2> in the classical limit. Each level of the thermal
-    integrals, the Euler-Maclaurin head and each block of the series is
-    one _frequency_vectors batch.
-
-    Returns
-    -------
-    QuadratureResult
-        n_evals counts the distinct momentum nodes of every frequency in
-        every attempt, and the flag covers the momentum quadratures of
-        the attempt returned.
-    """
-    inner_tol = _inner_tol(rel_tol)
-
-    def vectors(ns):
-        return [QuadratureResult(f, res.error, res.n_evals, res.converged)
-                for f, res in _frequency_vectors(
-                    *frequency(np.asarray(ns, dtype=float)), inner_tol)]
-
-    return _matsubara_rows(vectors, temperature, rel_tol, zero_scale=n_star,
-                           zero_breaks=breaks,
-                           value=lambda total: _contract(total, total))
+def _gram(f):
+    # <F, F>: the double sum or integral of W from the single one F of
+    # the frequency vectors, the value of every Kerr thermal sum
+    return _contract(f, f)
 
 
 def _kerr_pressure(dsum, temperature, d, chi3):
@@ -238,17 +212,13 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
         return _NO_KERR
-    temp = st.temperature
-    x_factor = st.gap / C_LIGHT
-
-    def frequency(ns):
-        xi = temp.xi(ns)
-        return (xi * x_factor, st.layer1.permittivity(xi),
-                st.layer3.permittivity(xi))
-
-    dsum = _separable_double_sum(frequency, temp, _n_star(temp, st.gap),
-                                 rel_tol, st.breakpoints / temp.xi(1))
-    return _kerr_pressure(dsum, temp, st.gap, chi3)
+    inner_tol = _inner_tol(rel_tol)
+    frequency, n_star, kinks = _frequencies(st)
+    dsum = _matsubara_rows(
+        lambda ns: _frequency_vectors(*frequency(ns), inner_tol),
+        st.temperature, rel_tol, zero_scale=n_star, zero_breaks=kinks,
+        value=_gram)
+    return _kerr_pressure(dsum, st.temperature, st.gap, chi3)
 
 
 # Transparent plate and mirror: W_ct(x, x') = -sum_j c_j(x, x') K_j(x + x'),
@@ -336,13 +306,15 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
 
 @lru_cache(maxsize=128)
 def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
-    # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult
-    if limit == "zero":
-        res = _separable_double_sum(lambda x: (x, eps_nl, eps_lin),
-                                    Temperature.zero(), 1.0, rel_tol)
-        return res.scaled(-_I_ZERO_FACTOR)
-    (_, res), = _frequency_vectors(np.zeros(1), eps_nl, eps_lin, rel_tol)
-    return res.scaled(-_I_HIGH_FACTOR)
+    # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult: the
+    # double sum <F, F> at x = n, scaled as for _i_lin_raw (_PREFACTOR
+    # over the square of that 2 pi at zero temperature)
+    zero = limit == "zero"
+    inner_tol = _inner_tol(rel_tol) if zero else rel_tol
+    res = _matsubara_rows(
+        lambda ns: _frequency_vectors(ns, eps_nl, eps_lin, inner_tol),
+        Temperature(limit, 1.0), rel_tol, value=_gram)
+    return res.scaled(-_I_ZERO_FACTOR if zero else -_PREFACTOR)
 
 
 def _i_nl(limit, eps_nl, eps_lin, rel_tol):

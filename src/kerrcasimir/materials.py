@@ -167,13 +167,20 @@ class MaterialResponse:
         return base + ", chi3=%r)" % self.chi3
 
 
+# smallest gap: its eighth power is a normal float (2**-1016)
+_MIN_GAP = 2.0 ** -127
+
+
 @dataclass(frozen=True)
 class LayerStack:
     """Two parallel plates separated by a vacuum gap.
 
     layer1 and layer3 are the plate responses, gap is the separation d
     in meters, temperature the thermal state. At most one plate may
-    carry a Kerr response.
+    carry a Kerr response. The gap must be finite and at least
+    2**-127 m (about 5.9e-39 m), so that d**8, the zero-temperature
+    power law of the Kerr part, is a normal float; anything else raises
+    MaterialError.
     """
 
     layer1: MaterialResponse
@@ -182,8 +189,8 @@ class LayerStack:
     temperature: Temperature
 
     def __post_init__(self):
-        if not (self.gap > 0.0 and math.isfinite(self.gap)):
-            raise MaterialError("gap must be positive and finite")
+        if not _MIN_GAP <= self.gap < math.inf:  # NaN included
+            raise MaterialError("gap must be finite and at least 2**-127 m")
         if self.layer1.has_kerr and self.layer3.has_kerr:
             raise MaterialError(
                 "at most one plate may carry a Kerr response")

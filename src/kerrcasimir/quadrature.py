@@ -517,8 +517,10 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
         breaks=[b - start for b in light])
     bound = rel_tol * abs(res.value)
     last_err = abs(value(total + last) - res.value)
+    # n_star is capped where its square would overflow: that overstates
+    # only a bound below 1e-300 of the sum
     err = res.error + last_err + 2.0 * abs(res.value) * math.fsum(
-        math.exp(-2.0 * b / n_star) for b in light) / n_star ** 2
+        math.exp(-2.0 * b / n_star) for b in light) / min(n_star, 1e150) ** 2
     return QuadratureResult(res.value, err, res.n_evals, res.converged
                             and err <= bound and last_err <= 0.1 * bound)
 
@@ -550,7 +552,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     term may return a float, an array or a QuadratureResult holding
     either (see the module docstring); arrays are summed elementwise
     and value maps the sum to the float returned. A rel_tol outside
-    (0, 1), NaN included, raises ValueError.
+    (0, 1), NaN included, raises ValueError, and so does a zero_scale
+    that is not positive and finite, in every regime.
 
     Returns
     -------
@@ -561,6 +564,7 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
         stop, whose values and flags it does not use.
     """
     _check_rel_tol(rel_tol)
+    _check_scale(zero_scale)
     return _matsubara_rows(_rowwise(term), temperature, rel_tol, max_terms,
                            zero_scale, zero_breaks, value)
 

@@ -462,6 +462,32 @@ def test_zero_t_rows_reject_a_kerr_mirror(capsys):
             == "error: a perfect mirror cannot carry a Kerr response\n"
 
 
+def test_a_gap_below_the_bound_is_a_configuration_error(capsys):
+    # --gap 1e-100 used to end in a ZeroDivisionError traceback
+    for argv in (["pressure", "--gap", "1e-100"],
+                 ["pressure", "--gap", "1e-150", "--regime", "finite"],
+                 ["scan-distance", "--d-min", "1e-100", "--d-count", "3"],
+                 ["transparent", "--gap", "1e-150"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == "error: gap must be finite and at least 2**-127 m\n"
+
+
+def test_an_unconverged_coefficient_table_exits_two(capsys, monkeypatch):
+    # scan-epsilon raises UnconvergedError for an unconverged
+    # coefficient: no table, an error line and exit status 2
+    real = ll._i_lin_raw
+    monkeypatch.setattr(ll, "_i_lin_raw", lambda *args: dataclasses.replace(
+        real(*args), converged=False))
+    assert main(["scan-epsilon", "--limit", "high"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: high-temperature pressure integral " \
+        "missed tolerance 1e-09\n"
+
+
 def _count_calls(monkeypatch, module, name):
     # counts calls of module.name, starting from empty coefficient caches
     ln._i_nl_raw.cache_clear()
@@ -478,8 +504,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
-    # a count, not a timing: it does not depend on the machine
-    calls = _count_calls(monkeypatch, ln, "_separable_double_sum")
+    # a count, not a timing: it does not depend on the machine; each Kerr
+    # pressure or coefficient is one thermal sum of the Kerr module
+    calls = _count_calls(monkeypatch, ln, "_matsubara_rows")
     status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
     assert status == 0 and len(_parse_csv(out)[2]) == 25
     assert len(calls) == 1
@@ -506,7 +533,7 @@ def test_zero_t_scan_refines_each_frequency_level_at_once(capsys,
 
 
 def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
-    calls = _count_calls(monkeypatch, ln, "_separable_double_sum")
+    calls = _count_calls(monkeypatch, ln, "_matsubara_rows")
     for gap in (1e-8, 1e-7):
         stack = LayerStack(MaterialResponse.constant(2.0, chi3=2e-16),
                            MaterialResponse.perfect_mirror(), gap,
@@ -535,7 +562,7 @@ def test_crossover_after_a_zero_t_scan_reuses_its_coefficients(
         capsys, monkeypatch):
     # rows and crossover take the linear coefficient at one tolerance
     g_hats = _count_calls(monkeypatch, ll, "_g_hat")
-    double_sums = _count_calls(monkeypatch, ln, "_separable_double_sum")
+    double_sums = _count_calls(monkeypatch, ln, "_matsubara_rows")
     assert _run(capsys, ["scan-distance", "--regime", "zero"])[0] == 0
     assert len(g_hats) > 0 and len(double_sums) == 1
     del g_hats[:], double_sums[:]

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad, quad
 
 from kerrcasimir import lifshitz_linear, quadrature
 from kerrcasimir.constants import C_LIGHT, HBAR, K_BOLTZMANN
-from kerrcasimir.errors import MaterialError
+from kerrcasimir.errors import MaterialError, UnconvergedError
 from kerrcasimir.lifshitz_linear import (_g_hat, i_lin_high_t, i_lin_zero_t,
                                          pressure_linear)
 from kerrcasimir.materials import LayerStack, MaterialResponse
@@ -372,6 +372,12 @@ def test_linear_coefficients_reject_a_bad_rel_tol(rel_tol):
     for coefficient in (i_lin_zero_t, i_lin_high_t):
         with pytest.raises(ValueError, match="rel_tol"):
             coefficient(2.0, 3.0, rel_tol=rel_tol)
+
+
+def test_linear_coefficient_raises_when_unconverged():
+    # at 1e-16 the zero-T frequency integral stops at its 256-node cap
+    with pytest.raises(UnconvergedError, match="zero-temperature"):
+        i_lin_zero_t(2.0, INF, rel_tol=1e-16)
 
 
 def _tabulated_row(x, d=1e-7):

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          MaterialError, MaterialResponse, Temperature,
-                         casimir_pressure, crossover_distance,
+                         UnconvergedError, casimir_pressure, crossover_distance,
                          double_matsubara_sum, i_nl_high_t, i_nl_zero_t,
                          integrate_semi_infinite, matsubara_sum,
                          pressure_nonlinear, pressure_transparent_mirror)
@@ -252,11 +252,12 @@ def test_separable_kernel_matches_direct_pair_quadrature():
              (18.0, 18.0, (5.0, 2.0), (5.0, 2.0)),
              (0.4, 3.0, tabulated(0.4), tabulated(3.0))]
     for x, xp, eps, eps_p in cases:
-        (f, res), = _frequency_vectors(np.array([x]), *eps, 1e-10)
-        (fp, res_p), = _frequency_vectors(np.array([xp]), *eps_p, 1e-10)
+        res, = _frequency_vectors(np.array([x]), *eps, 1e-10)
+        res_p, = _frequency_vectors(np.array([xp]), *eps_p, 1e-10)
         direct = _w_direct(x, xp, eps, eps_p, 1e-10)
         assert res.converged and res_p.converged and direct.converged
-        assert _contract(f, fp) == pytest.approx(direct.value, rel=1e-8)
+        assert _contract(res.value, res_p.value) \
+            == pytest.approx(direct.value, rel=1e-8)
 
 
 def test_pressure_nonlinear_orients_kerr_plate_first():
@@ -564,11 +565,11 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
 
     def flaky(xs, *args):
         rows = []
-        for x, (f, res) in zip(xs, _frequency_vectors(xs, *args)):
+        for x, res in zip(xs, _frequency_vectors(xs, *args)):
             if abs(x / x1 - round(x / x1)) > 1e-6:
                 flagged.append(x)
                 res = dataclasses.replace(res, converged=False)
-            rows.append((f, res))
+            rows.append(res)
         return rows
 
     monkeypatch.setattr(lifshitz_nonlinear, "_frequency_vectors", flaky)
@@ -731,6 +732,49 @@ def test_crossover_distance_none_without_kerr():
     assert crossover_distance(stack) is None
 
 
+def test_crossover_distance_none_for_a_same_sign_bracket():
+    # chi3 = 1e-40 puts the crossover near 4e-15 m, below the bracket:
+    # the linear part wins at both ends
+    stack = _stack(2.0, math.inf, 1e-40, 1e-8, Temperature.zero())
+    assert stack.kerr_layer is not None
+    assert crossover_distance(stack) is None
+
+
+def test_crossover_distance_raises_on_an_unconverged_pressure(monkeypatch):
+    real = lifshitz_nonlinear._i_nl_raw
+    monkeypatch.setattr(lifshitz_nonlinear, "_i_nl_raw",
+                        lambda *args: dataclasses.replace(real(*args),
+                                                          converged=False))
+    stack = _stack(2.0, math.inf, CHI3, 1e-8, Temperature.zero())
+    with pytest.raises(UnconvergedError, match="d = 1e-11 m"):
+        crossover_distance(stack)
+
+
+def test_kerr_coefficients_raise_when_unconverged():
+    # the classical momentum integral runs at rel_tol itself and stops
+    # at its 1024-node cap; the zero-T integral at its 256-node cap
+    with pytest.raises(UnconvergedError, match="high-temperature"):
+        i_nl_high_t(2.0, math.inf, rel_tol=1e-16)
+    with pytest.raises(UnconvergedError, match="zero-temperature"):
+        i_nl_zero_t(2.0, math.inf, rel_tol=1e-16)
+
+
+def test_pressures_reject_a_gap_below_the_bound():
+    # d = 1e-150 used to end in ZeroDivisionError (d**4, d**6 or d**8
+    # underflowed); the stack, and the transparent route's own check,
+    # refuse the gap first
+    for temp in (Temperature.zero(), Temperature.finite(300.0),
+                 Temperature.high(300.0)):
+        with pytest.raises(MaterialError, match="gap"):
+            _stack(2.0, math.inf, CHI3, 1e-150, temp)
+        with pytest.raises(MaterialError, match="gap"):
+            pressure_transparent_mirror(1e-150, temp, CHI3)
+    # at the bound itself both parts are finite
+    total = casimir_pressure(_stack(2.0, math.inf, CHI3, 2.0 ** -127,
+                                    Temperature.zero()))
+    assert total.converged and math.isfinite(total.value)
+
+
 def _count_probes(monkeypatch):
     # pressure evaluations of crossover_distance, capped so that a
     # bisection that never stops fails instead of hanging
@@ -814,7 +858,10 @@ _ROWS = [(0.0, 2.0, math.inf), (1e-6, 1.0, math.inf), (0.3, 2.0, 1.0),
 
 
 def _key(res):
-    return res.value.hex(), res.error.hex(), res.n_evals, res.converged
+    # a frequency-vector result: W(x, x) = <f, f> and the refinement's
+    # error, work and flag
+    return (_contract(res.value, res.value).hex(), res.error.hex(),
+            res.n_evals, res.converged)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
@@ -823,13 +870,13 @@ def test_frequency_vectors_rows_equal_single_rows_bitwise(rel_tol):
     # vectors included; at 1e-16 some stop at the 1024 cap, flagged
     x, eps1, eps3 = (np.array(col) for col in zip(*_ROWS))
     batch = _frequency_vectors(x, eps1, eps3, rel_tol)
-    for (xi, e1, e3), (f, res) in zip(_ROWS, batch):
-        (f_alone, alone), = _frequency_vectors(np.array([xi]), e1, e3,
-                                               rel_tol)
+    for (xi, e1, e3), res in zip(_ROWS, batch):
+        alone, = _frequency_vectors(np.array([xi]), e1, e3, rel_tol)
         assert _key(res) == _key(alone), xi
+        f, f_alone = res.value, alone.value
         assert f.shape == (4, _COUPLING_T.size)
         assert np.array_equal(f.view(np.uint64), f_alone.view(np.uint64))
-    capped = [res.n_evals == 1024 and not res.converged for _, res in batch]
+    capped = [res.n_evals == 1024 and not res.converged for res in batch]
     if rel_tol == 1e-16:
         assert any(capped) and not all(capped)
-    assert len({res.n_evals for _, res in batch}) >= 2
+    assert len({res.n_evals for res in batch}) >= 2

@@ -99,6 +99,22 @@ def test_stack_validation():
         LayerStack(kerr, lin, 0.0, temp)
     with pytest.raises(MaterialError):
         LayerStack(kerr, lin, math.inf, temp)
+    with pytest.raises(MaterialError):
+        LayerStack(kerr, lin, math.nan, temp)
+
+
+def test_stack_rejects_a_gap_whose_eighth_power_is_not_normal():
+    # d**8 of 1e-100 m underflowed to zero, and the pressures divided by
+    # it (ZeroDivisionError); the bound is 2**-127 m, where d**8 is
+    # 2**-1016
+    kerr = MaterialResponse.constant(2.0, chi3=1e-18)
+    lin = MaterialResponse.perfect_mirror()
+    temp = Temperature.zero()
+    for gap in (1e-100, 1e-150, math.nextafter(2.0 ** -127, 0.0)):
+        with pytest.raises(MaterialError, match="2\\*\\*-127"):
+            LayerStack(kerr, lin, gap, temp)
+    stack = LayerStack(kerr, lin, 2.0 ** -127, temp)
+    assert stack.gap ** 8 == 2.0 ** -1016
 
 
 def test_stack_orientation():

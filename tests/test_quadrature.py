@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
-                                            _frequency_vectors,
+                                            _contract, _frequency_vectors,
                                             _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
@@ -320,15 +321,19 @@ def test_refinement_contract_frequency_vectors():
         return float(_COUPLING_W @ (u1 * v1 + u2 * v2))
 
     for tol in (1e-4, 1e-9):
-        (f, res), = _frequency_vectors(np.array([x]), eps1, eps3, tol)
-        _check_contract(res, _replay(level, tol, 1024), lambda m: m)
+        res, = _frequency_vectors(np.array([x]), eps1, eps3, tol)
+        # the value is f; the refinement is that of W(x, x) = <f, f>
+        f = res.value
+        diagonal = dataclasses.replace(res, value=_contract(f, f))
+        _check_contract(diagonal, _replay(level, tol, 1024), lambda m: m)
         assert f.shape == (4, _COUPLING_T.size)
 
 
 def test_frequency_vectors_stop_at_the_level_cap():
     # the last level's total, bitwise, flagged
-    (f, res), = _frequency_vectors(np.array([2.3]), 2.0, 10.0, 1e-18)
-    assert res.value == -0.0005122569919398447
+    res, = _frequency_vectors(np.array([2.3]), 2.0, 10.0, 1e-18)
+    f = res.value
+    assert _contract(f, f) == -0.0005122569919398447
     assert not res.converged and res.n_evals == 1024
     assert f.shape == (4, _COUPLING_T.size)
 
@@ -348,7 +353,7 @@ def _count_nodes(monkeypatch, names):
 def test_momentum_quadratures_evaluate_each_node_once(tol, monkeypatch):
     # n_evals counts distinct nodes, and each is evaluated exactly once
     seen = _count_nodes(monkeypatch, ["_kernel_vectors"])
-    (_, res), = _frequency_vectors(np.array([2.3]), 2.0, 10.0, tol)
+    res, = _frequency_vectors(np.array([2.3]), 2.0, 10.0, tol)
     assert seen[0] == res.n_evals
 
 
@@ -472,6 +477,47 @@ def test_matsubara_sum_tail_heads_past_kinks():
     blind = quadrature._euler_maclaurin(
         quadrature._Books(quadrature._rowwise(_kinked)), 300.0, 1e-10)
     assert not (blind.converged and abs(blind.value - exact) <= blind.error)
+
+
+@pytest.mark.parametrize("scale", [math.nan, 0.0, -1.0, math.inf])
+def test_matsubara_sum_rejects_a_bad_zero_scale(scale):
+    # the finite and classical regimes used to take these, and inf to
+    # run a 64-term first block; the zero regime always refused them
+    for temp in (_ZERO, _WARM, _HOT):
+        with pytest.raises(ValueError, match="scale"):
+            matsubara_sum(lambda n: 0.5 ** n, temp, zero_scale=scale)
+
+
+def test_matsubara_sum_takes_a_huge_zero_scale():
+    # 1e300 used to raise OverflowError at n_star**2, kinks or not: the
+    # tail misses rel_tol at that scale and the series gives the sum
+    exact = 1.5
+    for breaks in ((), (1e302,)):
+        res = matsubara_sum(lambda n: 0.5 ** n, _WARM, rel_tol=1e-10,
+                            zero_scale=1e300, zero_breaks=breaks)
+        assert res.converged
+        assert abs(res.value - exact) <= res.error <= 1e-10 * exact
+    assert matsubara_sum(lambda n: 0.5 ** n, _HOT,
+                         zero_scale=1e300).value == 0.5
+
+
+def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget():
+    # n* = 100 at rel_tol 1e-8: B = 50 ln(1e8) ~ 921 terms. A kink at 900
+    # moves the head to N0 = 903, and head, stencil and tail panels
+    # would reach B: declined before a term is evaluated. A kink at 500
+    # leaves room for them
+    calls = []
+
+    def rows(ns):
+        calls.extend(ns)
+        return [math.exp(-2.0 * n / 100.0) for n in ns]
+
+    books = quadrature._Books(rows)
+    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (900.0,)) is None
+    assert calls == [] and books.n_evals == 0
+    tail = quadrature._euler_maclaurin(books, 100.0, 1e-8, (500.0,))
+    assert tail is not None and tail.converged
+    assert max(calls) >= 503 and books.n_evals == len(calls)
 
 
 def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):

@@ -5,17 +5,23 @@ two plate pairs (eps = 2 against a mirror, and a tabulated pair whose
 table nodes split the frequency integrals into panels) and the three
 thermal regimes, for the three pressure routes; and at 300 nm, where
 the 300 K sums are the plain series, the same routes and plates at
-300 K. n_evals and converged are pinned exactly and the value to 1e-12
-relative, so a refactor that is meant to keep every result's bits shows
-here when it moves the work of any regime. A change of the refinement
-rule moves these pins on purpose and says so.
+300 K; and the cached dimensionless coefficients of both parts at zero
+temperature and in the classical limit. n_evals and converged are
+pinned exactly and the value to 1e-12 relative, so a refactor that is
+meant to keep every result's bits shows here when it moves the work of
+any regime. A change of the refinement rule moves these pins on purpose
+and says so.
 """
+
+import math
 
 import pytest
 
 from kerrcasimir import (LayerStack, MaterialResponse, Temperature,
                          pressure_linear, pressure_nonlinear,
                          pressure_transparent_mirror)
+from kerrcasimir.lifshitz_linear import _i_lin_raw
+from kerrcasimir.lifshitz_nonlinear import _i_nl_raw
 
 CHI3 = 2e-16
 GAP = 1e-8
@@ -86,3 +92,33 @@ def test_work_per_regime_is_pinned(key):
 @pytest.mark.parametrize("key", sorted(SERIES_PINS), ids="-".join)
 def test_series_work_is_pinned(key):
     _check_pin(*key, SERIES_GAP, TEMPERATURES["finite"], SERIES_PINS[key])
+
+
+# (part, eps1 or eps_nl, eps3 or eps_lin, limit): the same for the
+# coefficients, at the default rel_tol of i_lin_* (1e-9) and i_nl_*
+# (1e-6); uncached, as a first call computes them
+COEFFICIENTS = {"linear": (_i_lin_raw, 1e-9), "nonlinear": (_i_nl_raw, 1e-6)}
+COEFFICIENT_PINS = {
+    ("linear", 2.0, math.inf, "zero"): (0.006534905287112802, 8448, True),
+    ("linear", 2.0, math.inf, "high"): (0.01387941959774147, 64, True),
+    ("linear", 11.7, 3.0, "zero"): (0.00668169690788475, 8320, True),
+    ("linear", 11.7, 3.0, "high"): (0.01777938928317746, 64, True),
+    ("nonlinear", 2.0, math.inf, "zero"): (2.9908491654033467e-06, 4320,
+                                           True),
+    ("nonlinear", 2.0, math.inf, "high"): (1.1776451798732214e-05, 64,
+                                           True),
+    ("nonlinear", 11.7, 3.0, "zero"): (4.723711168238206e-09, 4320, True),
+    ("nonlinear", 11.7, 3.0, "high"): (9.519442604669375e-09, 64, True),
+}
+
+
+@pytest.mark.parametrize("key", sorted(COEFFICIENT_PINS, key=repr),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_coefficient_work_is_pinned(key):
+    part, eps1, eps3, limit = key
+    raw, rel_tol = COEFFICIENTS[part]
+    raw.cache_clear()
+    res = raw(limit, eps1, eps3, rel_tol)
+    value, n_evals, converged = COEFFICIENT_PINS[key]
+    assert (res.n_evals, res.converged) == (n_evals, converged)
+    assert res.value == pytest.approx(value, rel=1e-12)

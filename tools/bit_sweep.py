@@ -1,0 +1,206 @@
+"""Print the exact outcome of a fixed set of kerrcasimir calls as JSON.
+
+Run from a checkout, with no options:
+
+    python3 tools/bit_sweep.py > sweep.json
+
+The package is imported from the checkout's own src/ directory. For each
+call the output holds float.hex of the value and of the error, n_evals
+and converged (or the name of the exception raised); for each CLI argv
+it holds the exit status and the stdout, byte for byte. Running the
+script on two checkouts and diffing the two files shows which results a
+change moved, down to the last bit. The calls cover the linear, Kerr
+and transparent pressures (constant and tabulated plates, 10 nm to
+1 um, zero, finite and classical temperature, several tolerances), the
+dimensionless coefficients and the public sums of the quadrature
+module; the argvs are those of the kerr and linear_lab benchmark
+workloads, all four input menus, plus zero-T, high-T and finite-T rows.
+It takes about 10 s on a 2-vCPU x86-64 machine.
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from kerrcasimir import (LayerStack, MaterialResponse,  # noqa: E402
+                         Temperature, cli, double_matsubara_sum,
+                         integrate_semi_infinite, matsubara_sum,
+                         pressure_linear, pressure_nonlinear,
+                         pressure_transparent_mirror)
+from kerrcasimir.lifshitz_linear import _i_lin_raw  # noqa: E402
+from kerrcasimir.lifshitz_nonlinear import _i_nl_raw  # noqa: E402
+
+CHI3 = 2e-16
+TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
+TABLE_LIN = ((0.0, 1e4), (1e13, 2e3), (1e15, 60.0), (1e16, 3.0),
+             (1e17, 1.05))
+PLATES = {
+    "eps2_mirror": lambda: (MaterialResponse.constant(2.0, chi3=CHI3),
+                            MaterialResponse.perfect_mirror()),
+    "eps10_eps3": lambda: (MaterialResponse.constant(10.0, chi3=CHI3),
+                           MaterialResponse.constant(3.0)),
+    "mirror_eps1": lambda: (MaterialResponse.perfect_mirror(),
+                            MaterialResponse.constant(1.0, chi3=CHI3)),
+    "tabulated": lambda: (MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+                          MaterialResponse.from_table(TABLE_LIN)),
+}
+TEMPERATURES = {"zero": Temperature.zero(),
+                "finite300": Temperature.finite(300.0),
+                "finite3": Temperature.finite(3.0),
+                "high300": Temperature.high(300.0)}
+GAPS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6)
+ROUTES = {"linear": (pressure_linear, (1e-6, 1e-8, 1e-10)),
+          "nonlinear": (pressure_nonlinear, (1e-4, 1e-6, 1e-8))}
+EPS_NL = (1.0, 1.0001, 2.0, 10.0, 11.7)
+EPS_LIN = (1.0, 3.0, math.inf)
+
+# the kerr workload's CLI ops over its four input menus, then linear_lab's
+_KERR_ZERO = ((2e-16, 1e-8, 1e-6), (3e-16, 1.2e-8, 8e-7),
+              (1e-16, 9e-9, 1.1e-6), (5e-16, 1.5e-8, 9e-7))
+_KERR_FINITE = ((2e-7, 1e-6, 1e-6), (2.01e-7, 9e-7, 1.05e-6),
+                (1.99e-7, 1.1e-6, 9.5e-7), (2.02e-7, 9.5e-7, 1.1e-6))
+BENCH_ARGVS = (
+    [["scan-distance", "--regime", "zero", "--eps-nl", "2", "--eps-lin",
+      "inf", "--chi3", repr(chi3), "--d-min", repr(lo), "--d-max", repr(hi),
+      "--d-count", "3", "--threads", "2"] for chi3, lo, hi in _KERR_ZERO]
+    + [["crossover", "--regime", "zero", "--eps-nl", "2", "--eps-lin", "inf",
+        "--chi3", repr(chi3)] for chi3, _, _ in _KERR_ZERO]
+    + [["scan-distance", "--regime", "finite", "--temperature", "300",
+        "--d-min", repr(lo), "--d-max", repr(hi), "--d-count", "3"]
+       for lo, hi, _ in _KERR_FINITE]
+    + [["transparent", "--regime", "finite", "--temperature", "300",
+        "--gap", repr(gap)] for _, _, gap in _KERR_FINITE]
+    + [["scan-epsilon", "--limit", "high"]])
+OTHER_ARGVS = (
+    [["scan-epsilon", "--limit", "zero"]]
+    + [[command, "--regime", regime] + plates
+       for command in ("pressure", "scan-distance")
+       for regime in ("zero", "high", "finite")
+       for plates in ([], ["--eps-nl", "11.7", "--eps-lin", "3"])]
+    + [["crossover", "--regime", regime] for regime in ("high", "finite")]
+    + [["transparent", "--regime", regime] for regime in ("zero", "high")]
+    + [["pressure", "--regime", "finite", "--gap", "3e-7"],
+       ["pressure", "--regime", "finite", "--gap", "1e-6",
+        "--temperature", "3"]])
+
+
+def _record(call):
+    try:
+        res = call()
+    except Exception as exc:  # the exception is part of the outcome
+        return "raises %s" % type(exc).__name__
+    return [float(res.value).hex(), float(res.error).hex(), res.n_evals,
+            res.converged]
+
+
+def _pressures():
+    out = {}
+    for route, (fn, tols) in ROUTES.items():
+        for plates, make in PLATES.items():
+            for temp_name, temp in TEMPERATURES.items():
+                for gap in GAPS:
+                    if plates == "tabulated" and temp_name == "finite3" \
+                            and gap < 1e-6:
+                        continue  # minutes per call (a known work cliff)
+                    for tol in tols:
+                        key = "%s/%s/%s/%g/%g" % (route, plates, temp_name,
+                                                  gap, tol)
+                        stack = LayerStack(*make(), gap, temp)
+                        out[key] = _record(lambda: fn(stack, rel_tol=tol))
+    for temp_name, temp in TEMPERATURES.items():
+        for gap in GAPS:
+            for tol in (1e-4, 1e-6, 1e-8):
+                key = "transparent/%s/%g/%g" % (temp_name, gap, tol)
+                out[key] = _record(lambda: pressure_transparent_mirror(
+                    gap, temp, CHI3, rel_tol=tol))
+    # gaps too small for the power laws of the pressures
+    zero = TEMPERATURES["zero"]
+    for gap in (1e-100, 1e-150):
+        for route, (fn, _) in ROUTES.items():
+            out["%s/tiny/%g" % (route, gap)] = _record(lambda: fn(
+                LayerStack(*PLATES["eps2_mirror"](), gap, zero)))
+        out["transparent/tiny/%g" % gap] = _record(
+            lambda: pressure_transparent_mirror(gap, zero, CHI3))
+    return out
+
+
+def _coefficients():
+    out = {}
+    for limit in ("zero", "high"):
+        for eps1 in EPS_NL:
+            for eps3 in EPS_LIN:
+                for tol in (1e-6, 1e-8, 1e-9):
+                    args = (limit, eps1, eps3, tol)
+                    key = "%s/%g/%g/%g" % args
+                    out["i_lin/" + key] = _record(lambda: _i_lin_raw(*args))
+                    out["i_nl/" + key] = _record(lambda: _i_nl_raw(*args))
+    return out
+
+
+def _kinked(n):
+    return math.exp(-n / 3.0) * (1.0 + 0.3 * abs(n - 3.3))
+
+
+def _sums():
+    out = {}
+    terms = {"geometric": lambda n: 0.5 ** n, "kinked": _kinked,
+             "poly_exp": lambda n: (1.0 + n * n) * math.exp(-n / 40.0)}
+    for name, term in terms.items():
+        for temp_name, temp in TEMPERATURES.items():
+            for tol in (1e-6, 1e-10, 1e-13):
+                for scale in (1.0, 40.0):
+                    key = "matsubara_sum/%s/%s/%g/%g" % (name, temp_name,
+                                                         tol, scale)
+                    out[key] = _record(lambda: matsubara_sum(
+                        term, temp, rel_tol=tol, zero_scale=scale))
+    for scale in (1e300, math.inf, math.nan, 0.0, -1.0):
+        for temp_name, temp in TEMPERATURES.items():
+            out["matsubara_sum/zero_scale/%s/%g" % (temp_name, scale)] = \
+                _record(lambda: matsubara_sum(terms["geometric"], temp,
+                                              zero_scale=scale))
+    out["matsubara_sum/slow/max_terms"] = _record(lambda: matsubara_sum(
+        lambda n: 1.0 / (1.0 + n) ** 1.5, TEMPERATURES["finite300"],
+        max_terms=500))
+    for temp_name, temp in TEMPERATURES.items():
+        out["double_matsubara_sum/%s" % temp_name] = _record(
+            lambda: double_matsubara_sum(lambda n, m: 0.5 ** n * 0.7 ** m,
+                                         temp, rel_tol=1e-6))
+    integrands = {"x2_exp": lambda x: x * x * math.exp(-x),
+                  "kink": lambda x: math.exp(-x) * (1.0 + abs(x - 1.5))}
+    for name, f in integrands.items():
+        for tol in (1e-6, 1e-12):
+            out["integrate_semi_infinite/%s/%g" % (name, tol)] = _record(
+                lambda: integrate_semi_infinite(f, rel_tol=tol,
+                                                vectorized=False))
+            out["integrate_semi_infinite/%s/%g/breaks" % (name, tol)] = \
+                _record(lambda: integrate_semi_infinite(
+                    f, rel_tol=tol, vectorized=False, breaks=(1.5,)))
+    return out
+
+
+def _cli_outputs():
+    out = {}
+    for argv in BENCH_ARGVS + OTHER_ARGVS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            status = cli.main(argv)
+        out[" ".join(argv)] = {"exit": status, "stdout": stdout.getvalue(),
+                               "stderr": stderr.getvalue()}
+    return out
+
+
+def main():
+    report = {"results": {**_pressures(), **_coefficients(), **_sums()},
+              "cli": _cli_outputs()}
+    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,8 +22,8 @@ from .operator_lab import (CheckResult, Grid1D, build_linear,
                            noise_covariance, run_verification_suite,
                            rytov_residual)
 from .quadrature import (QuadratureResult, Temperature, clenshaw_curtis,
-                         double_matsubara_sum, integrate_semi_infinite,
-                         matsubara_sum, semi_infinite_nodes)
+                         integrate_semi_infinite, matsubara_sum,
+                         semi_infinite_nodes)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "MaterialResponse", "LayerStack",
     "QuadratureResult", "Temperature", "clenshaw_curtis",
     "semi_infinite_nodes", "integrate_semi_infinite",
-    "matsubara_sum", "double_matsubara_sum",
+    "matsubara_sum",
     "pressure_linear",
     "i_lin_zero_t", "i_lin_high_t",
     "TotalPressure",

@@ -42,9 +42,9 @@ from .lifshitz_linear import _coefficient_tol, _i_lin
 from .lifshitz_nonlinear import (_i_nl, _pressure_pair, crossover_distance,
                                  pressure_nonlinear,
                                  pressure_transparent_mirror)
-from .materials import LayerStack, MaterialResponse
+from .materials import LayerStack, MaterialResponse, _check_gap
 from .operator_lab import run_verification_suite
-from .quadrature import Temperature
+from .quadrature import _MAX_KELVIN, _MIN_KELVIN, Temperature
 
 _REGIMES = ("zero", "finite", "high")
 _LIMITS = ("zero", "high")
@@ -54,11 +54,11 @@ _KEYS = {
     "eps_nl": ("eps", 2.0),
     "eps_lin": ("eps", math.inf),
     "chi3": ("float", 2e-16),
-    "gap": ("posfloat", 1e-8),
-    "temperature": ("posfloat", 300.0),
+    "gap": ("gap", 1e-8),
+    "temperature": ("kelvin", 300.0),
     "regime": ("regime", "zero"),
-    "d_min": ("posfloat", 1e-9),
-    "d_max": ("posfloat", 1e-6),
+    "d_min": ("gap", 1e-9),
+    "d_max": ("gap", 1e-6),
     "d_count": ("count", 25),
     "eps_nl_values": ("epslist", (1.0, 2.0, 5.0, 10.0, 100.0)),
     "eps_lin_values": ("epslist", (2.0, 10.0, math.inf)),
@@ -88,7 +88,7 @@ def _parse_value(key, text):
     kind = _KEYS[key][0]
     text = str(text).strip()
     try:
-        if kind in ("float", "posfloat", "eps", "tol"):
+        if kind in ("float", "gap", "kelvin", "eps", "tol"):
             value = float(text)
         elif kind in ("int", "count"):
             value = int(text)
@@ -106,8 +106,13 @@ def _validate(key, value):
     kind = _KEYS[key][0]
     if kind == "float" and not math.isfinite(value):
         raise ConfigError("%s must be finite" % key)
-    if kind == "posfloat" and not (value > 0.0 and math.isfinite(value)):
-        raise ConfigError("%s must be positive and finite" % key)
+    if kind == "gap":
+        try:
+            _check_gap(value)  # the LayerStack bounds, up front
+        except MaterialError as exc:
+            raise ConfigError(str(exc))
+    if kind == "kelvin" and not _MIN_KELVIN <= value <= _MAX_KELVIN:
+        raise ConfigError("%s must lie in [2**-64, 2**64] K" % key)
     if kind == "eps" and not value >= 1.0:
         raise ConfigError("%s must be >= 1 (inf for a mirror)" % key)
     if kind == "tol" and not 1e-12 <= value <= 1e-3:

@@ -37,8 +37,8 @@ import numpy as np
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .quadrature import (MAX_LEVEL, Temperature, _check_rel_tol,
-                         _matsubara_rows, _refine_rows)
+from .quadrature import (MAX_LEVEL, QuadratureResult, Temperature,
+                         _check_rel_tol, _matsubara_rows, _refine_rows)
 
 
 def as_permittivity(value):
@@ -84,21 +84,29 @@ def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
 
     Returns one QuadratureResult per frequency, each refined on
     semi_infinite_nodes(m, max(1, sqrt(x))) by the row driver: one
-    _gap_integrand call per level for all frequencies. eps1 and eps3
-    are floats or one permittivity per frequency. With continuum=True
-    the x = 0 node is evaluated as the limit from above (the s channel
-    of a mirror stays alive), which is the correct integrand of the
+    _gap_integrand call per level for all frequencies; where e^(-2x)
+    underflows, g is exactly 0, with no nodes. eps1 and eps3 are floats
+    or one permittivity per frequency. With continuum=True the x = 0
+    node is evaluated as the limit from above (the s channel of a
+    mirror stays alive), which is the correct integrand of the
     continuous zero-temperature frequency integral; the discrete sums
     keep the x = 0 prescription instead.
     """
     x = np.asarray(x, dtype=float)
     if continuum:
         x = np.where(x == 0.0, _X_FLOOR, x)
-    xs = x.tolist()
-    edge = [math.exp(-2.0 * v) for v in xs]
-    rows = _refine_rows(_gap_integrand, _dot, _scales(xs), rel_tol,
-                        MAX_LEVEL, x, eps1, eps3, edge)
-    return [res.scaled(e) for e, (_, res) in zip(edge, rows)]
+    edge = [math.exp(-2.0 * v) for v in x.tolist()]
+    live = [i for i, e in enumerate(edge) if e > 0.0]
+    out = [QuadratureResult(0.0, 0.0, 0, True)] * len(edge)
+    if live:
+        x, eps1, eps3 = (np.broadcast_to(v, x.shape)[live]
+                         for v in (x, eps1, eps3))
+        edge = [edge[i] for i in live]
+        rows = _refine_rows(_gap_integrand, _dot, _scales(x.tolist()),
+                            rel_tol, MAX_LEVEL, x, eps1, eps3, edge)
+        for i, e, (_, res) in zip(live, edge, rows):
+            out[i] = res.scaled(e)
+    return out
 
 
 def _scales(xs):

@@ -271,9 +271,14 @@ def _ct_pair_sum(n, tau, discrete):
         # lone pair (0, 0), halved twice: W_ct(0, 0) = -(7/60) K_6(0)
         return -7.0 / 64.0
     s = n * tau
+    k = _k_moments(s)
+    if not k.any():
+        # e^(-2s) underflowed: exactly zero, where the polynomial in tau
+        # and s may overflow (0 * inf)
+        return 0.0
     t2 = tau * tau if discrete else 0.0
     poly = (_CT_P * (1.0, t2, t2 * t2) * s ** _CT_POW).sum(axis=1)
-    return -float(_k_moments(s) @ poly) / tau
+    return -float(k @ poly) / tau
 
 
 def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):

@@ -167,8 +167,13 @@ class MaterialResponse:
         return base + ", chi3=%r)" % self.chi3
 
 
-# smallest gap: its eighth power is a normal float (2**-1016)
-_MIN_GAP = 2.0 ** -127
+def _check_gap(gap):
+    # the LayerStack gap range, where d**8 is a finite normal float; the
+    # CLI checks it at config time too
+    if not 2.0 ** -127 <= gap < math.inf:  # NaN included
+        raise MaterialError("gap must be finite and at least 2**-127 m")
+    if gap > 2.0 ** 127:
+        raise MaterialError("gap must be at most 2**127 m")
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,10 @@ class LayerStack:
 
     layer1 and layer3 are the plate responses, gap is the separation d
     in meters, temperature the thermal state. At most one plate may
-    carry a Kerr response. The gap must be finite and at least
-    2**-127 m (about 5.9e-39 m), so that d**8, the zero-temperature
-    power law of the Kerr part, is a normal float; anything else raises
-    MaterialError.
+    carry a Kerr response. The gap must lie in [2**-127, 2**127] m
+    (about 5.9e-39 to 1.7e38 m), so that d**8, the zero-temperature
+    power law of the Kerr part, is a finite normal float; anything else
+    raises MaterialError.
     """
 
     layer1: MaterialResponse
@@ -189,8 +194,7 @@ class LayerStack:
     temperature: Temperature
 
     def __post_init__(self):
-        if not _MIN_GAP <= self.gap < math.inf:  # NaN included
-            raise MaterialError("gap must be finite and at least 2**-127 m")
+        _check_gap(self.gap)
         if self.layer1.has_kerr and self.layer3.has_kerr:
             raise MaterialError(
                 "at most one plate may carry a Kerr response")

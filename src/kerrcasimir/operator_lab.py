@@ -29,6 +29,7 @@ part; A* means the elementwise conjugate.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,9 +44,9 @@ _COND_LIMIT = 1e13
 class Grid1D:
     """Uniform 1-D grid with a dissipative background.
 
-    n_points is the matrix dimension (>= 8), spacing the step h, eta
-    the uniform absorption added to every diagonal (> 0, so that the
-    response is invertible and dissipative).
+    n_points is the matrix dimension (an integer >= 8), spacing the
+    step h, eta the uniform absorption added to every diagonal (> 0, so
+    that the response is invertible and dissipative).
     """
 
     n_points: int
@@ -53,8 +54,9 @@ class Grid1D:
     eta: float = 1e-3
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ConfigError("n_points must be >= 8")
+        if not (isinstance(self.n_points, numbers.Integral)
+                and self.n_points >= 8):
+            raise ConfigError("n_points must be an integer >= 8")
         if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
             raise ConfigError("spacing must be positive and finite")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
@@ -77,12 +79,18 @@ def _check_eps(grid, eps_profile):
     return eps
 
 
+def _check_omega(omega):
+    # a frequency of the model as float; the conjugation identity
+    # rebuilds at -omega, so only 0, inf and NaN are meaningless
+    omega = float(omega)
+    if not (omega != 0.0 and math.isfinite(omega)):
+        raise ConfigError("omega must be nonzero and finite")
+    return omega
+
+
 def _helmholtz_diagonal(grid, eps, omega, eta):
     """Diagonal of H = -D2 - omega**2 eps - i eta; -1/h**2 beside it."""
-    omega = float(omega)
-    # the conjugation identity rebuilds at -omega; only 0 is meaningless
-    if omega == 0.0:
-        raise ConfigError("omega must be nonzero")
+    omega = _check_omega(omega)
     return 2.0 / grid.spacing ** 2 - omega * omega * eps - 1j * eta
 
 
@@ -125,7 +133,7 @@ def build_linear(grid, eps_profile, omega, eta=None):
     eps_profile : array
         Real permittivity per point, >= 1 (1 outside the objects).
     omega : float
-        Frequency, nonzero (natural units).
+        Frequency, nonzero and finite (natural units).
     eta : float, optional
         Override of grid.eta. A negative value builds the conjugate
         (time-reversed) completion, used by the conjugation identity
@@ -152,8 +160,8 @@ def _spectral_diag(grid, eps, weights):
     """sum_w w * diag(Im G1(omega_w)), in O(n) per weight frequency."""
     acc = np.zeros(grid.n_points)
     for w_freq, w in weights:
-        if not w > 0.0:
-            raise ConfigError("weights must be positive")
+        if not 0.0 < w < math.inf:
+            raise ConfigError("weights must be positive and finite")
         acc += w * _inverse_diagonal(grid, eps, w_freq, grid.eta).imag
     return acc
 
@@ -173,7 +181,7 @@ def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
     ----------
     weight_spec : sequence of (frequency, weight) pairs
         Finite positive surrogate for the thermal spectrum; must be
-        non-empty, frequencies nonzero, weights > 0.
+        non-empty, frequencies nonzero and finite, weights in (0, inf).
 
     Returns
     -------
@@ -185,7 +193,8 @@ def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
     weights = list(weight_spec)
     if not weights:
         raise ConfigError("weight_spec must not be empty")
-    return _n_diag(omega, chi, _spectral_diag(grid, eps, weights))
+    return _n_diag(_check_omega(omega), chi,
+                   _spectral_diag(grid, eps, weights))
 
 
 def gtilde(g1, n_op):

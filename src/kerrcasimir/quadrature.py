@@ -23,48 +23,40 @@ function (_rule) builds the rule for a scale or for a column of scales.
 One driver and one rule serve every adaptive quadrature here. The row
 driver (_refine_rows) doubles the order from 8 for many rows in
 lockstep: the momentum quadratures of a frequency level are one batch,
-and the zero-temperature frequency integral, the Euler-Maclaurin tail
-and integrate_semi_infinite are batches of one row. The rule
-(_settled) stops a row once the change between two successive levels
-is at most rel_tol times the latest total, which is returned with that
-change as its error. A sum of n products can be off by n units of the
-subnormal spacing 2**-1074 however far the rule is refined, so a change
-that small is accepted too. Here n is the node count of the level (the
-products of the sum), not the evaluations nested under the nodes; the
-floor binds only when |total| <~ 1e-307. A row that reaches its level
-cap first returns its last total and change with converged=False.
+integrate_semi_infinite (the zero-temperature frequency integral too)
+and the Euler-Maclaurin tail a batch of one row. The rule (_settled)
+stops a row once the change between two successive levels is at most
+rel_tol times the latest total, returned with that change as its error,
+or at most n units of the subnormal spacing 2**-1074: a sum of n
+products can be off by that however far the rule is refined (n counts
+the nodes of the level, not the evaluations nested under them; this
+binds only when |total| <~ 1e-307). A row that reaches its level cap
+first returns its last total and change with converged=False.
 
-The same machinery drives the three thermal regimes, all through
-matsubara_sum. A sum over discrete thermal frequencies (weight 1/2 on
-the n = 0 term) turns into an integral over continuous n at zero
-temperature and collapses to its n = 0 term in the classical limit. At
-finite temperature, once the index n_star over which the terms decay is
-large for the tolerance, a head of terms plus the integral of the rest
-replaces the series. Both thermal integrals stop at one level cap,
-_TAIL_MAX_LEVEL. Terms (and unvectorized integrands) may be arrays,
-summed elementwise; value (float by default) maps a sum to the float
-that the tolerance, the error and the result refer to, such as <F, F>
-for the Kerr frequency vectors F.
+The same machinery drives the three thermal regimes of matsubara_sum.
+A sum over discrete thermal frequencies (weight 1/2 on n = 0) becomes
+an integral over continuous n at zero temperature and its halved n = 0
+term in the classical limit. At finite temperature, once the index
+n_star over which the terms decay is large for the tolerance, a head of
+terms plus the integral of the rest replaces the series. Both thermal
+integrals stop at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms
+past n = 0. Terms may be arrays, summed elementwise; value (float by
+default) maps a sum to the float that the tolerance, the error and the
+result refer to, such as <F, F> for the Kerr frequency vectors F.
 
-Quadratures nest: a term handed to a driver here (the sums,
-integrate_semi_infinite unvectorized) may return a QuadratureResult.
-The driver uses its value, adds up its n_evals over every call, dropped
-attempts included (a plain number counts 1), and ANDs its flag into
-that of the attempt it returns (_Books). So n_evals counts the
-innermost evaluations.
+Quadratures nest: a term may be a QuadratureResult. The driver uses its
+value, adds up its n_evals over every call, dropped attempts included
+(a plain number counts 1), and ANDs its flag into that of the attempt
+it returns (_Books). So n_evals counts the innermost evaluations.
 
-A level is one call. The drivers run on row terms, which map all the
-new indices or nodes of a level to one term value each: every level of
-a thermal integral, and the Euler-Maclaurin head, asks for its terms in
-one call, so an inner quadrature can refine all of them at once as the
-rows of one batch, each row stopping by the same rule as alone. A
-vectorized integrand of integrate_semi_infinite is a row term already;
-the scalar-term contracts of matsubara_sum and integrate_semi_infinite
-are adapted to row terms in one place (_rowwise). The finite-temperature
-series asks for its terms in blocks: the first runs to the budget B of
-the decay scale (_series_budget), each later one holds the terms its
-geometric tail estimate still predicts, at most _SERIES_BLOCK. It folds
-them one at a time in index order under its stopping rule, so a block
+A level is one call. Every driver runs on a row term, which maps all
+the new indices or nodes of a level to one term each (matsubara_sum
+wraps its one-index term in one), so an inner quadrature can refine
+them all at once as the rows of one batch, each stopping as alone. The
+finite-temperature series asks for its terms in blocks: the first runs
+to the budget B of the decay scale (_series_budget), each later one
+holds the terms its geometric tail estimate still predicts, at most
+_SERIES_BLOCK. It folds them one at a time in index order, so a block
 moves no value, error or flag; n_evals counts the terms evaluated past
 the stop too. The classical limit passes index 0 alone.
 """
@@ -82,6 +74,9 @@ MIN_LEVEL = 8
 MAX_LEVEL = 4096
 
 _KINDS = ("zero", "finite", "high")
+# kelvin range: xi_1 and n_star at every LayerStack gap stay normal
+_MIN_KELVIN = 2.0 ** -64
+_MAX_KELVIN = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -119,19 +114,13 @@ def _as_result(value):
             else QuadratureResult(value, 0.0, 1, True))
 
 
-def _rowwise(term):
-    # a scalar term as a row term: the one place the public scalar-term
-    # contracts meet the batched drivers
-    return lambda ns: [term(n) for n in ns]
-
-
 class _Books:
     """A row term's work since the first attempt, its flags in this one.
 
     A row term maps a sequence of indices or nodes to one term value
     (float, array or QuadratureResult) per entry; called with one, the
     books return the list of values. A row term that returns one array
-    (a vectorized integrand) holds plain values, passed on as they are.
+    holds plain values, passed on as they are.
     """
 
     def __init__(self, rows, n_evals=0):
@@ -177,7 +166,9 @@ class Temperature:
     value (1 K by convention) that cancels identically in every thermal
     average: the sum over thermal frequencies is replaced by an integral
     over continuous index n, and k_B * kelvin * dn is exactly
-    hbar / (2 pi) * dxi independent of the reference.
+    hbar / (2 pi) * dxi independent of the reference. kelvin must lie
+    in [2**-64, 2**64] (about 5.4e-20 to 1.8e19 K); anything else
+    raises ValueError.
     """
 
     kind: str
@@ -186,8 +177,8 @@ class Temperature:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("kind must be one of %r" % (_KINDS,))
-        if not (self.kelvin > 0.0 and math.isfinite(self.kelvin)):
-            raise ValueError("kelvin must be positive and finite")
+        if not _MIN_KELVIN <= self.kelvin <= _MAX_KELVIN:  # NaN included
+            raise ValueError("kelvin must lie in [2**-64, 2**64]")
 
     @classmethod
     def zero(cls):
@@ -403,17 +394,16 @@ def _shared(values):
 
 
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
-                            vectorized=True, breaks=(), value=float):
+                            breaks=(), value=float):
     """Integrate f over [0, inf) with doubling Clenshaw-Curtis rules.
 
     Parameters
     ----------
     f : callable
-        Integrand. Receives a 1-D array of abscissas when vectorized
-        and returns one value per abscissa, or receives one float at a
-        time otherwise. A value may be a float, an array or, unvectorized,
-        a QuadratureResult (see the module docstring). Must decay faster
-        than x**-2.
+        Integrand, a row term: receives a 1-D array of abscissas and
+        returns one value per abscissa, as one array or as a sequence
+        of floats, arrays or QuadratureResults (see the module
+        docstring). Must decay faster than x**-2.
     rel_tol : float
         Target for the level-to-level change relative to the integral;
         a value outside (0, 1), NaN included, raises ValueError.
@@ -421,12 +411,12 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
         Characteristic width of the integrand beyond its last
         breakpoint (beyond 0 without any); the tail nodes put half of
         their mass within scale of that point.
-    breaks : sequence of float
-        Ascending positive points where f has a kink (a discontinuous
-        derivative); see semi_infinite_nodes.
     max_level : int
         Largest order per panel, at least 8 (else ValueError): the rule
         doubles from 8 and stops at the last order not above it.
+    breaks : sequence of float
+        Ascending positive points where f has a kink (a discontinuous
+        derivative); see semi_infinite_nodes.
     value : callable
         Maps the elementwise integral of f to the float that is
         returned and that rel_tol refers to.
@@ -439,15 +429,8 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
         its new nodes only.
     """
     _check_rel_tol(rel_tol)
-    return _integrate_rows(f if vectorized else _rowwise(f), rel_tol, scale,
-                           max_level, breaks, value)
-
-
-def _integrate_rows(rows, rel_tol, scale, max_level, breaks, value):
-    # integrate_semi_infinite of a row term (see _Books): a batch of one
-    # row for the row driver
     _check_scale(scale)
-    books = _Books(rows)
+    books = _Books(f)
     (_, res), = _refine_rows(
         lambda x: np.asarray(books(x), dtype=float),
         lambda w, vals: (value(np.tensordot(w, vals, 1)), None),
@@ -463,6 +446,8 @@ _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
 # most terms in one block of the finite-temperature series: a bound on
 # the momentum batch it hands to the row driver
 _SERIES_BLOCK = 64
+# most terms past index 0 that the finite-temperature series folds
+_MAX_TERMS = 20000
 
 
 def _series_budget(n_star, rel_tol):
@@ -525,8 +510,8 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
                             and err <= bound and last_err <= 0.1 * bound)
 
 
-def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
-                  zero_scale=1.0, zero_breaks=(), value=float):
+def matsubara_sum(term, temperature, rel_tol=1e-8, zero_scale=1.0,
+                  zero_breaks=(), value=float):
     """Primed sum over thermal frequencies: sum'_n term(n), n >= 0.
 
     The n = 0 term carries weight 1/2. Behaviour per temperature kind:
@@ -536,7 +521,8 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
       beyond the head). Otherwise, or if that misses rel_tol, the
       series is summed until a geometric bound on the remaining tail,
       estimated from the last three steps of value(partial sum), drops
-      below rel_tol relative to value(partial sum). Its terms are
+      below rel_tol relative to value(partial sum), or flagged
+      unconverged after _MAX_TERMS terms past n = 0. Its terms are
       evaluated in blocks (see the module docstring) and summed in
       index order.
     * "high": only the halved n = 0 term survives, value(term(0) / 2),
@@ -565,12 +551,12 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
     """
     _check_rel_tol(rel_tol)
     _check_scale(zero_scale)
-    return _matsubara_rows(_rowwise(term), temperature, rel_tol, max_terms,
-                           zero_scale, zero_breaks, value)
+    return _matsubara_rows(lambda ns: [term(n) for n in ns], temperature,
+                           rel_tol, zero_scale, zero_breaks, value)
 
 
-def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
-                    zero_scale=1.0, zero_breaks=(), value=float):
+def _matsubara_rows(rows, temperature, rel_tol, zero_scale=1.0,
+                    zero_breaks=(), value=float):
     # matsubara_sum of a row term (see _Books): one call per level of the
     # zero-T integral, for the Euler-Maclaurin head, per level of its tail
     # and per block of the series; the classical limit passes index 0
@@ -581,8 +567,8 @@ def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
         return replace(res, value=half,
                        error=abs(half / full if full else 0.5) * res.error)
     if kind == "zero":
-        return _integrate_rows(rows, rel_tol, zero_scale, _TAIL_MAX_LEVEL,
-                               zero_breaks, value)
+        return integrate_semi_infinite(rows, rel_tol, zero_scale,
+                                       _TAIL_MAX_LEVEL, zero_breaks, value)
     books = _Books(rows)
     tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks, value)
     if tail is not None and tail.converged:
@@ -591,9 +577,9 @@ def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
 
     def block(start, size):
         # the values and flags of the next size terms from index start:
-        # at least one, at most _SERIES_BLOCK, none past max_terms
+        # at least one, at most _SERIES_BLOCK, none past _MAX_TERMS
         size = math.ceil(min(size, _SERIES_BLOCK)) if size >= 1.0 else 1
-        end = min(start + size, max(max_terms, start) + 1)
+        end = min(start + size, max(_MAX_TERMS, start) + 1)
         return zip(*books.entries(range(start, end)))
 
     terms = block(0, max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0)
@@ -604,7 +590,7 @@ def _matsubara_rows(rows, temperature, rel_tol, max_terms=20000,
     est, r = math.inf, 1.0
     converged = False
     n = 0
-    while n < max_terms and not converged:
+    while n < _MAX_TERMS and not converged:
         n += 1
         step = next(terms, None)
         if step is None:
@@ -640,21 +626,3 @@ def _terms_to_go(est, r, target):
     if 0.0 < r < 1.0 and 0.0 < target < est < math.inf:
         return (math.log(target) - math.log(est)) / math.log(r)
     return 1.0
-
-
-def double_matsubara_sum(term, temperature, rel_tol=1e-8, max_terms=20000,
-                         zero_scale=(1.0, 1.0)):
-    """Doubly primed double sum sum'_n sum'_m term(n, m); a QuadratureResult.
-
-    The matsubara_sum over n of the matsubara_sums over m (to a tenth of
-    rel_tol), so the (0, 0) term weighs 1/4, in every regime. Public
-    only: the package's own double sums contract frequency vectors
-    (pressure_nonlinear) or run over n + m (pressure_transparent_mirror).
-    The outer matsubara_sum rejects a bad rel_tol before any term runs.
-    """
-    return matsubara_sum(
-        lambda n: matsubara_sum(lambda m: term(n, m), temperature,
-                                rel_tol=0.1 * rel_tol, max_terms=max_terms,
-                                zero_scale=zero_scale[1]),
-        temperature, rel_tol=rel_tol, max_terms=max_terms,
-        zero_scale=zero_scale[0])

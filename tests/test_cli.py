@@ -475,6 +475,40 @@ def test_a_gap_below_the_bound_is_a_configuration_error(capsys):
             == "error: gap must be finite and at least 2**-127 m\n"
 
 
+def test_out_of_range_inputs_are_configuration_errors(capsys):
+    # --gap 1e60 used to end in an OverflowError traceback, and
+    # --temperature 1e-300 in a ZeroDivisionError one
+    gap = "error: gap must be at most 2**127 m\n"
+    kelvin = "error: temperature must lie in [2**-64, 2**64] K\n"
+    for argv, err in (
+            (["pressure", "--gap", "1e60"], gap),
+            (["scan-distance", "--d-max", "1e60", "--d-count", "3"], gap),
+            (["transparent", "--gap", "1e300"], gap),
+            (["pressure", "--regime", "finite", "--temperature", "1e-300"],
+             kelvin),
+            (["crossover", "--regime", "high", "--temperature", "1e300"],
+             kelvin),
+            (["scan-distance", "--temperature", "nan"], kelvin)):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize("regime", ["zero", "finite", "high"])
+def test_rows_at_the_corners_of_the_input_box(capsys, regime):
+    # pressure and transparent rows are finite and converged (exit 0) at
+    # each corner of the gap and temperature ranges
+    for kelvin in (2.0 ** -64, 2.0 ** 64):
+        for gap in (2.0 ** -127, 2.0 ** 127):
+            for command in ("pressure", "transparent"):
+                status, out = _run(capsys, [
+                    command, "--regime", regime, "--temperature",
+                    repr(kelvin), "--gap", repr(gap)])
+                assert status == 0
+                _, _, rows = _parse_csv(out)
+                assert all(math.isfinite(float(v)) for v in rows[0])
+
+
 def test_an_unconverged_coefficient_table_exits_two(capsys, monkeypatch):
     # scan-epsilon raises UnconvergedError for an unconverged
     # coefficient: no table, an error line and exit status 2

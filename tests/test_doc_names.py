@@ -1,12 +1,22 @@
-"""Docstrings and comments cite only private names that exist.
+"""Docstrings, comments and the README cite only names that exist.
 
 A private name (_name) quoted in a docstring or a comment under
 src/kerrcasimir must be defined somewhere in the package: a function,
-class, method, assigned name or attribute, or parameter. A deleted
-helper then cannot outlive its code in the prose that explains it.
+class, method, assigned name or attribute, or parameter. A backticked
+identifier in README.md (a dotted name, maybe called, as in
+`Temperature.zero()`) must be a kerrcasimir attribute (bare, or
+qualified by its module or class), a parameter or field of a public
+callable, a CLI key, subcommand or CSV column (an identifier-shaped
+string of cli.py), a Python builtin or the name of a file in the
+repository. A deleted helper or public name then cannot outlive its
+code in the prose that explains it.
 """
 
 import ast
+import builtins
+import dataclasses
+import importlib
+import inspect
 import io
 import pathlib
 import re
@@ -15,6 +25,7 @@ import tokenize
 import kerrcasimir
 
 PACKAGE = pathlib.Path(kerrcasimir.__file__).parent
+ROOT = PACKAGE.parents[1]
 # _name after a space, bracket, quote, backtick, comma or dot (a
 # module-qualified name): not math subscripts such as sum'_n, (x)_r, ||_F
 CITED = re.compile(r"(?<![^\s(\[{`.,\"])_[A-Za-z]\w*")
@@ -60,3 +71,60 @@ def test_scan_reads_docstrings_and_comments():
     defined, cited = _defined_and_cited(source)
     assert "_kept" in defined
     assert cited == {"_kept", "_gone_a", "_gone_b", "_gone_c"}
+
+
+# a backticked dotted name, maybe called: not flags, commands or paths
+README_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`]*\))?`")
+
+
+def _signature_names(obj):
+    try:
+        return set(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):
+        return set()
+
+
+def _known_names():
+    # every name a README identifier may be, files aside
+    names = {"kerrcasimir"} | set(dir(builtins))
+    for path in PACKAGE.glob("*.py"):
+        module = (kerrcasimir if path.stem == "__init__" else
+                  importlib.import_module("kerrcasimir." + path.stem))
+        for attr, obj in vars(module).items():
+            names |= {attr, "%s.%s" % (path.stem, attr)}
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                for member in dir(obj):
+                    names |= {member, "%s.%s" % (attr, member)}
+    for name in kerrcasimir.__all__:
+        obj = getattr(kerrcasimir, name)
+        names |= _signature_names(obj)
+        if isinstance(obj, type):
+            for member in vars(obj):
+                names |= _signature_names(getattr(obj, member))
+        if dataclasses.is_dataclass(obj):
+            names |= {field.name for field in dataclasses.fields(obj)}
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names |= {node.value for node in ast.walk(cli)
+              if isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()}
+    return names
+
+
+def test_readme_names_exist():
+    cited = set(README_NAME.findall(
+        (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert len(cited) >= 40  # the scan does see the cited names
+    files = {path.name for path in ROOT.rglob("*") if ".git" not in path.parts}
+    known = _known_names()
+    assert sorted(name for name in cited
+                  if name not in known and name not in files) == []
+
+
+def test_readme_scan_reads_dotted_and_called_names():
+    text = ("`a.b()` and `--gap 1e-8`, `src/`, `c` and `d(x, y)`, "
+            "`key = value`, `e.py`")
+    assert README_NAME.findall(text) == ["a.b", "c", "d", "e.py"]
+    known = _known_names()
+    assert {"Temperature.zero", "quadrature.matsubara_sum", "rel_tol",
+            "n_evals", "err_lin", "verify", "ValueError"} <= known
+    assert "double_matsubara_sum" not in known

@@ -350,6 +350,42 @@ def test_g_hat_converges_where_its_integrand_is_subnormal():
                                       rel=1e-10)
 
 
+def test_g_hat_returns_underflowed_frequencies_as_exact_zeros(monkeypatch):
+    # where e^(-2x) underflows (x > 372.6) g is exactly 0: no quadrature
+    # and no nodes. _g_hat at x = 1e10 used to take 4,096 nodes and flag,
+    # and a batch of such frequencies alone never reaches the row driver
+    zero = quadrature.QuadratureResult(0.0, 0.0, 0, True)
+    batches = []
+    real = lifshitz_linear._refine_rows
+
+    def recorded(*args):
+        batches.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(lifshitz_linear, "_refine_rows", recorded)
+    assert _g_hat(np.array([1e10]), 2.0, INF, 1e-9) == [zero]
+    assert _g_hat(np.array([373.0, 1e300]), np.array([2.0, 3.0]), 1.5,
+                  1e-9) == [zero, zero]
+    assert batches == []
+    # the live frequencies of a mixed batch keep their results
+    mixed = _g_hat(np.array([370.0, 400.0, 3.0]), np.array([1.01, 2.0, 2.0]),
+                   1.05, 1e-9)
+    alone = [_g_hat(np.array([x]), eps, 1.05, 1e-9)[0]
+             for x, eps in ((370.0, 1.01), (3.0, 2.0))]
+    assert mixed == [alone[0], zero, alone[1]]
+    assert alone[0].value > 0.0 and len(batches[0]) == 2
+
+
+def test_large_gap_finite_t_is_the_classical_term():
+    # at 300 K and 1e4 m every frequency but n = 0 has e^(-2x) = 0; the
+    # sum used to flag after 16,448 momentum nodes
+    for d in (1e4, 1e6):
+        res = pressure_linear(_stack(2.0, INF, d, Temperature.finite(300.0)))
+        high = pressure_linear(_stack(2.0, INF, d, Temperature.high(300.0)))
+        assert res.converged and res.n_evals < 1000
+        assert res.value == pytest.approx(high.value, rel=1e-15)
+
+
 def test_permittivity_below_one_rejected():
     with pytest.raises(MaterialError):
         i_lin_zero_t(0.5, 2.0)
@@ -413,7 +449,8 @@ def test_g_hat_rows_equal_single_rows_bitwise(continuum, rel_tol):
 def test_tabulated_zero_t_refines_each_frequency_level_at_once(monkeypatch):
     # a count, not a timing: one _gap_integrand call per momentum level
     # of each frequency level, where each frequency used to take 1,752
-    # calls in all; the work itself stays 38,400 momentum nodes
+    # calls in all; the work itself is 38,144 momentum nodes (38,400
+    # while the frequencies where e^(-2x) underflows ran a quadrature)
     calls = []
     real = lifshitz_linear._gap_integrand
 
@@ -426,5 +463,5 @@ def test_tabulated_zero_t_refines_each_frequency_level_at_once(monkeypatch):
                        MaterialResponse.from_table(TABLE_LIN), 1e-7,
                        Temperature.zero())
     res = pressure_linear(stack)
-    assert res.converged and res.n_evals == sum(calls) == 38_400
+    assert res.converged and res.n_evals == sum(calls) == 38_144
     assert len(calls) <= 1752 // 5

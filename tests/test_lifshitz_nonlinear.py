@@ -24,8 +24,8 @@ from scipy.integrate import quad
 from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          MaterialError, MaterialResponse, Temperature,
                          UnconvergedError, casimir_pressure, crossover_distance,
-                         double_matsubara_sum, i_nl_high_t, i_nl_zero_t,
-                         integrate_semi_infinite, matsubara_sum,
+                         i_nl_high_t, i_nl_zero_t, integrate_semi_infinite,
+                         matsubara_sum, pressure_linear,
                          pressure_nonlinear, pressure_transparent_mirror)
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
@@ -113,9 +113,9 @@ def test_residue_identity_zero_temperature():
         return (_weight_imaginary(xi, temp)
                 * _f_pole(1j * xi, big_omega).real)
 
-    rhs = -0.5 * integrate_semi_infinite(density_term, rel_tol=1e-12,
-                                         scale=big_omega,
-                                         vectorized=False).value
+    rhs = -0.5 * integrate_semi_infinite(
+        lambda xis: [density_term(xi) for xi in xis], rel_tol=1e-12,
+        scale=big_omega).value
     closed = -HBAR / (math.pi * EPSILON_0 * C_LIGHT ** 2) / (3.0 * big_omega)
     assert lhs == pytest.approx(closed, rel=1e-9)
     assert rhs == pytest.approx(closed, rel=1e-10)
@@ -506,8 +506,9 @@ def test_zero_chi3_gives_exact_zero():
 
 
 def test_finite_t_matches_direct_double_sum():
-    # oracle: the nested double Matsubara sum with one exact-coupling
-    # momentum quadrature per frequency pair
+    # oracle: the nested double Matsubara sum (inner sums to a tenth of
+    # the outer rel_tol) with one exact-coupling momentum quadrature per
+    # frequency pair
     temp = Temperature.finite(300.0)
     for d in (1e-6, 4.47e-7):
         x_factor = d / C_LIGHT
@@ -516,13 +517,40 @@ def test_finite_t_matches_direct_double_sum():
             return _w_direct(temp.xi(n) * x_factor, temp.xi(m) * x_factor,
                              (2.0, 10.0), (2.0, 10.0), 1e-9).value
 
-        dsum = double_matsubara_sum(term, temp, rel_tol=1e-7)
+        dsum = matsubara_sum(
+            lambda n: matsubara_sum(lambda m: term(n, m), temp,
+                                    rel_tol=0.1 * 1e-7),
+            temp, rel_tol=1e-7)
         direct = -_PREFACTOR * (CHI3 / EPSILON_0) \
             * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 * dsum.value
         res = pressure_nonlinear(_stack(2.0, 10.0, CHI3, d, temp),
                                  rel_tol=1e-7)
         assert dsum.converged and res.converged
         assert res.value == pytest.approx(direct, rel=1e-6)
+
+
+_CORNER_TEMPERATURES = [Temperature.zero()] + [
+    make(kelvin) for make in (Temperature.finite, Temperature.high)
+    for kelvin in (2.0 ** -64, 2.0 ** 64)]
+
+
+@pytest.mark.parametrize("d", [2.0 ** -127, 2.0 ** 127],
+                         ids=["d_min", "d_max"])
+@pytest.mark.parametrize("temp", _CORNER_TEMPERATURES,
+                         ids=lambda t: "%s-2^%g" % (t.kind,
+                                                    math.log2(t.kelvin)))
+@pytest.mark.parametrize("eps_lin", [math.inf, 3.0])
+def test_pressures_at_the_corners_of_the_input_box(d, temp, eps_lin):
+    # every route is finite and converged at each corner of the gap and
+    # temperature ranges; the transparent route at 2**64 K and 2**127 m
+    # used to return NaN after 20,001 pair sums
+    stack = _stack(2.0, eps_lin, CHI3, d, temp)
+    results = [pressure_linear(stack), pressure_nonlinear(stack)]
+    if math.isinf(eps_lin):
+        results.append(pressure_transparent_mirror(d, temp, CHI3))
+    for res in results:
+        assert res.converged
+        assert math.isfinite(res.value) and math.isfinite(res.error)
 
 
 def test_finite_t_bounded_work_at_nanometre_gap():

@@ -117,6 +117,19 @@ def test_stack_rejects_a_gap_whose_eighth_power_is_not_normal():
     assert stack.gap ** 8 == 2.0 ** -1016
 
 
+def test_stack_rejects_a_gap_whose_eighth_power_overflows():
+    # d**6 and d**8 of 1e60 m and beyond overflowed in the pressures
+    # (OverflowError); the bound is 2**127 m, where d**8 is 2**1016
+    kerr = MaterialResponse.constant(2.0, chi3=1e-18)
+    lin = MaterialResponse.perfect_mirror()
+    temp = Temperature.zero()
+    for gap in (1e60, 1e300, math.nextafter(2.0 ** 127, INF)):
+        with pytest.raises(MaterialError, match="2\\*\\*127"):
+            LayerStack(kerr, lin, gap, temp)
+    stack = LayerStack(kerr, lin, 2.0 ** 127, temp)
+    assert stack.gap ** 8 == 2.0 ** 1016
+
+
 def test_stack_orientation():
     kerr = MaterialResponse.constant(2.0, chi3=1e-18)
     lin = MaterialResponse.constant(10.0)

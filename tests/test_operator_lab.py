@@ -91,6 +91,33 @@ def test_grid_validation():
         Grid1D(16, 0.3, eta=-1e-3)
 
 
+def test_grid_needs_an_integer_size():
+    # 8.5 points used to be accepted, and run_verification_suite(
+    # n_points=8.0) to raise TypeError
+    for n in (8.5, 8.0, "16", None):
+        with pytest.raises(ConfigError, match="integer"):
+            Grid1D(n, 0.3)
+    with pytest.raises(ConfigError, match="integer"):
+        run_verification_suite(n_points=8.0)
+    assert Grid1D(np.int64(8), 0.3).n_points == 8
+
+
+def test_non_finite_frequencies_rejected():
+    # inf used to give all-zero responses, NaN "Helmholtz matrix is
+    # singular", an inf or NaN weight frequency a NaN operator, and
+    # monte_carlo_fdt at inf "n_op must be diagonal"
+    grid = Grid1D(16, 0.3)
+    eps, chi = np.full(16, 2.0), np.full(16, 1e-3)
+    for bad in (math.inf, -math.inf, math.nan):
+        for call in (lambda: build_linear(grid, eps, bad),
+                     lambda: build_n_operator(grid, eps, chi, bad, _WEIGHTS),
+                     lambda: build_n_operator(grid, eps, chi, 1.0,
+                                              ((bad, 0.5),)),
+                     lambda: monte_carlo_fdt(grid, eps, chi, bad, _WEIGHTS)):
+            with pytest.raises(ConfigError, match="omega"):
+                call()
+
+
 def test_build_linear_validation():
     grid = Grid1D(16, 0.3)
     with pytest.raises(ConfigError):
@@ -120,8 +147,9 @@ def test_build_n_operator_validation():
     chi = np.zeros(16)
     with pytest.raises(ConfigError):
         build_n_operator(grid, eps, chi, 1.0, ())
-    with pytest.raises(ConfigError):
-        build_n_operator(grid, eps, chi, 1.0, ((0.8, -0.5),))
+    for weight in (-0.5, math.inf, math.nan):  # inf made an inf operator
+        with pytest.raises(ConfigError):
+            build_n_operator(grid, eps, chi, 1.0, ((0.8, weight),))
     with pytest.raises(ConfigError):
         build_n_operator(grid, eps, chi[:8], 1.0, _WEIGHTS)
     with pytest.raises(ConfigError):

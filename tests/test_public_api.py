@@ -24,7 +24,7 @@ def test_all_is_pinned():
         "MaterialResponse", "LayerStack",
         "QuadratureResult", "Temperature", "clenshaw_curtis",
         "semi_infinite_nodes", "integrate_semi_infinite",
-        "matsubara_sum", "double_matsubara_sum",
+        "matsubara_sum",
         "pressure_linear",
         "i_lin_zero_t", "i_lin_high_t",
         "TotalPressure",

@@ -9,11 +9,22 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _contract, _frequency_vectors,
                                             _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
+from kerrcasimir.lifshitz_linear import _g_hat
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
                                     clenshaw_curtis,
-                                    double_matsubara_sum,
                                     integrate_semi_infinite, matsubara_sum,
                                     semi_infinite_nodes)
+
+
+def _double_sum(term, temperature, rel_tol=1e-8, zero_scale=(1.0, 1.0)):
+    # sum'_n sum'_m term(n, m): the matsubara_sum over n of the
+    # matsubara_sums over m, to a tenth of rel_tol, so the (0, 0) term
+    # weighs 1/4 in every regime
+    return matsubara_sum(
+        lambda n: matsubara_sum(lambda m: term(n, m), temperature,
+                                rel_tol=0.1 * rel_tol,
+                                zero_scale=zero_scale[1]),
+        temperature, rel_tol=rel_tol, zero_scale=zero_scale[0])
 
 
 def test_order_two_is_simpson():
@@ -285,10 +296,9 @@ _BAD_REL_TOLS = [0.0, -1.0, 1.0, 2.0, math.nan]
 @pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
 def test_integrate_semi_infinite_rejects_a_bad_rel_tol(rel_tol):
     # nan used to spend 4,096 nodes before it flagged
-    for vectorized in (True, False):
+    for f in (np.exp, lambda xs: [math.exp(x) for x in xs]):
         with pytest.raises(ValueError, match="rel_tol"):
-            integrate_semi_infinite(np.exp, rel_tol=rel_tol,
-                                    vectorized=vectorized)
+            integrate_semi_infinite(f, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
@@ -301,11 +311,11 @@ def test_matsubara_sum_rejects_a_bad_rel_tol(rel_tol):
 
 @pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
 def test_double_matsubara_sum_rejects_a_bad_rel_tol(rel_tol):
-    # at finite temperature nan used to take 579,431 terms, converged
+    # the outer sum rejects it before any inner sum runs; at finite
+    # temperature nan used to take 579,431 terms, converged
     for temp in (_ZERO, _WARM, _HOT):
         with pytest.raises(ValueError, match="rel_tol"):
-            double_matsubara_sum(lambda n, m: 0.5 ** (n + m), temp,
-                                 rel_tol=rel_tol)
+            _double_sum(lambda n, m: 0.5 ** (n + m), temp, rel_tol=rel_tol)
 
 
 def test_refinement_contract_frequency_vectors():
@@ -392,6 +402,20 @@ def test_temperature_validation():
     assert Temperature.high(10.0).kelvin == 10.0
 
 
+def test_temperature_range():
+    # 1e-300 K used to divide by zero in the frequency map, 1e300 K to
+    # run 82M evaluations into NaN: kelvin lies in [2**-64, 2**64]
+    for kelvin in (1e-300, 1e-200, math.nextafter(2.0 ** -64, 0.0),
+                   math.nextafter(2.0 ** 64, math.inf), 1e300, math.inf,
+                   math.nan):
+        for make in (Temperature.finite, Temperature.high):
+            with pytest.raises(ValueError, match="kelvin"):
+                make(kelvin)
+    for kelvin in (2.0 ** -64, 2.0 ** 64):
+        assert Temperature.finite(kelvin).xi(1) > 0.0
+        assert Temperature.high(kelvin).kelvin == kelvin
+
+
 def test_matsubara_frequency_values():
     temp = Temperature.finite(300.0)
     # xi_n = 2 pi n kB T / hbar
@@ -426,10 +450,11 @@ def test_matsubara_sum_zero_is_continuous_integral():
         assert abs(res.value - 1.0 / a) < 1e-9 / a
 
 
-def test_matsubara_sum_flags_slow_decay():
+def test_matsubara_sum_flags_slow_decay(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_TERMS", 500)
     temp = Temperature.finite(1.0)
     res = matsubara_sum(lambda n: 1.0 / (1.0 + n) ** 1.01, temp,
-                        rel_tol=1e-10, max_terms=500)
+                        rel_tol=1e-10)
     assert not res.converged
     assert res.n_evals <= 500 + 1
 
@@ -475,7 +500,7 @@ def test_matsubara_sum_tail_heads_past_kinks():
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
     # the rule blind to the kinks misses (and the series takes over)
     blind = quadrature._euler_maclaurin(
-        quadrature._Books(quadrature._rowwise(_kinked)), 300.0, 1e-10)
+        quadrature._Books(lambda ns: [_kinked(n) for n in ns]), 300.0, 1e-10)
     assert not (blind.converged and abs(blind.value - exact) <= blind.error)
 
 
@@ -543,6 +568,7 @@ def test_double_matsubara_flags_come_from_the_returned_attempt(monkeypatch):
     # the outer tail is dropped, and with it the inner sums at its
     # non-integer indices, which do not converge; the outer series does
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", MIN_LEVEL)
+    monkeypatch.setattr(quadrature, "_MAX_TERMS", 2000)
     calls = []
 
     def term(n, m):
@@ -551,9 +577,8 @@ def test_double_matsubara_flags_come_from_the_returned_attempt(monkeypatch):
             return 1.0 / (1.0 + m) ** 1.01
         return math.exp(-2.0 * (n + m) / 30.0)
 
-    res = double_matsubara_sum(term, Temperature.finite(300.0),
-                               rel_tol=1e-6, max_terms=2000,
-                               zero_scale=(30.0, 30.0))
+    res = _double_sum(term, Temperature.finite(300.0), rel_tol=1e-6,
+                      zero_scale=(30.0, 30.0))
     assert any(n != int(n) for n in calls)
     assert res.converged and res.n_evals == len(calls)
     exact = (0.5 / math.tanh(1.0 / 30.0)) ** 2
@@ -585,8 +610,8 @@ def _decay(s):
 _ZERO, _WARM, _HOT = (Temperature.zero(), Temperature.finite(300.0),
                       Temperature.high(300.0))
 _DRIVERS = {
-    "semi_infinite": (lambda t: integrate_semi_infinite(t, vectorized=False),
-                      lambda x: math.exp(-x)),
+    "semi_infinite": (lambda t: integrate_semi_infinite(
+        lambda xs: [t(x) for x in xs]), lambda x: math.exp(-x)),
     "sum_zero": (lambda t: matsubara_sum(t, _ZERO, zero_scale=30.0),
                  _decay(30.0)),
     "sum_series": (lambda t: matsubara_sum(t, _WARM, zero_scale=12.0),
@@ -594,13 +619,12 @@ _DRIVERS = {
     "sum_tail": (lambda t: matsubara_sum(t, _WARM, zero_scale=300.0),
                  _decay(300.0)),
     "sum_high": (lambda t: matsubara_sum(t, _HOT), _decay(12.0)),
-    "double_zero": (lambda t: double_matsubara_sum(t, _ZERO,
-                                                   zero_scale=(1.0, 0.5)),
+    "double_zero": (lambda t: _double_sum(t, _ZERO, zero_scale=(1.0, 0.5)),
                     lambda n, m: math.exp(-n - 2.0 * m)),
-    "double_finite": (lambda t: double_matsubara_sum(
-        t, _WARM, rel_tol=1e-6, zero_scale=(30.0, 30.0)),
-        lambda n, m: math.exp(-2.0 * (n + m) / 30.0)),
-    "double_high": (lambda t: double_matsubara_sum(t, _HOT),
+    "double_finite": (lambda t: _double_sum(t, _WARM, rel_tol=1e-6,
+                                            zero_scale=(30.0, 30.0)),
+                      lambda n, m: math.exp(-2.0 * (n + m) / 30.0)),
+    "double_high": (lambda t: _double_sum(t, _HOT),
                     lambda n, m: 8.0 + n + m),
 }
 
@@ -686,6 +710,27 @@ def test_zero_t_sum_stops_at_the_thermal_cap():
     assert not res.converged and res.n_evals == 2 * 256
 
 
+def test_zero_t_sum_is_integrate_semi_infinite():
+    # the production shape: a row term of one QuadratureResult per node,
+    # here the momentum integrals of eps = 2 against a mirror. The
+    # zero-T sum and the integral give the same bits, error, flag and
+    # n_evals, the nested momentum nodes included
+    def rows(ns):
+        return _g_hat(ns, 2.0, math.inf, 1e-10, continuum=True)
+
+    for breaks in ((), (0.7, 3.0)):
+        summed = quadrature._matsubara_rows(rows, _ZERO, 1e-8, zero_scale=2.0,
+                                            zero_breaks=breaks)
+        integral = integrate_semi_infinite(rows, 1e-8, 2.0,
+                                           quadrature._TAIL_MAX_LEVEL,
+                                           breaks)
+        assert summed.converged
+        assert (summed.value.hex(), summed.error.hex(), summed.n_evals,
+                summed.converged) == (integral.value.hex(),
+                                      integral.error.hex(), integral.n_evals,
+                                      integral.converged)
+
+
 def test_matsubara_sum_keeps_the_series_below_threshold():
     # n_star ~ 12 at rel_tol 1e-8: the term-by-term series is cheaper, and
     # it runs exactly as without a scale
@@ -742,13 +787,15 @@ class _Recorded:
         return [n for call in self.calls for n in call]
 
 
-def _series(rows, rel_tol, s, value=float, max_terms=20000):
+def _series(rows, rel_tol, s, value=float, max_terms=None):
     # the finite-temperature series alone, even where the Euler-Maclaurin
-    # tail would take over (n* = 30 at rel_tol 1e-6)
+    # tail would take over (n* = 30 at rel_tol 1e-6), cut after max_terms
+    # terms if given
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_euler_maclaurin", lambda *args, **kw: None)
-        return quadrature._matsubara_rows(rows, _WARM, rel_tol,
-                                          max_terms=max_terms, zero_scale=s,
+        if max_terms is not None:
+            mp.setattr(quadrature, "_MAX_TERMS", max_terms)
+        return quadrature._matsubara_rows(rows, _WARM, rel_tol, zero_scale=s,
                                           value=value)
 
 
@@ -766,7 +813,8 @@ def test_blocked_series_matches_the_one_index_replay(shape, s, rel_tol,
         term, value = (lambda n: np.full(2, f(n))), _product
     rows = _Recorded(term)
     res = _series(rows, rel_tol, s, value)
-    cur, est, converged, stop = _series_replay(term, rel_tol, 20000, value)
+    cur, est, converged, stop = _series_replay(term, rel_tol,
+                                               quadrature._MAX_TERMS, value)
     assert converged
     assert (res.value, res.error, res.converged) == (cur, est, converged)
     # each index once and in order, every one counted
@@ -797,7 +845,7 @@ def test_blocked_series_flags_only_the_terms_it_folds():
     # the last block may run past the stop; the flags of those terms,
     # whose values are not used, do not reach the result, their work does
     term = _decay(6.0)
-    stop = _series_replay(term, 1e-6, 20000, float)[3]
+    stop = _series_replay(term, 1e-6, quadrature._MAX_TERMS, float)[3]
     plain = _Recorded(term)
     res = _series(plain, 1e-6, 6.0)
     assert plain.indices[-1] > stop
@@ -817,8 +865,7 @@ def test_blocked_series_flags_only_the_terms_it_folds():
 def test_double_matsubara_separable():
     temp = Temperature.finite(77.0)
     r, s = 0.3, 0.6
-    res = double_matsubara_sum(lambda n, m: r ** n * s ** m, temp,
-                               rel_tol=1e-11)
+    res = _double_sum(lambda n, m: r ** n * s ** m, temp, rel_tol=1e-11)
     exact = (0.5 + r / (1.0 - r)) * (0.5 + s / (1.0 - s))
     assert res.converged
     assert abs(res.value - exact) < 1e-9 * exact
@@ -826,7 +873,7 @@ def test_double_matsubara_separable():
 
 def test_double_matsubara_high():
     temp = Temperature.high(300.0)
-    res = double_matsubara_sum(lambda n, m: 8.0 + n + m, temp)
+    res = _double_sum(lambda n, m: 8.0 + n + m, temp)
     assert res.value == 2.0
 
 
@@ -843,8 +890,7 @@ def test_zero_t_integral_accepts_subnormal_round_off(n):
 
 def test_double_matsubara_zero():
     temp = Temperature.zero()
-    res = double_matsubara_sum(
-        lambda n, m: math.exp(-n - 2.0 * m), temp, rel_tol=1e-10,
-        zero_scale=(1.0, 0.5))
+    res = _double_sum(lambda n, m: math.exp(-n - 2.0 * m), temp,
+                      rel_tol=1e-10, zero_scale=(1.0, 0.5))
     assert res.converged
     assert abs(res.value - 0.5) < 1e-8

@@ -10,7 +10,8 @@ temperature and in the classical limit. n_evals and converged are
 pinned exactly and the value to 1e-12 relative, so a refactor that is
 meant to keep every result's bits shows here when it moves the work of
 any regime. A change of the refinement rule moves these pins on purpose
-and says so.
+and says so. The linear pins count no nodes for the frequencies where
+e^(-2x) underflows, whose g is exactly zero without a quadrature.
 """
 
 import math
@@ -42,11 +43,11 @@ ROUTES = {"linear": pressure_linear, "nonlinear": pressure_nonlinear}
 # (route, plates, regime): (value in Pa, n_evals, converged), default
 # rel_tol of each route
 PINS = {
-    ("linear", "eps2_mirror", "zero"): (20660.27802754803, 5568, True),
+    ("linear", "eps2_mirror", "zero"): (20660.27802754803, 5312, True),
     ("nonlinear", "eps2_mirror", "zero"): (675.2576375671712, 4320, True),
-    ("linear", "tabulated", "zero"): (7559.907210115187, 18496, True),
+    ("linear", "tabulated", "zero"): (7559.907210115187, 18368, True),
     ("nonlinear", "tabulated", "zero"): (97.28261272820706, 13840, True),
-    ("linear", "eps2_mirror", "finite"): (20660.278029491707, 6016, True),
+    ("linear", "eps2_mirror", "finite"): (20660.278029491707, 5760, True),
     ("nonlinear", "eps2_mirror", "finite"): (675.2576375189287, 4960, True),
     ("linear", "tabulated", "finite"): (7559.975544684863, 43904, True),
     ("nonlinear", "tabulated", "finite"): (97.28870304827346, 28368, True),
@@ -99,9 +100,9 @@ def test_series_work_is_pinned(key):
 # (1e-6); uncached, as a first call computes them
 COEFFICIENTS = {"linear": (_i_lin_raw, 1e-9), "nonlinear": (_i_nl_raw, 1e-6)}
 COEFFICIENT_PINS = {
-    ("linear", 2.0, math.inf, "zero"): (0.006534905287112802, 8448, True),
+    ("linear", 2.0, math.inf, "zero"): (0.006534905287112802, 8192, True),
     ("linear", 2.0, math.inf, "high"): (0.01387941959774147, 64, True),
-    ("linear", 11.7, 3.0, "zero"): (0.00668169690788475, 8320, True),
+    ("linear", 11.7, 3.0, "zero"): (0.00668169690788475, 8064, True),
     ("linear", 11.7, 3.0, "high"): (0.01777938928317746, 64, True),
     ("nonlinear", 2.0, math.inf, "zero"): (2.9908491654033467e-06, 4320,
                                            True),

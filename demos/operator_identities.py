@@ -11,7 +11,7 @@ sampling check of the amended fluctuation-dissipation relation.
 
 from kerrcasimir import run_verification_suite
 
-results = run_verification_suite(n_points=32, spacing=0.3, seed=0)
+results = run_verification_suite(n_points=32, seed=0)
 
 width = max(len(r.name) for r in results)
 print("%-*s %12s %12s  %s" % (width, "identity", "residual", "threshold",

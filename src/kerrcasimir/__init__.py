@@ -21,9 +21,8 @@ from .operator_lab import (CheckResult, Grid1D, build_linear,
                            monte_carlo_fdt, naive_combination,
                            noise_covariance, run_verification_suite,
                            rytov_residual)
-from .quadrature import (QuadratureResult, Temperature, clenshaw_curtis,
-                         integrate_semi_infinite, matsubara_sum,
-                         semi_infinite_nodes)
+from .quadrature import (QuadratureResult, Temperature,
+                         integrate_semi_infinite, matsubara_sum)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "UnconvergedError", "NearResonanceError",
     "reflection",
     "MaterialResponse", "LayerStack",
-    "QuadratureResult", "Temperature", "clenshaw_curtis",
-    "semi_infinite_nodes", "integrate_semi_infinite",
+    "QuadratureResult", "Temperature", "integrate_semi_infinite",
     "matsubara_sum",
     "pressure_linear",
     "i_lin_zero_t", "i_lin_high_t",

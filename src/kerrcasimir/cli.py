@@ -156,8 +156,6 @@ class RunConfig:
     values: dict
 
     def __post_init__(self):
-        if self.subcommand not in _SUBCOMMAND_KEYS:
-            raise ConfigError("unknown subcommand %r" % self.subcommand)
         if "d_min" in self.values:
             if not self.values["d_min"] < self.values["d_max"]:
                 raise ConfigError("d_min must be smaller than d_max")
@@ -186,6 +184,8 @@ def _canonical(value):
 
 def build_config(subcommand, config_path=None, overrides=None):
     """Merge defaults, the optional config file, and flag overrides."""
+    if subcommand not in _SUBCOMMAND_KEYS:
+        raise ConfigError("unknown subcommand %r" % (subcommand,))
     allowed = _SUBCOMMAND_KEYS[subcommand]
     values = {key: _KEYS[key][1] for key in allowed}
     if config_path is not None:

@@ -38,7 +38,7 @@ from .constants import C_LIGHT, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
 from .quadrature import (MAX_LEVEL, QuadratureResult, Temperature,
-                         _check_rel_tol, _matsubara_rows, _refine_rows)
+                         _check_rel_tol, _refine_rows, matsubara_sum)
 
 
 def as_permittivity(value):
@@ -82,41 +82,48 @@ _X_FLOOR = 1e-300
 def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
     """Momentum integral g at each scaled frequency of the 1-D array x.
 
-    Returns one QuadratureResult per frequency, each refined on
-    semi_infinite_nodes(m, max(1, sqrt(x))) by the row driver: one
-    _gap_integrand call per level for all frequencies; where e^(-2x)
-    underflows, g is exactly 0, with no nodes. eps1 and eps3 are floats
-    or one permittivity per frequency. With continuum=True the x = 0
-    node is evaluated as the limit from above (the s channel of a
-    mirror stays alive), which is the correct integrand of the
-    continuous zero-temperature frequency integral; the discrete sums
-    keep the x = 0 prescription instead.
+    Returns one QuadratureResult per frequency from one _momentum_batch
+    of _gap_integrand: exactly 0 with no nodes where e^(-2x) underflows.
+    eps1 and eps3 are floats or one permittivity per frequency. With
+    continuum=True the x = 0 node is evaluated as the limit from above
+    (the s channel of a mirror stays alive), which is the correct
+    integrand of the continuous zero-temperature frequency integral;
+    the discrete sums keep the x = 0 prescription instead.
     """
     x = np.asarray(x, dtype=float)
     if continuum:
         x = np.where(x == 0.0, _X_FLOOR, x)
+    return _momentum_batch(_gap_integrand,
+                           lambda w, vals: (float(w @ vals), None),
+                           lambda edge, _, res: res.scaled(edge),
+                           QuadratureResult(0.0, 0.0, 0, True), MAX_LEVEL,
+                           x, eps1, eps3, rel_tol)
+
+
+def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
+                    rel_tol):
+    """The momentum quadratures at the scaled frequencies of the 1-D x.
+
+    Where e^(-2x) underflows every kernel value is exactly 0: the
+    frequency gets dead, with no nodes. The others are one _refine_rows
+    batch of scales max(1, sqrt(x)), kernel(y, x, eps1, eps3, edge) per
+    level with edge = e^(-2x) (math.exp's bits), and each returns
+    finish(edge, payload, result). eps1 and eps3 are floats or one
+    permittivity per frequency.
+    """
     edge = [math.exp(-2.0 * v) for v in x.tolist()]
     live = [i for i, e in enumerate(edge) if e > 0.0]
-    out = [QuadratureResult(0.0, 0.0, 0, True)] * len(edge)
+    out = [dead] * len(edge)
     if live:
         x, eps1, eps3 = (np.broadcast_to(v, x.shape)[live]
                          for v in (x, eps1, eps3))
         edge = [edge[i] for i in live]
-        rows = _refine_rows(_gap_integrand, _dot, _scales(x.tolist()),
-                            rel_tol, MAX_LEVEL, x, eps1, eps3, edge)
-        for i, e, (_, res) in zip(live, edge, rows):
-            out[i] = res.scaled(e)
+        rows = _refine_rows(kernel, total,
+                            [max(1.0, math.sqrt(v)) for v in x.tolist()],
+                            rel_tol, max_level, x, eps1, eps3, edge)
+        for i, e, (payload, res) in zip(live, edge, rows):
+            out[i] = finish(e, payload, res)
     return out
-
-
-def _scales(xs):
-    # momentum scale of each frequency's quadrature
-    return [max(1.0, math.sqrt(v)) for v in xs]
-
-
-def _dot(w, vals):
-    # a quadrature level of one row of _g_hat
-    return float(w @ vals), None
 
 
 def _frequencies(stack):
@@ -165,7 +172,7 @@ def pressure_linear(stack, rel_tol=1e-8):
     inner_tol = max(0.1 * rel_tol, 1e-12)
     continuum = temp.kind == "zero"
     frequency, n_star, kinks = _frequencies(stack)
-    msum = _matsubara_rows(
+    msum = matsubara_sum(
         lambda ns: _g_hat(*frequency(ns), inner_tol, continuum=continuum),
         temp, rel_tol, zero_scale=n_star, zero_breaks=kinks)
     return msum.scaled(K_BOLTZMANN * temp.kelvin
@@ -185,7 +192,7 @@ def _i_lin_raw(limit, eps1, eps3, rel_tol):
     # integral is the whole sum and runs at rel_tol
     zero = limit == "zero"
     inner_tol = _inner_tol(rel_tol) if zero else rel_tol
-    res = _matsubara_rows(
+    res = matsubara_sum(
         lambda ns: _g_hat(ns, eps1, eps3, inner_tol, continuum=zero),
         Temperature(limit, 1.0), rel_tol)
     c = 2.0 * math.pi ** 2 if zero else math.pi

@@ -88,11 +88,11 @@ from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
 from .lifshitz_linear import (_coefficient_tol, _frequencies, _i_lin_raw,
-                              _inner_tol, _scales, as_permittivity,
+                              _inner_tol, _momentum_batch, as_permittivity,
                               pressure_linear)
 from .materials import LayerStack, MaterialResponse
 from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
-                         _matsubara_rows, _refine_rows, matsubara_sum)
+                         _frozen, matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
 _I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
@@ -105,6 +105,9 @@ _COUPLING_T = np.exp(-32.0 + _COUPLING_H * np.arange(127.0))
 _COUPLING_W = _COUPLING_H * _COUPLING_T
 
 _NO_KERR = QuadratureResult(0.0, 0.0, 0, True)
+# the frequency vectors where e^(-2x) underflows: exactly 0, no nodes
+_DEAD_VECTORS = QuadratureResult(_frozen(np.zeros((4, _COUPLING_T.size)))[0],
+                                 0.0, 0, True)
 
 _CROSSOVER_LO = 1e-11
 _CROSSOVER_HI = 1e-4
@@ -153,22 +156,24 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
     frequency. Returns one QuadratureResult per frequency, whose value
     is the 4 x 127 array f: its rows are U1, U2, V1, V2 with
     U_k[r] = int dy A_k(x, y) exp(-t_r kappa1(x, y)) and V_k the same
-    with B_k; both share the y nodes of semi_infinite_nodes(m,
-    max(1, sqrt(x))), each evaluated once. Error, n_evals (its distinct
-    nodes) and flag are those of the refinement of the diagonal
-    W(x, x) = _gram(f), and f belongs to its last level. The row driver
-    refines all frequencies with one _kernel_vectors call per level;
-    only A_k, B_k and kappa1 are kept per node, and each level's
-    contraction recomputes the coupling exponentials of its rows.
+    with B_k; both share the y nodes of the momentum rule, each
+    evaluated once. Error, n_evals (its distinct nodes) and flag are
+    those of the refinement of the diagonal W(x, x) = _gram(f), and f
+    belongs to its last level. All frequencies are one _momentum_batch
+    (read-only zeros with no nodes where e^(-2x) underflows), one
+    _kernel_vectors call per level; only A_k, B_k and kappa1 are kept
+    per node, and each level's contraction recomputes the coupling
+    exponentials of its rows.
     """
-    x = np.asarray(x, dtype=float)
-    return [replace(res, value=f) for f, res in _refine_rows(
-        _node_vectors, _level_vectors, _scales(x.tolist()), rel_tol,
-        _INNER_MAX_LEVEL, x, eps1, eps3)]
+    return _momentum_batch(_node_vectors, _level_vectors,
+                           lambda _, f, res: replace(res, value=f),
+                           _DEAD_VECTORS, _INNER_MAX_LEVEL,
+                           np.asarray(x, dtype=float), eps1, eps3, rel_tol)
 
 
-def _node_vectors(y, x, eps1, eps3):
-    # A1, A2, B1, B2 and kappa1 stacked on a last axis
+def _node_vectors(y, x, eps1, eps3, _edge):
+    # A1, A2, B1, B2 and kappa1 stacked on a last axis; the kernel damps
+    # by its own e^(-2 k2), so _momentum_batch's edge goes unused
     return np.stack(_kernel_vectors(x, y, eps1, eps3), axis=-1)
 
 
@@ -214,7 +219,7 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
         return _NO_KERR
     inner_tol = _inner_tol(rel_tol)
     frequency, n_star, kinks = _frequencies(st)
-    dsum = _matsubara_rows(
+    dsum = matsubara_sum(
         lambda ns: _frequency_vectors(*frequency(ns), inner_tol),
         st.temperature, rel_tol, zero_scale=n_star, zero_breaks=kinks,
         value=_gram)
@@ -304,7 +309,8 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
         return _NO_KERR
     tau = temperature.xi(1) * d / C_LIGHT
     discrete = temperature.kind != "zero"
-    dsum = matsubara_sum(lambda n: _ct_pair_sum(n, tau, discrete),
+    dsum = matsubara_sum(lambda ns: [_ct_pair_sum(n, tau, discrete)
+                                     for n in ns],
                          temperature, rel_tol, zero_scale=1.0 / tau)
     return _kerr_pressure(dsum, temperature, d, kerr.chi3)
 
@@ -316,7 +322,7 @@ def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
     # over the square of that 2 pi at zero temperature)
     zero = limit == "zero"
     inner_tol = _inner_tol(rel_tol) if zero else rel_tol
-    res = _matsubara_rows(
+    res = matsubara_sum(
         lambda ns: _frequency_vectors(ns, eps_nl, eps_lin, inner_tol),
         Temperature(limit, 1.0), rel_tol, value=_gram)
     return res.scaled(-_I_ZERO_FACTOR if zero else -_PREFACTOR)

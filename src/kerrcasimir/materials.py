@@ -9,11 +9,11 @@ piecewise log-linear interpolation in xi.
 
 The interpolant of a table has a kink (a jump in its derivative) at
 every table node, and so has every frequency integrand built on it.
-breakpoints exposes the positive nodes, and the zero-temperature
-frequency integrals split into panels there (mapped to thermal indices
-n = xi / xi_1; see quadrature.semi_infinite_nodes), so each panel sees
-a smooth integrand and the nested rules converge geometrically again
-instead of algebraically.
+breakpoints exposes the positive nodes, and the frequency integrals
+split into panels there (mapped to thermal indices n = xi / xi_1, the
+zero_breaks of quadrature.matsubara_sum), so each panel sees a smooth
+integrand and the nested rules converge geometrically again instead of
+algebraically.
 
 A plate may additionally carry an isotropic third-order (Kerr)
 susceptibility chi3, in m**2/V**2. The pressure kernels have the

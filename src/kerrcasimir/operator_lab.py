@@ -271,11 +271,12 @@ def rytov_residual(gt, v, n_op, g0):
     return _rytov_residual(gt, v, n_op, np.linalg.inv(g0))
 
 
-def noise_covariance(g1, n_op, b_value=1.0):
+def noise_covariance(g1, n_op):
     """Covariance of the propagated noise field, projected to PSD.
 
-    C = b [Im G1 + G1 (Im N) G1*], hermitized; negative eigenvalues
-    are clipped to zero so the matrix can seed Gaussian sampling.
+    C = Im G1 + G1 (Im N) G1*, hermitized (no noise strength b: it would
+    scale every target alike); negative eigenvalues are clipped to zero
+    so the matrix can seed Gaussian sampling.
 
     Returns
     -------
@@ -287,7 +288,7 @@ def noise_covariance(g1, n_op, b_value=1.0):
         operator the second term vanishes and nothing is clipped.
     """
     _check_diagonal(n_op, "n_op")
-    c = b_value * (_im(g1) + (g1 * _im(np.diagonal(n_op))) @ np.conj(g1).T)
+    c = _im(g1) + (g1 * _im(np.diagonal(n_op))) @ np.conj(g1).T
     c = 0.5 * (c + np.conj(c).T)
     lam, u = np.linalg.eigh(c)
     clipped_mass = float(-lam[lam < 0.0].sum()) + 0.0
@@ -300,8 +301,8 @@ def noise_covariance(g1, n_op, b_value=1.0):
     return c_psd, fraction
 
 
-def _monte_carlo(g1, n_op, c_psd, b_value, samples, rng):
-    """Deviation of the sampled <E (x) E*> from b Im Gt.
+def _monte_carlo(g1, n_op, c_psd, samples, rng):
+    """Deviation of the sampled <E (x) E*> from Im Gt.
 
     The fields are E = B z with B = (I + G1 N) u sqrt(lam), where
     c_psd = u diag(lam) u^H and z = (x + i y)/sqrt(2) holds `samples`
@@ -319,22 +320,22 @@ def _monte_carlo(g1, n_op, c_psd, b_value, samples, rng):
     del x, y, cross  # the draws would otherwise set the peak memory
     b_mat = dressing @ (u * np.sqrt(np.clip(lam, 0.0, None)))
     c_mc = b_mat @ gram @ np.conj(b_mat).T
-    target = b_value * _im(dressing @ g1)
+    target = _im(dressing @ g1)
     return float(np.max(np.abs(c_mc - target)) / np.max(np.abs(target)))
 
 
 def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
-                    b_value=1.0, samples=1000, seed=0):
+                    samples=1000, seed=0):
     """Sampled check of the amended fluctuation-dissipation relation.
 
     Draws Gaussian noise fields with the projected covariance, dresses
     them to first order, E = (I + G1 N)(G1 F), and compares the
-    ensemble average <E (x) E*> against b Im Gt.
+    ensemble average <E (x) E*> against Im Gt.
 
     Returns
     -------
     float
-        max |<E (x) E*> - b Im Gt| / (b max |Im Gt|); decays like
+        max |<E (x) E*> - Im Gt| / max |Im Gt|; decays like
         samples**-0.5 and is bitwise reproducible for a fixed seed.
     """
     samples = int(samples)
@@ -344,8 +345,8 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
     n_op = build_n_operator(grid, eps_profile, chi_profile, omega,
                             weight_spec)
     g1 = _inverse(grid, _check_eps(grid, eps_profile), omega, grid.eta)
-    c_psd, _ = noise_covariance(g1, n_op, b_value)
-    return _monte_carlo(g1, n_op, c_psd, b_value, samples, rng)
+    c_psd, _ = noise_covariance(g1, n_op)
+    return _monte_carlo(g1, n_op, c_psd, samples, rng)
 
 
 def _generator(seed):
@@ -368,17 +369,17 @@ def _asymmetry(mat):
     return float(np.linalg.norm(mat - mat.T) / np.linalg.norm(mat))
 
 
-def run_verification_suite(n_points=32, spacing=0.3, seed=0):
+def run_verification_suite(n_points=32, seed=0):
     """Exercise every operator identity on a two-object scenario.
 
-    Builds two dielectric blocks, calibrates the Kerr amplitude so that
-    ||G1 N|| is a small perturbation (~1e-2), and returns a list of
-    CheckResult rows: exact linear identities at machine thresholds,
-    first-order identities at O(chi**2) thresholds, and the statistical
-    fluctuation-dissipation check.
+    Builds two dielectric blocks on n_points cells of width 0.3, calibrates
+    the Kerr amplitude so that ||G1 N|| is a small perturbation (~1e-2), and
+    returns a list of CheckResult rows: exact linear identities at machine
+    thresholds, first-order identities at O(chi**2) thresholds, and the
+    statistical fluctuation-dissipation check.
     """
     rng = _generator(seed)
-    grid = Grid1D(n_points, spacing)
+    grid = Grid1D(n_points, 0.3)
     block = max(3, n_points // 5)
     a0 = n_points // 8
     b1 = n_points - n_points // 8
@@ -457,6 +458,6 @@ def run_verification_suite(n_points=32, spacing=0.3, seed=0):
 
     mc_samples = 2000
     add("monte_carlo_fdt",
-        _monte_carlo(g1, n_total, c_psd, 1.0, mc_samples, rng),
+        _monte_carlo(g1, n_total, c_psd, mc_samples, rng),
         5.0 / math.sqrt(mc_samples))
     return results

@@ -6,19 +6,20 @@ which makes doubling Clenshaw-Curtis rules a good fit: each refinement
 reuses all previous function evaluations and the change between two
 successive levels is a usable error estimate.
 
-One composite rule covers [0, inf) (semi_infinite_nodes). Breakpoints
-b_1 < ... < b_K cut it into finite panels [0, b_1], ..., [b_(K-1), b_K],
-each with the order-m rule, and a tail [b_K, inf), with the order-m
-rule mapped via x = b_K + scale*u/(1-u). Every panel contributes m
-nodes: its right endpoint is the next panel's first node and passes its
-weight on to it. Level-m nodes therefore stay the even-indexed nodes of
-level 2*m across panel edges, so the nested refinement reuses them
-exactly as without breakpoints, and without breakpoints the rule is the
-mapped rule alone. Breakpoints at the kinks of an integrand leave it
-smooth on every panel, so the rule converges geometrically where one
-rule across the kinks converges only algebraically. Level caps count m,
-the nodes per panel, and no refinement goes past its cap. One private
-function (_rule) builds the rule for a scale or for a column of scales.
+One composite rule covers [0, inf) (_rule). Breakpoints b_1 < ... < b_K
+cut it into finite panels [0, b_1], ..., [b_(K-1), b_K], each with the
+order-m rule, and a tail [b_K, inf), with the order-m rule mapped via
+x = b_K + scale*u/(1-u). Every panel contributes m nodes: its right
+endpoint is the next panel's first node and passes its weight on to
+it, and the tail drops u = 1 (x = inf), which is exact for an integrand
+that decays faster than 1/x**2, as every exponentially damped kernel
+here does. So node k of level m is node 2k of level 2m, bitwise, across
+panel edges, the nested refinement reuses them exactly as without
+breakpoints, and without breakpoints the rule is the mapped rule alone.
+Breakpoints at the kinks of an integrand leave it smooth on every
+panel, so the rule converges geometrically where one rule across the
+kinks converges only algebraically. Level caps count m, the nodes per
+panel, and no refinement goes past its cap.
 
 One driver and one rule serve every adaptive quadrature here. The row
 driver (_refine_rows) doubles the order from 8 for many rows in
@@ -38,20 +39,21 @@ A sum over discrete thermal frequencies (weight 1/2 on n = 0) becomes
 an integral over continuous n at zero temperature and its halved n = 0
 term in the classical limit. At finite temperature, once the index
 n_star over which the terms decay is large for the tolerance, a head of
-terms plus the integral of the rest replaces the series. Both thermal
-integrals stop at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms
-past n = 0. Terms may be arrays, summed elementwise; value (float by
-default) maps a sum to the float that the tolerance, the error and the
-result refer to, such as <F, F> for the Kerr frequency vectors F.
+terms plus the integral of the rest replaces the series, unless the
+head would hold more than _MAX_HEAD terms. Both thermal integrals stop
+at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms past n = 0.
+Terms may be arrays, summed elementwise; value (float by default) maps
+a sum to the float that the tolerance, the error and the result refer
+to, such as <F, F> for the Kerr frequency vectors F.
 
 Quadratures nest: a term may be a QuadratureResult. The driver uses its
 value, adds up its n_evals over every call, dropped attempts included
 (a plain number counts 1), and ANDs its flag into that of the attempt
 it returns (_Books). So n_evals counts the innermost evaluations.
 
-A level is one call. Every driver runs on a row term, which maps all
-the new indices or nodes of a level to one term each (matsubara_sum
-wraps its one-index term in one), so an inner quadrature can refine
+A level is one call. The two public drivers, integrate_semi_infinite
+and matsubara_sum, run on a row term, which maps all the new indices
+or nodes of a level to one term each, so an inner quadrature can refine
 them all at once as the rows of one batch, each stopping as alone. The
 finite-temperature series asks for its terms in blocks: the first runs
 to the budget B of the decay scale (_series_budget), each later one
@@ -62,7 +64,6 @@ the stop too. The classical limit passes index 0 alone.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -118,9 +119,8 @@ class _Books:
     """A row term's work since the first attempt, its flags in this one.
 
     A row term maps a sequence of indices or nodes to one term value
-    (float, array or QuadratureResult) per entry; called with one, the
-    books return the list of values. A row term that returns one array
-    holds plain values, passed on as they are.
+    (float, array or QuadratureResult) per entry, as a sequence or one
+    array; called with one, the books return the list of values.
     """
 
     def __init__(self, rows, n_evals=0):
@@ -129,11 +129,7 @@ class _Books:
         self.ok = True
 
     def __call__(self, ns):
-        terms = self.rows(ns)
-        if isinstance(terms, np.ndarray):
-            self.n_evals += len(terms)
-            return terms
-        values, flags = self._count(terms)
+        values, flags = self._count(self.rows(ns))
         self.ok = self.ok and all(flags)
         return values
 
@@ -235,55 +231,10 @@ def _frozen(*arrays):
     return arrays
 
 
-def _cc_order(m):
-    # a Clenshaw-Curtis order: an even integer >= 2
-    if not (isinstance(m, numbers.Integral) and m >= 2 and m % 2 == 0):
-        raise ValueError("order must be an even integer >= 2")
-    return int(m)
-
-
-def clenshaw_curtis(m):
-    """Nodes and weights of the (m+1)-point Clenshaw-Curtis rule on [0, 1].
-
-    Parameters
-    ----------
-    m : int
-        Even order >= 2. The rule has m + 1 nodes including both
-        endpoints, and the rules for m and 2*m are nested.
-
-    Returns
-    -------
-    x, w : ndarray
-        Nodes in ascending order and the matching weights.
-    """
-    x, w = _cc_rule(_cc_order(m))
-    return x.copy(), w.copy()
-
-
-def semi_infinite_nodes(m, scale=1.0, breaks=()):
-    """Composite Clenshaw-Curtis rule on [0, inf), split at breaks.
-
-    The ascending positive breakpoints b_1 < ... < b_K cut [0, inf) into
-    the finite panels [0, b_1], ..., [b_(K-1), b_K], each carrying the
-    order-m rule, and the tail [b_K, inf) (all of [0, inf) without
-    breakpoints), carrying the order-m rule mapped via
-    x = b_K + scale*u/(1-u). Each panel contributes m nodes, so both
-    arrays have length (K + 1)*m: a finite panel drops its right
-    endpoint, which is the first node of the next panel, and moves its
-    weight there; the tail drops u = 1 (x = inf). Dropping that one is
-    exact whenever the integrand decays faster than 1/x**2, which holds
-    for every exponentially damped kernel here. Rules for m and 2*m
-    stay nested across panel edges: node k of level m is node 2*k of
-    level 2*m, bitwise.
-    """
-    _check_scale(scale)
-    return _rule(_cc_order(m), scale, breaks)
-
-
 def _rule(m, scale, breaks=()):
-    # semi_infinite_nodes(m, scale, breaks) for a valid m and scale, or
-    # for a column of scales: one row of nodes and weights per scale,
-    # all sharing the breaks
+    # the composite rule of order m (see the module docstring) for a
+    # scale or for a column of scales: one row of nodes and weights per
+    # scale, all sharing the breaks
     u, wu, om, om2, end_weight = _unit_rule(m)
     xs, ws = [], []
     a = carry = 0.0
@@ -325,7 +276,7 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, *params,
                  breaks=()):
     """One doubling refinement per row, in lockstep: the row driver.
 
-    Row i integrates over semi_infinite_nodes(m, scales[i], breaks),
+    Row i integrates over the composite rule _rule(m, scales[i], breaks),
     m = 8, 16, ... up to max_level (>= 8, else ValueError). Each level
     makes one call kernel(y, *params) for all rows still refining: y
     holds their new nodes, row after row, and a param is a float shared
@@ -401,8 +352,8 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     ----------
     f : callable
         Integrand, a row term: receives a 1-D array of abscissas and
-        returns one value per abscissa, as one array or as a sequence
-        of floats, arrays or QuadratureResults (see the module
+        returns one float, array or QuadratureResult per abscissa, as a
+        sequence or as one array of its values (see the module
         docstring). Must decay faster than x**-2.
     rel_tol : float
         Target for the level-to-level change relative to the integral;
@@ -410,13 +361,15 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     scale : float
         Characteristic width of the integrand beyond its last
         breakpoint (beyond 0 without any); the tail nodes put half of
-        their mass within scale of that point.
+        their mass within scale of that point. Not positive and
+        finite: ValueError.
     max_level : int
         Largest order per panel, at least 8 (else ValueError): the rule
         doubles from 8 and stops at the last order not above it.
     breaks : sequence of float
-        Ascending positive points where f has a kink (a discontinuous
-        derivative); see semi_infinite_nodes.
+        Ascending positive finite points where f has a kink (a
+        discontinuous derivative), each the edge of a panel of the
+        composite rule (see the module docstring); else ValueError.
     value : callable
         Maps the elementwise integral of f to the float that is
         returned and that rel_tol refers to.
@@ -448,6 +401,8 @@ _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
 _SERIES_BLOCK = 64
 # most terms past index 0 that the finite-temperature series folds
 _MAX_TERMS = 20000
+# most terms in the Euler-Maclaurin head, which is one momentum batch
+_MAX_HEAD = 2 ** 16
 
 
 def _series_budget(n_star, rel_tol):
@@ -465,7 +420,7 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     cubic through f(N0-2..N0+1). A term ~exp(-2n/n_star) takes
     B = n_star ln(1/rel_tol)/2 series terms, and its f''' term is about
     7/(360 n_star**4) of the sum. The head (N0 >= 8) runs past every
-    break (kink) below B; the integral (semi_infinite_nodes, scale
+    break (kink) below B; the integral (the composite rule, scale
     n_star) splits at those beyond, each of which shifts the sum by
     about 2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
     terms (floats or arrays) to the float rel_tol refers to. The error
@@ -474,7 +429,9 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     term values. The head is one call of books. The integral is a batch
     of one row of the row driver, one call of books per level, whose
     payload is the array total of its last level, for the f''' check.
-    None where the series is predicted cheaper or the rule too coarse.
+    None where the series is predicted cheaper, the rule too coarse or
+    the head longer than _MAX_HEAD terms (a table kink far beyond the
+    thermal frequency, as far below 1 K).
     """
     if not (0.0 < rel_tol < 1.0
             and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
@@ -484,7 +441,7 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
                              if b < budget])
     light = [float(b) for b in breaks if b >= budget]
     # any break left in the stencil f(N0-2..N0+1) lies past B: declined
-    if n0 + 2 + 32 * (len(light) + 1) >= budget:
+    if n0 + 2 > _MAX_HEAD or n0 + 2 + 32 * (len(light) + 1) >= budget:
         return None
     start = n0 - 0.5
     fs = books(range(n0 + 2))
@@ -510,14 +467,18 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
                             and err <= bound and last_err <= 0.1 * bound)
 
 
-def matsubara_sum(term, temperature, rel_tol=1e-8, zero_scale=1.0,
+def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
                   zero_breaks=(), value=float):
-    """Primed sum over thermal frequencies: sum'_n term(n), n >= 0.
+    """Primed sum over thermal frequencies: sum'_n f(n), n >= 0.
 
-    The n = 0 term carries weight 1/2. Behaviour per temperature kind:
+    rows is a row term (see the module docstring): it maps a sequence
+    of indices to one term f(n) each, a float, an array or a
+    QuadratureResult holding either, and is called once per level of a
+    thermal integral, for the Euler-Maclaurin head and per block of the
+    series. The n = 0 term carries weight 1/2. Behaviour per kind:
 
     * "finite": a head of terms plus the integral of the rest if
-      zero_scale is large (_euler_maclaurin; term must accept floats
+      zero_scale is large (_euler_maclaurin; rows must accept floats
       beyond the head). Otherwise, or if that misses rel_tol, the
       series is summed until a geometric bound on the remaining tail,
       estimated from the last three steps of value(partial sum), drops
@@ -525,21 +486,20 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, zero_scale=1.0,
       unconverged after _MAX_TERMS terms past n = 0. Its terms are
       evaluated in blocks (see the module docstring) and summed in
       index order.
-    * "high": only the halved n = 0 term survives, value(term(0) / 2),
+    * "high": only the halved n = 0 term survives, value(f(0) / 2),
       and its error is scaled like the value (1/2 for value = float,
-      1/4 for a quadratic form).
-    * "zero": the frequency spacing vanishes and the sum becomes the
-      integral of term over continuous n >= 0 (term must accept floats
-      there); k_B * temperature.kelvin * result is then the physical
-      average for any reference kelvin. Both integrals take zero_scale
-      as the n over which term decays and zero_breaks as its kinks, and
-      stop at _TAIL_MAX_LEVEL nodes per panel.
+      1/4 for a quadratic form); rows is called with [0] alone.
+    * "zero": the frequency spacing vanishes and the sum becomes
+      integrate_semi_infinite of f over continuous n >= 0 (rows must
+      accept floats); k_B * temperature.kelvin * result is then the
+      physical average for any reference kelvin. Both integrals take
+      zero_scale as the n over which f decays, zero_breaks as its
+      kinks, and stop at _TAIL_MAX_LEVEL nodes per panel.
 
-    term may return a float, an array or a QuadratureResult holding
-    either (see the module docstring); arrays are summed elementwise
-    and value maps the sum to the float returned. A rel_tol outside
-    (0, 1), NaN included, raises ValueError, and so does a zero_scale
-    that is not positive and finite, in every regime.
+    Arrays are summed elementwise and value maps the sum to the float
+    returned. A rel_tol outside (0, 1), NaN included, raises
+    ValueError, and so does a zero_scale that is not positive and
+    finite, in every regime.
 
     Returns
     -------
@@ -551,15 +511,6 @@ def matsubara_sum(term, temperature, rel_tol=1e-8, zero_scale=1.0,
     """
     _check_rel_tol(rel_tol)
     _check_scale(zero_scale)
-    return _matsubara_rows(lambda ns: [term(n) for n in ns], temperature,
-                           rel_tol, zero_scale, zero_breaks, value)
-
-
-def _matsubara_rows(rows, temperature, rel_tol, zero_scale=1.0,
-                    zero_breaks=(), value=float):
-    # matsubara_sum of a row term (see _Books): one call per level of the
-    # zero-T integral, for the Euler-Maclaurin head, per level of its tail
-    # and per block of the series; the classical limit passes index 0
     kind = temperature.kind
     if kind == "high":
         res = _as_result(rows([0])[0])

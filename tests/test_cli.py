@@ -358,6 +358,16 @@ def test_build_config_validates_non_text_overrides(subcommand, overrides):
         build_config(subcommand, overrides=overrides)
 
 
+def test_build_config_rejects_an_unknown_subcommand(tmp_path):
+    # it used to raise KeyError, before any configuration check
+    path = tmp_path / "run.cfg"
+    path.write_text("gap = 1e-8\n")
+    for kwargs in ({}, {"overrides": {"gap": "1e-8"}},
+                   {"config_path": str(path)}):
+        with pytest.raises(ConfigError, match="unknown subcommand 'bogus'"):
+            build_config("bogus", **kwargs)
+
+
 def test_build_config_parses_overrides_as_flag_text():
     numbers = build_config("pressure", overrides={"tol": 5e-7, "gap": 2e-8})
     text = build_config("pressure", overrides={"tol": "5e-7", "gap": "2e-8"})
@@ -540,7 +550,7 @@ def _count_calls(monkeypatch, module, name):
 def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
     # a count, not a timing: it does not depend on the machine; each Kerr
     # pressure or coefficient is one thermal sum of the Kerr module
-    calls = _count_calls(monkeypatch, ln, "_matsubara_rows")
+    calls = _count_calls(monkeypatch, ln, "matsubara_sum")
     status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
     assert status == 0 and len(_parse_csv(out)[2]) == 25
     assert len(calls) == 1
@@ -567,12 +577,12 @@ def test_zero_t_scan_refines_each_frequency_level_at_once(capsys,
 
 
 def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
-    calls = _count_calls(monkeypatch, ln, "_matsubara_rows")
+    calls = _count_calls(monkeypatch, ln, "matsubara_sum")
     for gap in (1e-8, 1e-7):
         stack = LayerStack(MaterialResponse.constant(2.0, chi3=2e-16),
                            MaterialResponse.perfect_mirror(), gap,
                            Temperature.zero())
-        assert pressure_nonlinear(stack, rel_tol=1e-6).n_evals == 4320
+        assert pressure_nonlinear(stack, rel_tol=1e-6).n_evals == 4288
     assert len(calls) == 2
 
 
@@ -596,7 +606,7 @@ def test_crossover_after_a_zero_t_scan_reuses_its_coefficients(
         capsys, monkeypatch):
     # rows and crossover take the linear coefficient at one tolerance
     g_hats = _count_calls(monkeypatch, ll, "_g_hat")
-    double_sums = _count_calls(monkeypatch, ln, "_matsubara_rows")
+    double_sums = _count_calls(monkeypatch, ln, "matsubara_sum")
     assert _run(capsys, ["scan-distance", "--regime", "zero"])[0] == 0
     assert len(g_hats) > 0 and len(double_sums) == 1
     del g_hats[:], double_sums[:]

@@ -2,7 +2,11 @@
 
 A private name (_name) quoted in a docstring or a comment under
 src/kerrcasimir must be defined somewhere in the package: a function,
-class, method, assigned name or attribute, or parameter. A backticked
+class, method, assigned name or attribute, or parameter. So must a
+called snake_case name there whose first part has two or more letters
+(semi_infinite_nodes(m), not c_j(x, x')), unless it is a Python
+builtin, and a name qualified by a package module (quadrature.name)
+must be an attribute of that module. A backticked
 identifier in README.md (a dotted name, maybe called, as in
 `Temperature.zero()`) must be a kerrcasimir attribute (bare, or
 qualified by its module or class), a parameter or field of a public
@@ -32,6 +36,12 @@ CITED = re.compile(r"(?<![^\s(\[{`.,\"])_[A-Za-z]\w*")
 
 
 def _defined_and_cited(source):
+    defined, texts = _defined_and_texts(source)
+    return defined, {name for text in texts for name in CITED.findall(text)}
+
+
+def _defined_and_texts(source):
+    # the names the source defines, and its docstrings and comments
     tree = ast.parse(source)
     defined, texts = set(), []
     for node in ast.walk(tree):
@@ -48,7 +58,7 @@ def _defined_and_cited(source):
             texts.append(ast.get_docstring(node, clean=False) or "")
     texts += [tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.COMMENT]
-    return defined, {name for text in texts for name in CITED.findall(text)}
+    return defined, texts
 
 
 def test_cited_private_names_exist():
@@ -62,6 +72,51 @@ def test_cited_private_names_exist():
     stale = {name: files for name, files in cited.items()
              if name not in defined}
     assert stale == {}
+
+
+# a called public snake_case name: name(, not .name(, _name( or c_j(
+CALLED = re.compile(r"(?<![\w.])([a-z]{2,}(?:_[a-z0-9]+)+)\(")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if path.stem != "__init__")
+# a name qualified by a package module: quadrature.name
+QUALIFIED = re.compile(r"(?<![\w.])(%s)\.([A-Za-z_]\w*)" % "|".join(MODULES))
+
+
+def _package_texts():
+    defined, texts = set(dir(builtins)), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names, found = _defined_and_texts(path.read_text(encoding="utf-8"))
+        defined |= names
+        texts += [(path.name, text) for text in found]
+    return defined, texts
+
+
+def test_cited_calls_exist():
+    defined, texts = _package_texts()
+    called = {(name, where) for where, text in texts
+              for name in CALLED.findall(text)}
+    assert called  # the scan does see the called names
+    assert sorted(pair for pair in called if pair[0] not in defined) == []
+
+
+def test_module_qualified_names_resolve():
+    _, texts = _package_texts()
+    cited = {(module, attr, where) for where, text in texts
+             for module, attr in QUALIFIED.findall(text)}
+    assert len(cited) >= 3  # the scan does see the qualified names
+    assert sorted(
+        (module, attr, where) for module, attr, where in cited
+        if not hasattr(importlib.import_module("kerrcasimir." + module),
+                       attr)) == []
+
+
+def test_call_and_module_scans():
+    text = ("semi_infinite_nodes(m, s), c_j(x, x'), np.exp(-x), _rule(m), "
+            "sum_(1 <= n), is_constant, Li_3(r) and quadrature._gone or "
+            "quadrature.matsubara_sum; not np.quadrature.x")
+    assert CALLED.findall(text) == ["semi_infinite_nodes"]
+    assert QUALIFIED.findall(text) == [("quadrature", "_gone"),
+                                       ("quadrature", "matsubara_sum")]
 
 
 def test_scan_reads_docstrings_and_comments():

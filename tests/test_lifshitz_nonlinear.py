@@ -27,14 +27,14 @@ from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          i_nl_high_t, i_nl_zero_t, integrate_semi_infinite,
                          matsubara_sum, pressure_linear,
                          pressure_nonlinear, pressure_transparent_mirror)
-from kerrcasimir import lifshitz_nonlinear, quadrature
+from kerrcasimir import lifshitz_linear, lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
                                             _ct_pair_sum,
                                             _frequency_vectors,
                                             _i_nl_raw, _k_moments,
                                             _kernel_vectors)
-from kerrcasimir.quadrature import QuadratureResult, semi_infinite_nodes
+from kerrcasimir.quadrature import QuadratureResult, _rule
 
 CHI3 = 2e-16
 TABLE_NL = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5), (1e17, 1.01))
@@ -92,7 +92,8 @@ def test_residue_identity_finite_temperature():
         return (_weight_imaginary(xi, temp)
                 * _f_pole(1j * xi, big_omega).real)
 
-    rhs = -0.5 * matsubara_sum(term, temp, rel_tol=1e-12).value
+    rhs = -0.5 * matsubara_sum(lambda ns: [term(n) for n in ns], temp,
+                               rel_tol=1e-12).value
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -191,7 +192,7 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     """Joint momentum quadrature of (A1 B1 + A2 B2) / (kappa + kappa').
 
     unprimed/primed map a node array to (vec1, vec2, kappa). Both grids
-    (semi_infinite_nodes) double together from 8 up to 1024 nodes, and
+    (the composite rule _rule) double together from 8 up to 1024 nodes, and
     each level is two quadratic forms against the exact
     1/(kappa_i + kappa'_j) coupling matrix, accepted once it moves by at
     most rel_tol relative: the oracle for the separable coupling and the
@@ -199,8 +200,8 @@ def _pair_quadrature(unprimed, primed, scale_y, scale_yp, rel_tol):
     """
     total, m = None, 8
     while m <= 1024:
-        y, wy = semi_infinite_nodes(m, scale_y)
-        yp, wyp = semi_infinite_nodes(m, scale_yp)
+        y, wy = _rule(m, scale_y)
+        yp, wyp = _rule(m, scale_yp)
         a1, a2, k1 = unprimed(y)
         b1, b2, k1p = primed(yp)
         den = k1[:, None] + k1p[None, :]
@@ -518,8 +519,9 @@ def test_finite_t_matches_direct_double_sum():
                              (2.0, 10.0), (2.0, 10.0), 1e-9).value
 
         dsum = matsubara_sum(
-            lambda n: matsubara_sum(lambda m: term(n, m), temp,
-                                    rel_tol=0.1 * 1e-7),
+            lambda ns: [matsubara_sum(lambda ms: [term(n, m) for m in ms],
+                                      temp, rel_tol=0.1 * 1e-7)
+                        for n in ns],
             temp, rel_tol=1e-7)
         direct = -_PREFACTOR * (CHI3 / EPSILON_0) \
             * (K_BOLTZMANN * 300.0) ** 2 / d ** 6 * dsum.value
@@ -908,3 +910,58 @@ def test_frequency_vectors_rows_equal_single_rows_bitwise(rel_tol):
     if rel_tol == 1e-16:
         assert any(capped) and not all(capped)
     assert len({res.n_evals for res in batch}) >= 2
+
+
+def test_frequency_vectors_return_underflowed_frequencies_as_exact_zeros(
+        monkeypatch):
+    # the Kerr twin of _g_hat's: where e^(-2x) underflows (x > 372.6)
+    # every kernel value is 0, so the vectors are exact zeros, read-only,
+    # with no nodes. Each such frequency used to take 16 nodes, and a
+    # batch of them alone never reaches the row driver
+    real = lifshitz_linear._refine_rows
+    (f, res), = real(lifshitz_nonlinear._node_vectors,
+                     lifshitz_nonlinear._level_vectors, [20.0], 1e-9, 1024,
+                     400.0, 2.0, 1.05, 0.0)
+    assert not f.any() and (res.n_evals, res.converged) == (16, True)
+    batches = []
+
+    def recorded(*args):
+        batches.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(lifshitz_linear, "_refine_rows", recorded)
+    dead = (_frequency_vectors(np.array([1e10]), 2.0, math.inf, 1e-9)
+            + _frequency_vectors(np.array([373.0, 1e300]),
+                                 np.array([2.0, 3.0]), 1.5, 1e-9))
+    for res in dead:
+        assert (res.error, res.n_evals, res.converged) == (0.0, 0, True)
+        assert res.value.shape == (4, _COUPLING_T.size)
+        assert not res.value.any() and not res.value.flags.writeable
+    assert batches == []
+    # the live frequencies of a mixed batch keep their results
+    mixed = _frequency_vectors(np.array([370.0, 400.0, 3.0]),
+                               np.array([1.01, 2.0, 2.0]), 1.05, 1e-9)
+    alone = [_frequency_vectors(np.array([x]), eps, 1.05, 1e-9)[0]
+             for x, eps in ((370.0, 1.01), (3.0, 2.0))]
+    assert [_key(res) for res in mixed] \
+        == [_key(alone[0]), _key(dead[0]), _key(alone[1])]
+    for res, single in zip(mixed[::2], alone):
+        assert np.array_equal(res.value.view(np.uint64),
+                              single.value.view(np.uint64))
+    assert alone[0].value.any() and len(batches[0]) == 2
+
+
+@pytest.mark.parametrize("pressure", [pressure_linear, pressure_nonlinear])
+def test_sub_kelvin_tabulated_plates_stop_flagged(pressure, monkeypatch):
+    # at 2**-64 K the last table kink lies at n ~ 2.2e24, below the series
+    # budget: the Euler-Maclaurin head used to take every frequency up to
+    # it in one batch and raised ValueError. A head past _MAX_HEAD
+    # declines the tail, and the series stops flagged at _MAX_TERMS, here
+    # made small: 51 frequencies of 64 momentum nodes each
+    monkeypatch.setattr(quadrature, "_MAX_TERMS", 50)
+    stack = LayerStack(MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+                       MaterialResponse.from_table(TABLE_LIN), 1e-8,
+                       Temperature.finite(2.0 ** -64))
+    res = pressure(stack)
+    assert math.isfinite(res.value) and res.value > 0.0
+    assert not res.converged and res.n_evals <= 51 * 64

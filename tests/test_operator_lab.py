@@ -55,7 +55,7 @@ def _isolated(grid, eps, chi, mask):
 
 
 def test_verification_suite_all_pass():
-    results = run_verification_suite(n_points=32, spacing=0.3, seed=0)
+    results = run_verification_suite(n_points=32, seed=0)
     assert len(results) == 10
     names = [r.name for r in results]
     assert len(set(names)) == 10

@@ -22,8 +22,7 @@ def test_all_is_pinned():
         "UnconvergedError", "NearResonanceError",
         "reflection",
         "MaterialResponse", "LayerStack",
-        "QuadratureResult", "Temperature", "clenshaw_curtis",
-        "semi_infinite_nodes", "integrate_semi_infinite",
+        "QuadratureResult", "Temperature", "integrate_semi_infinite",
         "matsubara_sum",
         "pressure_linear",
         "i_lin_zero_t", "i_lin_high_t",

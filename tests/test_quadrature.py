@@ -11,9 +11,13 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_linear import _g_hat
 from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
-                                    clenshaw_curtis,
-                                    integrate_semi_infinite, matsubara_sum,
-                                    semi_infinite_nodes)
+                                    _cc_rule, _rule, integrate_semi_infinite,
+                                    matsubara_sum)
+
+
+def _rows(term):
+    # the row term of a one-index term
+    return lambda ns: [term(n) for n in ns]
 
 
 def _double_sum(term, temperature, rel_tol=1e-8, zero_scale=(1.0, 1.0)):
@@ -21,14 +25,14 @@ def _double_sum(term, temperature, rel_tol=1e-8, zero_scale=(1.0, 1.0)):
     # matsubara_sums over m, to a tenth of rel_tol, so the (0, 0) term
     # weighs 1/4 in every regime
     return matsubara_sum(
-        lambda n: matsubara_sum(lambda m: term(n, m), temperature,
-                                rel_tol=0.1 * rel_tol,
-                                zero_scale=zero_scale[1]),
+        _rows(lambda n: matsubara_sum(_rows(lambda m: term(n, m)),
+                                      temperature, rel_tol=0.1 * rel_tol,
+                                      zero_scale=zero_scale[1])),
         temperature, rel_tol=rel_tol, zero_scale=zero_scale[0])
 
 
 def test_order_two_is_simpson():
-    x, w = clenshaw_curtis(2)
+    x, w = _cc_rule(2)
     assert np.allclose(x, [0.0, 0.5, 1.0], atol=0)
     assert np.allclose(w, [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0], atol=1e-15)
 
@@ -36,14 +40,14 @@ def test_order_two_is_simpson():
 @pytest.mark.parametrize("m", [4, 8, 16, 32])
 def test_polynomial_exactness(m):
     # degree < m integrated exactly on [0, 1]
-    x, w = clenshaw_curtis(m)
+    x, w = _cc_rule(m)
     for k in range(m):
         assert abs((w * x ** k).sum() - 1.0 / (k + 1)) < 1e-13
 
 
 def test_weights_positive_and_normalized():
     for m in (2, 8, 64, 256):
-        x, w = clenshaw_curtis(m)
+        x, w = _cc_rule(m)
         assert np.all(w > 0)
         assert abs(w.sum() - 1.0) < 1e-14
         assert np.all(np.diff(x) > 0)
@@ -78,43 +82,31 @@ def test_cc_rule_bitwise_equals_the_matrix_construction():
 def test_semi_infinite_nodes_keep_their_bits():
     # the cached unit rule keeps the operation order of the mapping
     for m in (8, 64, 1024):
-        u, wu = clenshaw_curtis(m)
+        u, wu = _cc_rule(m)
+        assert not (u.flags.writeable or wu.flags.writeable)
         for scale in (1.0, 2.7, 1e3):
-            x, w = semi_infinite_nodes(m, scale)
+            x, w = _rule(m, scale)
             assert np.array_equal(_bits(x),
                                   _bits(scale * u[:-1] / (1.0 - u[:-1])))
             assert np.array_equal(
                 _bits(w), _bits(wu[:-1] * scale / (1.0 - u[:-1]) ** 2))
             x[:] = w[:] = 0.0  # the caller's copies
     assert not any(a.flags.writeable for a in quadrature._unit_rule(8)[:4])
-    assert semi_infinite_nodes(8, 1.0)[0][1] > 0.0
-
-
-def test_order_validation():
-    # both rules share the check: an odd order breaks exactness and
-    # nesting, and a float order is rejected, not truncated
-    for bad in (0, 1, 3, -2, 2.5, 4.0, "8", None):
-        with pytest.raises(ValueError):
-            clenshaw_curtis(bad)
-        with pytest.raises(ValueError):
-            semi_infinite_nodes(bad)
-    x, w = semi_infinite_nodes(np.int64(8), 2.0, breaks=(1.0,))
-    assert x.size == w.size == 16
-    assert np.array_equal(x, semi_infinite_nodes(8, 2.0, (1.0,))[0])
+    assert _rule(8, 1.0)[0][1] > 0.0
 
 
 def test_nesting_is_bitwise():
     for m in (8, 32, 128):
-        x, _ = clenshaw_curtis(m)
-        x2, _ = clenshaw_curtis(2 * m)
+        x, _ = _cc_rule(m)
+        x2, _ = _cc_rule(2 * m)
         assert np.array_equal(x, x2[::2])
-        xs, _ = semi_infinite_nodes(m, scale=2.5)
-        xs2, _ = semi_infinite_nodes(2 * m, scale=2.5)
+        xs, _ = _rule(m, 2.5)
+        xs2, _ = _rule(2 * m, 2.5)
         assert np.array_equal(xs, xs2[::2])
 
 
 def test_semi_infinite_drops_endpoint():
-    x, w = semi_infinite_nodes(16, scale=1.0)
+    x, w = _rule(16, 1.0)
     assert len(x) == 16 and len(w) == 16
     assert x[0] == 0.0
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
@@ -124,9 +116,9 @@ def test_composite_rule_without_breaks_is_the_mapped_rule():
     # the rule x = scale*u/(1-u) on Clenshaw-Curtis nodes u, restated
     for m in (8, 64, 4096):
         for scale in (1.0, 2.5, 3.7e3):
-            u, wu = clenshaw_curtis(m)
+            u, wu = _cc_rule(m)
             u, wu = u[:-1], wu[:-1]
-            x, w = semi_infinite_nodes(m, scale, breaks=())
+            x, w = _rule(m, scale, ())
             assert np.array_equal(x, scale * u / (1.0 - u))
             assert np.array_equal(w, wu * scale / (1.0 - u) ** 2)
 
@@ -134,12 +126,12 @@ def test_composite_rule_without_breaks_is_the_mapped_rule():
 def test_composite_rule_panels():
     breaks = (0.7, 2.0, 5.5)
     m, scale = 16, 1.5
-    x, w = semi_infinite_nodes(m, scale, breaks)
+    x, w = _rule(m, scale, breaks)
     assert x.size == w.size == 4 * m
     assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
     # every panel starts at its left edge; the tail keeps the mapped rule
     assert np.array_equal(x[m::m][:3], breaks)
-    u, wu = clenshaw_curtis(m)
+    u, wu = _cc_rule(m)
     assert np.array_equal(x[3 * m:], 5.5 + scale * u[:-1] / (1.0 - u[:-1]))
     # polynomials of degree <= m on [0, 5.5] are exact on the panels
     inner = x < 5.5
@@ -149,16 +141,23 @@ def test_composite_rule_panels():
     for k in (0, 3, 16):
         assert abs(head @ nodes ** k - 5.5 ** (k + 1) / (k + 1)) \
             < 1e-13 * 5.5 ** (k + 1)
+    # breaks that are not finite, positive and increasing
     for bad in ((1.0, 1.0), (-1.0,), (0.0,), (2.0, 1.0), (math.inf,)):
-        with pytest.raises(ValueError):
-            semi_infinite_nodes(m, scale, bad)
+        with pytest.raises(ValueError, match="breaks"):
+            integrate_semi_infinite(np.exp, scale=scale, breaks=bad)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_integrate_semi_infinite_rejects_a_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale"):
+        integrate_semi_infinite(np.exp, scale=scale)
 
 
 def test_composite_rule_nesting_is_bitwise_across_panels():
     breaks = (0.3, 1.0, 12.0, 400.0)
     for m in (8, 32, 512):
-        x, _ = semi_infinite_nodes(m, 3.0, breaks)
-        x2, _ = semi_infinite_nodes(2 * m, 3.0, breaks)
+        x, _ = _rule(m, 3.0, breaks)
+        x2, _ = _rule(2 * m, 3.0, breaks)
         assert np.array_equal(x, x2[::2])
 
 
@@ -246,7 +245,7 @@ def test_refinement_contract_semi_infinite():
         return 1.0 / (1.0 + x * x) ** 2
 
     def level(m):
-        x, w = semi_infinite_nodes(m, 2.0)
+        x, w = _rule(m, 2.0)
         return float(w @ f(x))
 
     for tol, cap in ((1e-4, 4096), (1e-10, 4096), (1e-15, 16)):
@@ -263,7 +262,7 @@ def test_refinement_contract_semi_infinite():
     breaks = (0.5, 3.0)
 
     def split_level(m):
-        x, w = semi_infinite_nodes(m, 2.0, breaks)
+        x, w = _rule(m, 2.0, breaks)
         return float(w @ f(x))
 
     for tol in (1e-4, 1e-12):
@@ -306,7 +305,7 @@ def test_matsubara_sum_rejects_a_bad_rel_tol(rel_tol):
     # at finite temperature nan and -1 used to return converged=True
     for temp in (_ZERO, _WARM, _HOT):
         with pytest.raises(ValueError, match="rel_tol"):
-            matsubara_sum(lambda n: 0.5 ** n, temp, rel_tol=rel_tol)
+            matsubara_sum(_rows(lambda n: 0.5 ** n), temp, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)
@@ -324,7 +323,7 @@ def test_refinement_contract_frequency_vectors():
     x, eps1, eps3 = 2.3, 2.0, 10.0
 
     def level(m):
-        y, wy = semi_infinite_nodes(m, math.sqrt(x))
+        y, wy = _rule(m, math.sqrt(x))
         a1, a2, b1, b2, k1 = _kernel_vectors(x, y, eps1, eps3)
         decay = np.exp(-np.outer(k1, _COUPLING_T))
         u1, u2, v1, v2 = ((wy * vec) @ decay for vec in (a1, a2, b1, b2))
@@ -380,7 +379,7 @@ def test_row_driver_stacks_vectorized_rows():
         return rows(x)
 
     def total(w, vals):
-        x, _ = semi_infinite_nodes(w.size, 2.0)
+        x, _ = _rule(w.size, 2.0)
         assert vals.shape == (x.size, 3)
         assert np.array_equal(vals, rows(x))
         sizes.append(w.size)
@@ -428,7 +427,7 @@ def test_matsubara_frequency_values():
 def test_matsubara_sum_geometric():
     temp = Temperature.finite(100.0)
     for r in (0.1, 0.5, 0.9):
-        res = matsubara_sum(lambda n: r ** n, temp, rel_tol=1e-12)
+        res = matsubara_sum(_rows(lambda n: r ** n), temp, rel_tol=1e-12)
         exact = 0.5 + r / (1.0 - r)
         assert res.converged
         assert abs(res.value - exact) < 1e-10 * exact
@@ -436,7 +435,7 @@ def test_matsubara_sum_geometric():
 
 def test_matsubara_sum_high_is_half_zero_term():
     temp = Temperature.high(250.0)
-    res = matsubara_sum(lambda n: 3.0 + n, temp)
+    res = matsubara_sum(_rows(lambda n: 3.0 + n), temp)
     assert res.value == 1.5
     assert res.converged
 
@@ -444,7 +443,7 @@ def test_matsubara_sum_high_is_half_zero_term():
 def test_matsubara_sum_zero_is_continuous_integral():
     temp = Temperature.zero()
     for a in (0.5, 2.0):
-        res = matsubara_sum(lambda n: math.exp(-a * n), temp,
+        res = matsubara_sum(_rows(lambda n: math.exp(-a * n)), temp,
                             rel_tol=1e-11, zero_scale=1.0 / a)
         assert res.converged
         assert abs(res.value - 1.0 / a) < 1e-9 / a
@@ -453,7 +452,7 @@ def test_matsubara_sum_zero_is_continuous_integral():
 def test_matsubara_sum_flags_slow_decay(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_TERMS", 500)
     temp = Temperature.finite(1.0)
-    res = matsubara_sum(lambda n: 1.0 / (1.0 + n) ** 1.01, temp,
+    res = matsubara_sum(_rows(lambda n: 1.0 / (1.0 + n) ** 1.01), temp,
                         rel_tol=1e-10)
     assert not res.converged
     assert res.n_evals <= 500 + 1
@@ -469,8 +468,8 @@ def test_matsubara_sum_euler_maclaurin_tail():
         calls.append(n)
         return math.exp(-2.0 * n / s)
 
-    res = matsubara_sum(term, Temperature.finite(300.0), rel_tol=1e-10,
-                        zero_scale=s)
+    res = matsubara_sum(_rows(term), Temperature.finite(300.0),
+                        rel_tol=1e-10, zero_scale=s)
     exact = 0.5 / math.tanh(1.0 / s)
     assert res.converged and res.n_evals == len(calls) < 200
     assert any(n != int(n) for n in calls)
@@ -494,13 +493,13 @@ def test_matsubara_sum_tail_heads_past_kinks():
     # The stated error covers the explicit sum of 30,000 terms
     exact = math.fsum([0.5 * _kinked(0)]
                       + [_kinked(n) for n in range(1, 30000)])
-    res = matsubara_sum(_kinked, Temperature.finite(300.0), rel_tol=1e-10,
-                        zero_scale=300.0, zero_breaks=_BREAKS)
+    res = matsubara_sum(_rows(_kinked), Temperature.finite(300.0),
+                        rel_tol=1e-10, zero_scale=300.0, zero_breaks=_BREAKS)
     assert res.converged and res.n_evals < 1000
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
     # the rule blind to the kinks misses (and the series takes over)
     blind = quadrature._euler_maclaurin(
-        quadrature._Books(lambda ns: [_kinked(n) for n in ns]), 300.0, 1e-10)
+        quadrature._Books(_rows(_kinked)), 300.0, 1e-10)
     assert not (blind.converged and abs(blind.value - exact) <= blind.error)
 
 
@@ -510,7 +509,7 @@ def test_matsubara_sum_rejects_a_bad_zero_scale(scale):
     # run a 64-term first block; the zero regime always refused them
     for temp in (_ZERO, _WARM, _HOT):
         with pytest.raises(ValueError, match="scale"):
-            matsubara_sum(lambda n: 0.5 ** n, temp, zero_scale=scale)
+            matsubara_sum(_rows(lambda n: 0.5 ** n), temp, zero_scale=scale)
 
 
 def test_matsubara_sum_takes_a_huge_zero_scale():
@@ -518,15 +517,16 @@ def test_matsubara_sum_takes_a_huge_zero_scale():
     # tail misses rel_tol at that scale and the series gives the sum
     exact = 1.5
     for breaks in ((), (1e302,)):
-        res = matsubara_sum(lambda n: 0.5 ** n, _WARM, rel_tol=1e-10,
+        res = matsubara_sum(_rows(lambda n: 0.5 ** n), _WARM, rel_tol=1e-10,
                             zero_scale=1e300, zero_breaks=breaks)
         assert res.converged
         assert abs(res.value - exact) <= res.error <= 1e-10 * exact
-    assert matsubara_sum(lambda n: 0.5 ** n, _HOT,
+    assert matsubara_sum(_rows(lambda n: 0.5 ** n), _HOT,
                          zero_scale=1e300).value == 0.5
 
 
-def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget():
+def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget(
+        monkeypatch):
     # n* = 100 at rel_tol 1e-8: B = 50 ln(1e8) ~ 921 terms. A kink at 900
     # moves the head to N0 = 903, and head, stencil and tail panels
     # would reach B: declined before a term is evaluated. A kink at 500
@@ -543,6 +543,14 @@ def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget():
     tail = quadrature._euler_maclaurin(books, 100.0, 1e-8, (500.0,))
     assert tail is not None and tail.converged
     assert max(calls) >= 503 and books.n_evals == len(calls)
+    # a head of more than _MAX_HEAD terms is declined too: with a cap of
+    # 100, the kink at 200 (N0 = 203) is, the kink at 90 (N0 = 93) is not
+    monkeypatch.setattr(quadrature, "_MAX_HEAD", 100)
+    del calls[:]
+    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (200.0,)) is None
+    assert calls == []
+    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (90.0,)).converged
+    assert max(n for n in calls if n == int(n)) == 94
 
 
 def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):
@@ -556,9 +564,9 @@ def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):
         return math.exp(-2.0 * n / 300.0)
 
     temp = Temperature.finite(300.0)
-    res = matsubara_sum(term, temp, rel_tol=1e-10, zero_scale=300.0)
+    res = matsubara_sum(_rows(term), temp, rel_tol=1e-10, zero_scale=300.0)
     assert res.n_evals == len(calls)
-    series = matsubara_sum(term, temp, rel_tol=1e-10)
+    series = matsubara_sum(_rows(term), temp, rel_tol=1e-10)
     assert (res.value, res.error, res.converged) \
         == (series.value, series.error, series.converged)
     assert res.converged and res.n_evals > series.n_evals
@@ -610,15 +618,15 @@ def _decay(s):
 _ZERO, _WARM, _HOT = (Temperature.zero(), Temperature.finite(300.0),
                       Temperature.high(300.0))
 _DRIVERS = {
-    "semi_infinite": (lambda t: integrate_semi_infinite(
-        lambda xs: [t(x) for x in xs]), lambda x: math.exp(-x)),
-    "sum_zero": (lambda t: matsubara_sum(t, _ZERO, zero_scale=30.0),
+    "semi_infinite": (lambda t: integrate_semi_infinite(_rows(t)),
+                      lambda x: math.exp(-x)),
+    "sum_zero": (lambda t: matsubara_sum(_rows(t), _ZERO, zero_scale=30.0),
                  _decay(30.0)),
-    "sum_series": (lambda t: matsubara_sum(t, _WARM, zero_scale=12.0),
+    "sum_series": (lambda t: matsubara_sum(_rows(t), _WARM, zero_scale=12.0),
                    _decay(12.0)),
-    "sum_tail": (lambda t: matsubara_sum(t, _WARM, zero_scale=300.0),
+    "sum_tail": (lambda t: matsubara_sum(_rows(t), _WARM, zero_scale=300.0),
                  _decay(300.0)),
-    "sum_high": (lambda t: matsubara_sum(t, _HOT), _decay(12.0)),
+    "sum_high": (lambda t: matsubara_sum(_rows(t), _HOT), _decay(12.0)),
     "double_zero": (lambda t: _double_sum(t, _ZERO, zero_scale=(1.0, 0.5)),
                     lambda n, m: math.exp(-n - 2.0 * m)),
     "double_finite": (lambda t: _double_sum(t, _WARM, rel_tol=1e-6,
@@ -680,7 +688,7 @@ def _product(total):
 def test_matsubara_sum_of_vector_terms(temp, s, exact):
     # arrays are summed elementwise, and the tolerance and the error
     # refer to value(sum): here (sum'_n exp(-2n/s))**2
-    res = matsubara_sum(_pair(s), temp, rel_tol=1e-9, zero_scale=s,
+    res = matsubara_sum(_rows(_pair(s)), temp, rel_tol=1e-9, zero_scale=s,
                         value=_product)
     assert res.converged
     assert abs(res.value - exact) <= res.error <= 1e-9 * exact
@@ -690,13 +698,13 @@ def test_matsubara_sum_of_vector_terms_high():
     # value(f_0 / 2) = 1/4, and the error of f_0 is scaled like it
     term = _pair(12.0)
     res = matsubara_sum(
-        lambda n: QuadratureResult(term(n), 2.0 ** -30, 7, True), _HOT,
-        value=_product)
+        _rows(lambda n: QuadratureResult(term(n), 2.0 ** -30, 7, True)),
+        _HOT, value=_product)
     assert (res.value, res.error, res.n_evals, res.converged) \
         == (0.25, 2.0 ** -32, 7, True)
     # a term of value 0 keeps a finite error
-    res = matsubara_sum(lambda n: QuadratureResult(np.zeros(2), 1e-20, 1,
-                                                   True),
+    res = matsubara_sum(_rows(lambda n: QuadratureResult(np.zeros(2), 1e-20,
+                                                         1, True)),
                         _HOT, value=_product)
     assert res.value == 0.0 and math.isfinite(res.error)
 
@@ -704,7 +712,7 @@ def test_matsubara_sum_of_vector_terms_high():
 def test_zero_t_sum_stops_at_the_thermal_cap():
     # an unbroken kink at n = 1.3 keeps the level change far above
     # rel_tol; the integral stops at 256 nodes in each of its two panels
-    res = matsubara_sum(lambda n: abs(n - 1.3) * math.exp(-n), _ZERO,
+    res = matsubara_sum(_rows(lambda n: abs(n - 1.3) * math.exp(-n)), _ZERO,
                         rel_tol=1e-12, zero_breaks=(0.7,))
     assert quadrature._TAIL_MAX_LEVEL == 256
     assert not res.converged and res.n_evals == 2 * 256
@@ -719,8 +727,8 @@ def test_zero_t_sum_is_integrate_semi_infinite():
         return _g_hat(ns, 2.0, math.inf, 1e-10, continuum=True)
 
     for breaks in ((), (0.7, 3.0)):
-        summed = quadrature._matsubara_rows(rows, _ZERO, 1e-8, zero_scale=2.0,
-                                            zero_breaks=breaks)
+        summed = matsubara_sum(rows, _ZERO, 1e-8, zero_scale=2.0,
+                               zero_breaks=breaks)
         integral = integrate_semi_infinite(rows, 1e-8, 2.0,
                                            quadrature._TAIL_MAX_LEVEL,
                                            breaks)
@@ -739,8 +747,8 @@ def test_matsubara_sum_keeps_the_series_below_threshold():
     def term(n):
         return math.exp(-2.0 * n / 12.0)
 
-    assert matsubara_sum(term, temp, zero_scale=12.0) \
-        == matsubara_sum(term, temp)
+    assert matsubara_sum(_rows(term), temp, zero_scale=12.0) \
+        == matsubara_sum(_rows(term), temp)
 
 
 def _series_replay(term, rel_tol, max_terms, value):
@@ -795,8 +803,7 @@ def _series(rows, rel_tol, s, value=float, max_terms=None):
         mp.setattr(quadrature, "_euler_maclaurin", lambda *args, **kw: None)
         if max_terms is not None:
             mp.setattr(quadrature, "_MAX_TERMS", max_terms)
-        return quadrature._matsubara_rows(rows, _WARM, rel_tol, zero_scale=s,
-                                          value=value)
+        return matsubara_sum(rows, _WARM, rel_tol, zero_scale=s, value=value)
 
 
 @pytest.mark.parametrize("kind", ["float", "array"])
@@ -881,8 +888,8 @@ def test_double_matsubara_high():
 def test_zero_t_integral_accepts_subnormal_round_off(n):
     # the integral exp(-n)/2 lies in or near the subnormal range, where no
     # refinement resolves it below n_evals units of 2**-1074
-    res = matsubara_sum(lambda m: math.exp(-n - 2.0 * m), Temperature.zero(),
-                        rel_tol=1e-11, zero_scale=0.5)
+    res = matsubara_sum(_rows(lambda m: math.exp(-n - 2.0 * m)),
+                        Temperature.zero(), rel_tol=1e-11, zero_scale=0.5)
     exact = 0.5 * math.exp(-n)
     assert res.converged
     assert abs(res.value - exact) <= 1e-11 * exact + res.n_evals * 2.0 ** -1074

@@ -146,10 +146,15 @@ def _kinked(n):
     return math.exp(-n / 3.0) * (1.0 + 0.3 * abs(n - 3.3))
 
 
+def _rows(term):
+    # the row term of a one-index term
+    return lambda ns: [term(n) for n in ns]
+
+
 def _sums():
     out = {}
-    terms = {"geometric": lambda n: 0.5 ** n, "kinked": _kinked,
-             "poly_exp": lambda n: (1.0 + n * n) * math.exp(-n / 40.0)}
+    terms = {"geometric": _rows(lambda n: 0.5 ** n), "kinked": _rows(_kinked),
+             "poly_exp": _rows(lambda n: (1.0 + n * n) * math.exp(-n / 40.0))}
     for name, term in terms.items():
         for temp_name, temp in TEMPERATURES.items():
             for tol in (1e-6, 1e-10, 1e-13):
@@ -165,12 +170,12 @@ def _sums():
                                               zero_scale=scale))
     # a series cut by the term cap, unconverged
     out["matsubara_sum/slow/max_terms"] = _record(lambda: matsubara_sum(
-        lambda n: 1.0 / (1.0 + n) ** 1.5, TEMPERATURES["finite300"]))
+        _rows(lambda n: 1.0 / (1.0 + n) ** 1.5), TEMPERATURES["finite300"]))
     integrands = {"x2_exp": lambda x: x * x * math.exp(-x),
                   "kink": lambda x: math.exp(-x) * (1.0 + abs(x - 1.5))}
     for name, f in integrands.items():
         for tol in (1e-6, 1e-12):
-            rows = lambda xs: [f(x) for x in xs]  # noqa: E731
+            rows = _rows(f)
             out["integrate_semi_infinite/%s/%g" % (name, tol)] = _record(
                 lambda: integrate_semi_infinite(rows, rel_tol=tol))
             out["integrate_semi_infinite/%s/%g/breaks" % (name, tol)] = \

@@ -56,7 +56,7 @@ def as_permittivity(value):
 def _gap_integrand(y, x, eps1, eps3, edge):
     # e^(2x) times the integrand of g (see the module docstring), with
     # edge = math.exp(-2x): numpy's SIMD exp does not always match its
-    # bits. x, the permittivities and edge may be arrays, one per node
+    # bits. x, the permittivities and edge may be columns, one per row
     k2 = np.hypot(x, y)
     damp_hat = np.exp(-2.0 * (k2 - x))
     damp = damp_hat * edge
@@ -108,35 +108,39 @@ def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
     frequency gets dead, with no nodes. The others are one _refine_rows
     batch of scales max(1, sqrt(x)), kernel(y, x, eps1, eps3, edge) per
     level with edge = e^(-2x) (math.exp's bits), and each returns
-    finish(edge, payload, result). eps1 and eps3 are floats or one
-    permittivity per frequency.
+    finish(edge, payload, result). x, edge and a permittivity given per
+    frequency reach the kernel as one column per row of the node block
+    y; a permittivity given as a float, a constant plate's, stays one.
     """
     edge = [math.exp(-2.0 * v) for v in x.tolist()]
     live = [i for i, e in enumerate(edge) if e > 0.0]
     out = [dead] * len(edge)
     if live:
-        x, eps1, eps3 = (np.broadcast_to(v, x.shape)[live]
-                         for v in (x, eps1, eps3))
-        edge = [edge[i] for i in live]
-        rows = _refine_rows(kernel, total,
-                            [max(1.0, math.sqrt(v)) for v in x.tolist()],
-                            rel_tol, max_level, x, eps1, eps3, edge)
-        for i, e, (payload, res) in zip(live, edge, rows):
-            out[i] = finish(e, payload, res)
+        cols = [np.broadcast_to(v, x.shape)[live, None] if np.ndim(v)
+                else float(v) for v in (x, eps1, eps3, edge)]
+        results = _refine_rows(
+            lambda y, rows: kernel(y, *[c if isinstance(c, float)
+                                        else c[rows] for c in cols]),
+            total, [max(1.0, math.sqrt(v)) for v in x[live].tolist()],
+            rel_tol, max_level)
+        for i, (payload, res) in zip(live, results):
+            out[i] = finish(edge[i], payload, res)
     return out
 
 
 def _frequencies(stack):
     # the thermal frequencies of the stack, which both pressure parts
     # sum: the map from thermal indices n to (x, eps1, eps3) at
-    # x = xi_n d / c; the terms' decay scale n*, the index at which xi
-    # reaches c/d; and the thermal indices of the table nodes (kinks)
+    # x = xi_n d / c, a constant plate's eps one float; the terms' decay
+    # scale n*, the index at which xi reaches c/d; and the thermal
+    # indices of the table nodes (kinks)
     temp, d = stack.temperature, stack.gap
 
     def frequency(ns):
         xi = temp.xi(np.asarray(ns, dtype=float))
-        return (xi * d / C_LIGHT, stack.layer1.permittivity(xi),
-                stack.layer3.permittivity(xi))
+        return (xi * d / C_LIGHT,) + tuple(
+            layer.permittivity(0.0 if layer.is_constant else xi)
+            for layer in (stack.layer1, stack.layer3))
 
     n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
                                * temp.kelvin * d)

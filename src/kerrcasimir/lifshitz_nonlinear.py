@@ -66,12 +66,13 @@ O(N**2). The vectors are summed or integrated as array terms by the
 quadrature module's frequency driver, over the frequencies that the
 linear pressure sums too (lifshitz_linear._frequencies), with the
 value <F, F> (_gram). The zero-temperature and classical coefficients
-are the same sum at x = n. Each level of a frequency integral, and
-the Euler-Maclaurin head of a thermal sum, hands all its frequencies
-to one _frequency_vectors batch: one kernel call per momentum level
-for all of them, each frequency stopping by its own tolerance test.
-The finite-temperature series hands over a block of frequencies at a
-time, as many as its geometric tail estimate predicts it still needs.
+are the same sum at x = n. Each level of a frequency integral hands
+all its frequencies to one _frequency_vectors batch: one kernel call
+per momentum level for all of them, each frequency stopping by its own
+tolerance test. The Euler-Maclaurin head of a thermal sum hands them
+over in blocks of up to 64, and the finite-temperature series one block
+at a time, as many as its geometric tail estimate predicts it still
+needs.
 
 The dual route, pressure_transparent_mirror, integrates the closed
 kernel of a transparent plate and a mirror over both momenta exactly
@@ -119,7 +120,7 @@ def _kernel_vectors(x, y, eps1, eps3):
     A_k are the unprimed factors (x as the frequency of the cavity
     modes), B_k the primed ones (x as the fluctuation frequency); both
     share the Fresnel amplitudes of the two plates. x and the
-    permittivities may be arrays, one per node.
+    permittivities may be columns, one entry per row of the y block.
     """
     k2 = np.hypot(x, y)
     k1sq = eps1 * x * x + y * y

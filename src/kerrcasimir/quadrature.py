@@ -52,15 +52,19 @@ value, adds up its n_evals over every call, dropped attempts included
 it returns (_Books). So n_evals counts the innermost evaluations.
 
 A level is one call. The two public drivers, integrate_semi_infinite
-and matsubara_sum, run on a row term, which maps all the new indices
-or nodes of a level to one term each, so an inner quadrature can refine
+and matsubara_sum, run on a row term, which maps all the new indices or
+nodes of a level to one term each, so an inner quadrature can refine
 them all at once as the rows of one batch, each stopping as alone. The
-finite-temperature series asks for its terms in blocks: the first runs
-to the budget B of the decay scale (_series_budget), each later one
-holds the terms its geometric tail estimate still predicts, at most
-_SERIES_BLOCK. It folds them one at a time in index order, so a block
-moves no value, error or flag; n_evals counts the terms evaluated past
-the stop too. The classical limit passes index 0 alone.
+row driver knows rows only: its kernel gets a (rows x nodes) block of
+new nodes and those rows' indices; a driver of one row passes a 1 x k
+block. The Euler-Maclaurin head and the finite-temperature series ask
+for their terms in blocks of at most _SERIES_BLOCK: the head in index
+order, the series' first block up to the budget B of the decay scale
+(_series_budget), each later one the terms its geometric tail estimate
+still predicts. A block moves no value, error or flag: rows end as
+alone, and the series folds its terms one at a time in index order;
+n_evals counts the terms evaluated past the stop too. The classical
+limit passes index 0 alone.
 """
 
 import math
@@ -104,8 +108,10 @@ class QuadratureResult:
     converged: bool
 
     def scaled(self, factor):
-        """The result times factor: value * factor, error * |factor|."""
-        return QuadratureResult(factor * self.value, abs(factor) * self.error,
+        """The result times factor: value * factor, error * |factor|,
+        and a zero value +0.0 whatever the sign of factor."""
+        return QuadratureResult(factor * self.value + 0.0,
+                                abs(factor) * self.error,
                                 self.n_evals, self.converged)
 
 
@@ -272,20 +278,18 @@ def _settled(err, total, n_evals, rel_tol):
     return err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074
 
 
-def _refine_rows(kernel, total, scales, rel_tol, max_level, *params,
-                 breaks=()):
+def _refine_rows(kernel, total, scales, rel_tol, max_level, breaks=()):
     """One doubling refinement per row, in lockstep: the row driver.
 
     Row i integrates over the composite rule _rule(m, scales[i], breaks),
     m = 8, 16, ... up to max_level (>= 8, else ValueError). Each level
-    makes one call kernel(y, *params) for all rows still refining: y
-    holds their new nodes, row after row, and a param is a float shared
-    by all rows or an array with one entry per row, repeated for each
-    of its nodes. kernel returns one value or one array of values per
-    node. total(w, vals) maps one row's weights and node values to
-    (total, payload). A row stops by the module's rule (_settled) and
-    drops out, so it ends as it would alone, bit for bit, whatever rows
-    share its batch.
+    makes one call kernel(y, rows) for the rows still refining: y is the
+    block of their new nodes, one row each, and rows the array of their
+    indices into scales. kernel returns the values at y in its shape,
+    with any trailing axes after it. total(w, vals) maps one row's
+    weights and node values to (total, payload). A row stops by the
+    module's rule (_settled) and drops out, so it ends as it would
+    alone, bit for bit, whatever rows share its batch.
 
     Returns
     -------
@@ -294,20 +298,12 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, *params,
     """
     if not max_level >= MIN_LEVEL:
         raise ValueError("max_level must be at least %d" % MIN_LEVEL)
-
-    def values(y):
-        n = y.shape[1]
-        vals = kernel(y.ravel(), *[p if isinstance(p, float)
-                                   else np.repeat(p, n) for p in params])
-        return vals.reshape(y.shape + vals.shape[1:])
-
-    params = [_shared(p) for p in params]
     scales = np.array(scales, dtype=float)[:, None]
-    rows = list(range(len(scales)))
+    rows = np.arange(len(scales))
     out, totals = [None] * len(rows), [None] * len(rows)
     m = MIN_LEVEL
     y, w = _rule(m, scales, breaks)
-    vals = values(y)
+    vals = kernel(y, rows)
     while True:
         last = 2 * m > max_level
         n_nodes = w.shape[1]
@@ -323,25 +319,14 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, *params,
         if last or not any(keep):
             return out
         if not all(keep):
-            rows = [i for i, k in zip(rows, keep) if k]
+            rows, scales, vals = rows[keep], scales[keep], vals[keep]
             totals = [t for t, k in zip(totals, keep) if k]
-            scales, vals = scales[keep], vals[keep]
-            params = [p if isinstance(p, float) else p[keep]
-                      for p in params]
         m *= 2
         y, w = _rule(m, scales, breaks)
         fine = np.empty(w.shape + vals.shape[2:])
         fine[:, 0::2] = vals
-        fine[:, 1::2] = values(y[:, 1::2])
+        fine[:, 1::2] = kernel(y[:, 1::2], rows)
         vals = fine
-
-
-def _shared(values):
-    # a row driver param: one float if all rows share it, else 1-D
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 1 or (values == values[0]).all():
-        return float(values[0])
-    return values
 
 
 def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
@@ -385,7 +370,7 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     _check_scale(scale)
     books = _Books(f)
     (_, res), = _refine_rows(
-        lambda x: np.asarray(books(x), dtype=float),
+        lambda y, _: np.asarray(books(y[0]), dtype=float)[None],
         lambda w, vals: (value(np.tensordot(w, vals, 1)), None),
         [scale], rel_tol, max_level, breaks=breaks)
     return books.close(res)
@@ -396,12 +381,13 @@ _TAIL_HEAD = 8
 _TAIL_MAX_LEVEL = 256
 # f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
-# most terms in one block of the finite-temperature series: a bound on
-# the momentum batch it hands to the row driver
+# most terms in one block of the finite-temperature series or of the
+# Euler-Maclaurin head: a bound on the momentum batch either hands to
+# the row driver
 _SERIES_BLOCK = 64
 # most terms past index 0 that the finite-temperature series folds
 _MAX_TERMS = 20000
-# most terms in the Euler-Maclaurin head, which is one momentum batch
+# most terms in the Euler-Maclaurin head, which keeps every term value
 _MAX_HEAD = 2 ** 16
 
 
@@ -426,9 +412,10 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     terms (floats or arrays) to the float rel_tol refers to. The error
     adds those shifts, the integral's level change and the effect of
     the f''' term, which must stay under rel_tol/10; n_evals counts the
-    term values. The head is one call of books. The integral is a batch
-    of one row of the row driver, one call of books per level, whose
-    payload is the array total of its last level, for the f''' check.
+    term values. The head goes to books in blocks of at most
+    _SERIES_BLOCK indices. The integral is a batch of one row of the
+    row driver, one call of books per level, whose payload is the array
+    total of its last level, for the f''' check.
     None where the series is predicted cheaper, the rule too coarse or
     the head longer than _MAX_HEAD terms (a table kink far beyond the
     thermal frequency, as far below 1 K).
@@ -444,7 +431,9 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     if n0 + 2 > _MAX_HEAD or n0 + 2 + 32 * (len(light) + 1) >= budget:
         return None
     start = n0 - 0.5
-    fs = books(range(n0 + 2))
+    fs = []
+    for lo in range(0, n0 + 2, _SERIES_BLOCK):
+        fs += books(range(lo, min(lo + _SERIES_BLOCK, n0 + 2)))
     d1, d3 = np.tensordot(_CENTRED, np.array(fs[n0 - 2:]), 1)
     last = -7.0 * d3 / 5760.0
     fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
@@ -454,8 +443,8 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
         return value(total), total
 
     (total, res), = _refine_rows(
-        lambda x: np.asarray(books(start + x), dtype=float), level,
-        [n_star], 0.5 * rel_tol, _TAIL_MAX_LEVEL,
+        lambda y, _: np.asarray(books(start + y[0]), dtype=float)[None],
+        level, [n_star], 0.5 * rel_tol, _TAIL_MAX_LEVEL,
         breaks=[b - start for b in light])
     bound = rel_tol * abs(res.value)
     last_err = abs(value(total + last) - res.value)
@@ -474,7 +463,7 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     rows is a row term (see the module docstring): it maps a sequence
     of indices to one term f(n) each, a float, an array or a
     QuadratureResult holding either, and is called once per level of a
-    thermal integral, for the Euler-Maclaurin head and per block of the
+    thermal integral and per block of the Euler-Maclaurin head or of the
     series. The n = 0 term carries weight 1/2. Behaviour per kind:
 
     * "finite": a head of terms plus the integral of the rest if

@@ -138,6 +138,17 @@ def test_scan_distance_deterministic_across_threads(tmp_path):
     assert distances[-1] == pytest.approx(1e-7, rel=1e-12)
 
 
+def test_a_zero_kerr_part_prints_as_plus_zero(capsys):
+    # a vacuum Kerr partner: the zero Kerr part used to print as -0.0
+    for argv in (["pressure", "--regime", "high", "--eps-nl", "1",
+                  "--eps-lin", "1"],
+                 ["scan-epsilon", "--limit", "zero", "--eps-nl-values", "1",
+                  "--eps-lin-values", "1"]):
+        status, out = _run(capsys, argv)
+        assert status == 0 and "-0." not in out
+        assert float(_parse_csv(out)[2][0][3]) == 0.0
+
+
 def test_scan_epsilon_high_limit(capsys):
     status, out = _run(capsys, [
         "scan-epsilon", "--eps-nl-values", "1,2",

@@ -919,9 +919,10 @@ def test_frequency_vectors_return_underflowed_frequencies_as_exact_zeros(
     # with no nodes. Each such frequency used to take 16 nodes, and a
     # batch of them alone never reaches the row driver
     real = lifshitz_linear._refine_rows
-    (f, res), = real(lifshitz_nonlinear._node_vectors,
-                     lifshitz_nonlinear._level_vectors, [20.0], 1e-9, 1024,
-                     400.0, 2.0, 1.05, 0.0)
+    (f, res), = real(
+        lambda y, _: lifshitz_nonlinear._node_vectors(y, 400.0, 2.0, 1.05,
+                                                      0.0),
+        lifshitz_nonlinear._level_vectors, [20.0], 1e-9, 1024)
     assert not f.any() and (res.n_evals, res.converged) == (16, True)
     batches = []
 
@@ -965,3 +966,46 @@ def test_sub_kelvin_tabulated_plates_stop_flagged(pressure, monkeypatch):
     res = pressure(stack)
     assert math.isfinite(res.value) and res.value > 0.0
     assert not res.converged and res.n_evals <= 51 * 64
+
+
+def test_a_zero_kerr_part_is_plus_zero():
+    # a vacuum Kerr partner gives a zero sum, and the negative prefactor
+    # used to turn it into -0.0
+    zero_t = _stack(2.0, 1.0, CHI3, 1e-7, Temperature.zero())
+    for value in (i_nl_zero_t(2.0, 1.0), i_nl_high_t(2.0, 1.0),
+                  pressure_nonlinear(zero_t).value):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_kernels_get_plate_floats_or_one_column_per_row(monkeypatch,
+                                                        tabulated):
+    # a constant plate's permittivity reaches both kernels as one float;
+    # a tabulated plate's, x and e^(-2x) as one column per row of y
+    if tabulated:
+        stack = LayerStack(MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
+                           MaterialResponse.from_table(TABLE_LIN), 1e-7,
+                           Temperature.finite(300.0))
+    else:
+        stack = _stack(2.0, math.inf, CHI3, 1e-7, Temperature.finite(300.0))
+    seen = []
+    for module, name in ((lifshitz_linear, "_gap_integrand"),
+                         (lifshitz_nonlinear, "_node_vectors")):
+        real = getattr(module, name)
+
+        def spy(y, x, eps1, eps3, edge, real=real):
+            seen.append((y.shape, x, eps1, eps3, edge))
+            return real(y, x, eps1, eps3, edge)
+        monkeypatch.setattr(module, name, spy)
+    assert pressure_linear(stack).converged
+    assert pressure_nonlinear(stack).converged
+    assert len(seen) > 2
+    for shape, *columns in seen:
+        for col in columns[:1] + columns[3:]:
+            assert col.shape == (shape[0], 1)
+        for eps in columns[1:3]:
+            if tabulated:
+                assert eps.shape == (shape[0], 1)
+            else:
+                assert type(eps) is float
+    assert {shape[0] for shape, *_ in seen} != {1}

@@ -374,9 +374,10 @@ def test_row_driver_stacks_vectorized_rows():
 
     calls, sizes = [], []
 
-    def f(x):
-        calls.append(x.size)
-        return rows(x)
+    def f(y, rows_in):
+        assert y.shape[0] == 1 and np.array_equal(rows_in, [0])
+        calls.append(y.size)
+        return rows(y[0])[None]
 
     def total(w, vals):
         x, _ = _rule(w.size, 2.0)
@@ -388,6 +389,67 @@ def test_row_driver_stacks_vectorized_rows():
     (_, res), = quadrature._refine_rows(f, total, [2.0], 1e-300, 32)
     assert sizes == [8, 16, 32] and calls == [8, 8, 16]
     assert not res.converged and res.n_evals == 32
+
+
+def test_row_driver_hands_the_kernel_only_the_rows_still_refining():
+    # a (rows x nodes) block per level, with the rows' indices into
+    # scales: row 1 ((1 + y/s)**-4 on its own scale s, a polynomial under
+    # the mapped rule) settles at 16 nodes, and the next call gets rows
+    # 0 and 2 alone. Each row ends as its one-row run, bit for bit
+    decay, power, scales = ([1.0, 0.0, 0.5], [0.0, 4.0, 0.0],
+                            [1.0, 2.0, 3.0])
+
+    def kernel_of(idx, calls):
+        a, p, s = (np.array(v)[idx, None] for v in (decay, power, scales))
+
+        def kernel(y, rows):
+            calls.append((y.shape, rows.tolist()))
+            f = (1.0 + y / s[rows]) ** -p[rows] * np.exp(-a[rows] * y)
+            return np.stack((f, y * f), axis=-1)
+        return kernel
+
+    def total(w, vals):
+        return float(w @ vals[:, 0]), vals.copy()
+
+    calls = []
+    batch = quadrature._refine_rows(kernel_of([0, 1, 2], calls), total,
+                                    scales, 1e-9, 256)
+    assert calls == [((3, 8), [0, 1, 2]), ((3, 8), [0, 1, 2]),
+                     ((2, 16), [0, 2]), ((2, 32), [0, 2])]
+    assert [res.n_evals for _, res in batch] == [64, 16, 64]
+    for i, (payload, res) in enumerate(batch):
+        (alone_payload, alone), = quadrature._refine_rows(
+            kernel_of([i], []), total, [scales[i]], 1e-9, 256)
+        assert res == alone and res.converged
+        assert payload.shape == (res.n_evals, 2)
+        assert np.array_equal(payload.view(np.uint64),
+                              alone_payload.view(np.uint64))
+
+
+def test_euler_maclaurin_head_runs_in_series_blocks(monkeypatch):
+    # the head (35 terms, past the kink at 30.5) is handed to the row
+    # term in blocks of at most _SERIES_BLOCK indices, and the tail
+    # converges: a smaller block moves no value, error, count or flag
+    def run():
+        heads = []
+
+        def rows(ns):
+            if isinstance(ns, range):  # head and series calls
+                heads.append(len(ns))
+            return [math.exp(-n / 50.0) * (1.0 + 0.3 * abs(n - 30.5))
+                    for n in ns]
+        res = matsubara_sum(rows, Temperature.finite(300.0), 1e-8,
+                            zero_scale=100.0, zero_breaks=(30.5,))
+        return res, heads
+
+    whole, heads = run()
+    assert heads == [35] and whole.converged
+    monkeypatch.setattr(quadrature, "_SERIES_BLOCK", 8)
+    blocked, heads = run()
+    assert heads == [8, 8, 8, 8, 3]
+    assert (blocked.value.hex(), blocked.error.hex(), blocked.n_evals,
+            blocked.converged) == (whole.value.hex(), whole.error.hex(),
+                                   whole.n_evals, whole.converged)
 
 
 def test_temperature_validation():

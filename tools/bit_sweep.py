@@ -15,7 +15,7 @@ and transparent pressures (constant and tabulated plates, 10 nm to
 dimensionless coefficients and the public sum and integral of the
 quadrature module; the argvs are those of the kerr and linear_lab benchmark
 workloads, all four input menus, plus zero-T, high-T and finite-T rows.
-It takes about 10 s on a 2-vCPU x86-64 machine.
+It takes about 12 s on a 2-vCPU x86-64 machine.
 """
 
 import contextlib
@@ -104,10 +104,14 @@ def _pressures():
         for plates, make in PLATES.items():
             for temp_name, temp in TEMPERATURES.items():
                 for gap in GAPS:
-                    if plates == "tabulated" and temp_name == "finite3" \
-                            and gap < 1e-6:
-                        continue  # minutes per call (a known work cliff)
                     for tol in tols:
+                        if plates == "tabulated" and temp_name == "finite3" \
+                                and gap < 1e-6 and (route, gap, tol) != (
+                                    "linear", 1e-8, 1e-8):
+                            # minutes per call (a known work cliff); the
+                            # one kept, about 2 s, runs a head of 40,527
+                            # frequencies through the Euler-Maclaurin tail
+                            continue
                         key = "%s/%s/%s/%g/%g" % (route, plates, temp_name,
                                                   gap, tol)
                         stack = LayerStack(*make(), gap, temp)

@@ -31,6 +31,7 @@ numerics out of tolerance (including failed verification rows).
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import re
@@ -338,7 +339,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser():
+    # built on the first main call, not at import; argparse keeps no
+    # state between parses, so every later call reuses it
     parser = _Parser(prog="kerrcasimir", description=__doc__.split("\n")[0])
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
     for name, keys in _SUBCOMMAND_KEYS.items():

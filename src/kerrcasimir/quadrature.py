@@ -431,12 +431,19 @@ def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
     if n0 + 2 > _MAX_HEAD or n0 + 2 + 32 * (len(light) + 1) >= budget:
         return None
     start = n0 - 0.5
-    fs = []
+    # f(0)/2 + f(1) + ... + f(N0-1) summed in index order, and the
+    # stencil; a head term is dropped once it is added
+    head, stencil = 0.0, []
     for lo in range(0, n0 + 2, _SERIES_BLOCK):
-        fs += books(range(lo, min(lo + _SERIES_BLOCK, n0 + 2)))
-    d1, d3 = np.tensordot(_CENTRED, np.array(fs[n0 - 2:]), 1)
+        for n, f in enumerate(books(range(lo, min(lo + _SERIES_BLOCK,
+                                                   n0 + 2))), lo):
+            if n < n0:
+                head = 0.5 * f if n == 0 else head + f
+            if n >= n0 - 2:
+                stencil.append(f)
+    d1, d3 = np.tensordot(_CENTRED, np.array(stencil), 1)
     last = -7.0 * d3 / 5760.0
-    fixed = sum(fs[1:n0], 0.5 * fs[0]) + d1 / 24.0 + last
+    fixed = head + d1 / 24.0 + last
 
     def level(w, vals):
         total = fixed + np.tensordot(w, vals, 1)

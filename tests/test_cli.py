@@ -9,6 +9,9 @@ convention.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -634,3 +637,31 @@ def test_high_t_scan_computes_each_coefficient_once(capsys, monkeypatch):
     status, out = _run(capsys, ["scan-distance"] + _REGIMES["high"])
     assert status == 0 and len(_parse_csv(out)[2]) == 25
     assert len(g_hats) == len(vectors) == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # the parser is built on the first main call and reused: a failed
+    # parse leaves nothing behind, and a scan prints the same bytes
+    # before and after other subcommands
+    before = cli._build_parser.cache_info()
+    scan = ["scan-distance", "--regime", "high", "--d-count", "3"]
+    assert main(["pressure", "--no-such-key", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+    status, first = _run(capsys, scan)
+    assert status == 0
+    assert _run(capsys, ["verify", "--n-points", "16", "--seed", "2"])[0] \
+        == 0
+    assert _run(capsys, scan) == (0, first)
+    after = cli._build_parser.cache_info()
+    assert after.misses - before.misses <= 1
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 4
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import kerrcasimir.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "0"

@@ -391,7 +391,17 @@ def test_monte_carlo_matches_sampled_fields():
     assert value == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
-def test_dense_inverse_work_count(monkeypatch):
+@pytest.fixture
+def cold_suite_cache():
+    # the suite keeps its seed-independent state per n_points; a test
+    # that counts or patches the work behind it needs that state built
+    # in the test, and must not leave a patched build in the cache
+    operator_lab._suite_state.cache_clear()
+    yield
+    operator_lab._suite_state.cache_clear()
+
+
+def test_dense_inverse_work_count(monkeypatch, cold_suite_cache):
     # one inverse per dense response the rows compare: g0, g1, g1 of
     # each isolated object, the conjugate g1, and inv(g0), shared by the
     # two rytov rows; the spectral diagonals behind N take none
@@ -461,6 +471,7 @@ def test_linear_inverse_identity_passes_at_256(seed):
 @pytest.mark.parametrize("n_points", [32, 256])
 @pytest.mark.parametrize("which", [0, 1])
 def test_linear_inverse_identity_detects_perturbation(monkeypatch,
+                                                      cold_suite_cache,
                                                       n_points, which):
     # one entry of g0 (which = 0) or g1 (which = 1) off by 1e-6 relative
     build = operator_lab.build_linear
@@ -476,3 +487,75 @@ def test_linear_inverse_identity_detects_perturbation(monkeypatch,
     row = run_verification_suite(n_points=n_points)[0]
     assert row.name == "linear_inverse_identity"
     assert row.value > 1e-12 and not row.passed
+
+
+def _count_dense_work(monkeypatch):
+    """Counts of the dense factorizations, patched where they are looked
+    up: numpy.linalg for the lab's own calls and numpy's implementation
+    module for those of norm(ord=2) and cond."""
+    calls = {name: 0 for name in ("inv", "solve", "eigh", "svd")}
+    modules = (np.linalg, getattr(np.linalg, "_linalg", np.linalg))
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_points", [32, 128])
+def test_a_warm_suite_does_no_dense_work(monkeypatch, cold_suite_cache,
+                                         n_points):
+    # the first suite at a size builds its rows and operands; a later
+    # one at the same size, any seed, only draws, and returns the rows
+    # the cold call returned, bit for bit
+    calls = _count_dense_work(monkeypatch)
+    cold = run_verification_suite(n_points=n_points, seed=3)
+    assert 0 < calls["inv"] <= 6
+    assert min(calls.values()) > 0
+    for name in calls:
+        calls[name] = 0
+    warm = run_verification_suite(n_points=n_points, seed=3)
+    other = run_verification_suite(n_points=n_points, seed=9)
+    assert calls == {"inv": 0, "solve": 0, "eigh": 0, "svd": 0}
+
+    def bits(rows):
+        return [(r.name, r.value.hex(), r.threshold.hex(), r.passed)
+                for r in rows]
+
+    assert bits(warm) == bits(cold)
+    assert bits(other)[:-1] == bits(cold)[:-1]
+    assert other[-1].value != cold[-1].value
+    operator_lab._suite_state.cache_clear()
+    assert bits(run_verification_suite(n_points=n_points, seed=9)) \
+        == bits(other)
+
+
+def test_suite_state_is_read_only(cold_suite_cache):
+    # an entry keeps B (complex) and Im Gt (real): 24 n**2 bytes
+    rows, operands = operator_lab._suite_state(Grid1D(16, 0.3))
+    assert isinstance(rows, tuple) and len(rows) == 9
+    assert sum(array.nbytes for array in operands[:2]) == 24 * 16 ** 2
+    for array in operands[:2]:
+        assert array.base is None and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    assert operator_lab._suite_state.cache_info().maxsize \
+        == operator_lab._SUITE_CACHE_SIZE
+
+
+def test_suite_validates_in_front_of_the_cache(cold_suite_cache):
+    # lru_cache takes the keys 8 and 8.0 as one; the grid check comes
+    # first, and a negative seed raises before any work
+    run_verification_suite(8)
+    with pytest.raises(ConfigError, match="integer"):
+        run_verification_suite(n_points=8.0)
+    operator_lab._suite_state.cache_clear()
+    with pytest.raises(ConfigError, match="seed"):
+        run_verification_suite(n_points=8, seed=-1)
+    info = operator_lab._suite_state.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)

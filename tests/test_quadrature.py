@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,36 @@ def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget(
     assert calls == []
     assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (90.0,)).converged
     assert max(n for n in calls if n == int(n)) == 94
+
+
+def test_euler_maclaurin_keeps_no_head_terms():
+    # a kink at 997.5 makes a head of N0 = 1000 array terms of 2 kB:
+    # they are summed as they come, f(0)/2 + f(1) + ... in index order,
+    # and only the stencil f(998..1001) is kept, so the tail starts with
+    # a few kB traced instead of the 2 MB head, with the same bits
+    shape = np.linspace(1.0, 2.0, 256)
+    head_bytes = 1000 * shape.nbytes
+    at_tail = []
+
+    def rows(ns):
+        if not isinstance(ns, range):  # the tail's nodes
+            at_tail.append(tracemalloc.get_traced_memory()[0])
+        return [math.exp(-2.0 * n / 1000.0) * (1.0 + 0.3 * abs(n - 997.5))
+                * shape for n in ns]
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = quadrature._euler_maclaurin(
+            quadrature._Books(rows), 1000.0, 1e-8, (997.5,),
+            value=lambda total: float(np.sum(total)))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (res.value.hex(), res.error.hex(), res.n_evals, res.converged) \
+        == ("0x1.17dd584d05bfap+25", "0x1.d67b000000000p-11", 64, True)
+    assert at_tail[0] - base < head_bytes / 10
+    assert peak < head_bytes / 2
 
 
 def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):

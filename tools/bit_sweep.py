@@ -13,9 +13,14 @@ change moved, down to the last bit. The calls cover the linear, Kerr
 and transparent pressures (constant and tabulated plates, 10 nm to
 1 um, zero, finite and classical temperature, several tolerances), the
 dimensionless coefficients and the public sum and integral of the
-quadrature module; the argvs are those of the kerr and linear_lab benchmark
-workloads, all four input menus, plus zero-T, high-T and finite-T rows.
-It takes about 12 s on a 2-vCPU x86-64 machine.
+quadrature module, and the operator lab: the verification suite's rows
+(name, float.hex of the value, passed) at n_points 32 to 256 for seeds
+0 to 15, called size-major and then seed-major, so that suites which
+build their grid's state and suites which find it built both appear,
+and monte_carlo_fdt at the benchmark's CLT inputs. The argvs are those
+of the kerr and linear_lab benchmark workloads, all four input menus,
+plus zero-T, high-T and finite-T rows and four verify runs.
+It takes about 15 s on a 2-vCPU x86-64 machine.
 """
 
 import contextlib
@@ -27,11 +32,14 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from kerrcasimir import (LayerStack, MaterialResponse,  # noqa: E402
-                         Temperature, cli, integrate_semi_infinite,
-                         matsubara_sum,
+import numpy as np  # noqa: E402
+
+from kerrcasimir import (Grid1D, LayerStack,  # noqa: E402
+                         MaterialResponse, Temperature, build_linear,
+                         build_n_operator, cli, integrate_semi_infinite,
+                         matsubara_sum, monte_carlo_fdt,
                          pressure_linear, pressure_nonlinear,
-                         pressure_transparent_mirror)
+                         pressure_transparent_mirror, run_verification_suite)
 from kerrcasimir.lifshitz_linear import _i_lin_raw  # noqa: E402
 from kerrcasimir.lifshitz_nonlinear import _i_nl_raw  # noqa: E402
 
@@ -86,7 +94,11 @@ OTHER_ARGVS = (
     + [["transparent", "--regime", regime] for regime in ("zero", "high")]
     + [["pressure", "--regime", "finite", "--gap", "3e-7"],
        ["pressure", "--regime", "finite", "--gap", "1e-6",
-        "--temperature", "3"]])
+        "--temperature", "3"]]
+    + [["verify", "--n-points", str(n), "--seed", str(seed)]
+       for n in (32, 256) for seed in (0, 3)])
+LAB_SIZES = (32, 64, 128, 192, 256)
+LAB_SEEDS = range(16)
 
 
 def _record(call):
@@ -188,6 +200,42 @@ def _sums():
     return out
 
 
+def _lab():
+    # the suite size-major, then seed-major: the first call at a size
+    # builds its state, the others find it built; rows are
+    # (name, float.hex of the value, passed)
+    out = {}
+    for order, calls in (
+            ("size_major", [(n, s) for n in LAB_SIZES for s in LAB_SEEDS]),
+            ("seed_major", [(n, s) for s in LAB_SEEDS for n in LAB_SIZES])):
+        for n, seed in calls:
+            out["lab/suite/%s/%d/%d" % (order, n, seed)] = [
+                [r.name, r.value.hex(), r.passed]
+                for r in run_verification_suite(n_points=n, seed=seed)]
+    # monte_carlo_fdt at the inputs of the benchmark's CLT check
+    n = 32
+    grid = Grid1D(n, 0.3)
+    block = max(3, n // 5)
+    mask_a = np.arange(n // 8, n // 8 + block)
+    mask_b = np.arange(n - n // 8 - block, n - n // 8)
+    eps = np.ones(n)
+    eps[mask_a] = 2.25
+    eps[mask_b] = 3.0
+    weights = ((0.8, 0.6), (1.1, 0.4))
+    probe = np.zeros(n)
+    probe[mask_a] = 1.0
+    probe[mask_b] = 0.5
+    _, g1, _ = build_linear(grid, eps, 1.0)
+    n_probe = build_n_operator(grid, eps, probe, 1.0, weights)
+    chi = 5e-3 / np.linalg.norm(g1 @ n_probe, 2) * probe
+    for seed in (4, 8, 12, 16):
+        for samples in (1000, 4000, 16000):
+            out["lab/monte_carlo_fdt/%d/%d" % (samples, seed)] = \
+                monte_carlo_fdt(grid, eps, chi, 1.0, weights,
+                                samples=samples, seed=seed).hex()
+    return out
+
+
 def _cli_outputs():
     out = {}
     for argv in BENCH_ARGVS + OTHER_ARGVS:
@@ -202,7 +250,7 @@ def _cli_outputs():
 
 def main():
     report = {"results": {**_pressures(), **_coefficients(), **_sums()},
-              "cli": _cli_outputs()}
+              "lab": _lab(), "cli": _cli_outputs()}
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 

@@ -26,7 +26,10 @@ Output is CSV with a header line, then a ``# config-hash:`` comment
 (SHA-256 over the sorted effective configuration, output path
 excluded), then the data rows with floats at 17 significant digits.
 For a fixed configuration and seed the emitted bytes are identical
-across runs. Exit status: 0 success, 1 invalid configuration, 2
+across runs under one BLAS thread setting (OPENBLAS_NUM_THREADS and
+the like): the verify rows differ in their last digits between 1 and 2
+BLAS threads, and the config hash does not cover the thread count.
+Exit status: 0 success, 1 invalid configuration, 2
 numerics out of tolerance (including failed verification rows).
 """
 

@@ -37,11 +37,12 @@ first returns its last total and change with converged=False.
 The same machinery drives the three thermal regimes of matsubara_sum.
 A sum over discrete thermal frequencies (weight 1/2 on n = 0) becomes
 an integral over continuous n at zero temperature and its halved n = 0
-term in the classical limit. At finite temperature, once the index
-n_star over which the terms decay is large for the tolerance, a head of
-terms plus the integral of the rest replaces the series, unless the
-head would hold more than _MAX_HEAD terms. Both thermal integrals stop
-at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms past n = 0.
+term in the classical limit. At finite temperature one loop sums the
+series; once the index n_star over which the terms decay is large for
+the tolerance, it tries, at the end of a head of terms, that head plus
+the integral of the rest, unless the head would hold more than
+_MAX_HEAD terms. Both thermal integrals stop at _TAIL_MAX_LEVEL, the
+series after _MAX_TERMS terms past n = 0 or at the end of a longer head.
 Terms may be arrays, summed elementwise; value (float by default) maps
 a sum to the float that the tolerance, the error and the result refer
 to, such as <F, F> for the Kerr frequency vectors F.
@@ -57,14 +58,8 @@ nodes of a level to one term each, so an inner quadrature can refine
 them all at once as the rows of one batch, each stopping as alone. The
 row driver knows rows only: its kernel gets a (rows x nodes) block of
 new nodes and those rows' indices; a driver of one row passes a 1 x k
-block. The Euler-Maclaurin head and the finite-temperature series ask
-for their terms in blocks of at most _SERIES_BLOCK: the head in index
-order, the series' first block up to the budget B of the decay scale
-(_series_budget), each later one the terms its geometric tail estimate
-still predicts. A block moves no value, error or flag: rows end as
-alone, and the series folds its terms one at a time in index order;
-n_evals counts the terms evaluated past the stop too. The classical
-limit passes index 0 alone.
+block. The finite-temperature series asks for its terms in blocks (see
+matsubara_sum); the classical limit passes index 0 alone.
 """
 
 import math
@@ -122,16 +117,17 @@ def _as_result(value):
 
 
 class _Books:
-    """A row term's work since the first attempt, its flags in this one.
+    """A row term's work over every attempt of a driver, and the flags
+    of the calls (an integral's terms, not the series' entries).
 
     A row term maps a sequence of indices or nodes to one term value
     (float, array or QuadratureResult) per entry, as a sequence or one
     array; called with one, the books return the list of values.
     """
 
-    def __init__(self, rows, n_evals=0):
+    def __init__(self, rows):
         self.rows = rows
-        self.n_evals = n_evals
+        self.n_evals = 0
         self.ok = True
 
     def __call__(self, ns):
@@ -154,7 +150,8 @@ class _Books:
         return values, flags
 
     def close(self, res):
-        """res, an attempt over these books, with their work and flags."""
+        """res, an attempt over these books, with their work and the
+        flags of their calls."""
         return replace(res, n_evals=self.n_evals,
                        converged=res.converged and self.ok)
 
@@ -381,13 +378,13 @@ _TAIL_HEAD = 8
 _TAIL_MAX_LEVEL = 256
 # f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
-# most terms in one block of the finite-temperature series or of the
-# Euler-Maclaurin head: a bound on the momentum batch either hands to
-# the row driver
+# most terms in one block of the finite-temperature series: a bound on
+# the momentum batch it hands to the row driver
 _SERIES_BLOCK = 64
-# most terms past index 0 that the finite-temperature series folds
+# most terms past index 0 that the finite-temperature series folds,
+# unless the head of the Euler-Maclaurin tail holds more
 _MAX_TERMS = 20000
-# most terms in the Euler-Maclaurin head, which keeps every term value
+# most terms in the head of the Euler-Maclaurin tail
 _MAX_HEAD = 2 ** 16
 
 
@@ -397,53 +394,51 @@ def _series_budget(n_star, rel_tol):
     return -0.5 * n_star * math.log(rel_tol)
 
 
-def _euler_maclaurin(books, n_star, rel_tol, breaks=(), value=float):
-    """sum'_n f(n), f a row term on _Books, by midpoint Euler-Maclaurin
-    beyond a head.
+def _tail_head(n_star, rel_tol, breaks):
+    """N0 + 2, the terms of the Euler-Maclaurin tail's head f(0..N0-1)
+    and stencil f(N0-2..N0+1), or None: the tail is declined.
 
-    sum'_n f(n) = f(0)/2 + sum_(1 <= n < N0) f(n) + int_(N0-1/2)^inf f dn
-    + f'(N0-1/2)/24 - 7 f'''(N0-1/2)/5760, with the derivatives from the
-    cubic through f(N0-2..N0+1). A term ~exp(-2n/n_star) takes
-    B = n_star ln(1/rel_tol)/2 series terms, and its f''' term is about
-    7/(360 n_star**4) of the sum. The head (N0 >= 8) runs past every
-    break (kink) below B; the integral (the composite rule, scale
-    n_star) splits at those beyond, each of which shifts the sum by
-    about 2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
-    terms (floats or arrays) to the float rel_tol refers to. The error
-    adds those shifts, the integral's level change and the effect of
-    the f''' term, which must stay under rel_tol/10; n_evals counts the
-    term values. The head goes to books in blocks of at most
-    _SERIES_BLOCK indices. The integral is a batch of one row of the
-    row driver, one call of books per level, whose payload is the array
-    total of its last level, for the f''' check.
-    None where the series is predicted cheaper, the rule too coarse or
-    the head longer than _MAX_HEAD terms (a table kink far beyond the
-    thermal frequency, as far below 1 K).
+    A term ~exp(-2n/n_star) takes B = n_star ln(1/rel_tol)/2 series
+    terms, and the tail's f''' term is about 7/(360 n_star**4) of the
+    sum, which must stay under rel_tol/10. The head (N0 >= 8) runs past
+    every break (kink) below B, so the stencil f(N0-2..N0+1) holds none.
+    Declined where n_star is too small for that f''' term, where the
+    head, the stencil and 32 nodes per panel of the integral reach B
+    (the series is predicted cheaper), or where the head would hold
+    more than _MAX_HEAD terms (a table kink far beyond the thermal
+    frequency, as far below 1 K).
     """
-    if not (0.0 < rel_tol < 1.0
-            and (7.0 / (36.0 * rel_tol)) ** 0.25 <= n_star < math.inf):
-        return None
     budget = _series_budget(n_star, rel_tol)
-    n0 = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
-                             if b < budget])
-    light = [float(b) for b in breaks if b >= budget]
-    # any break left in the stencil f(N0-2..N0+1) lies past B: declined
-    if n0 + 2 > _MAX_HEAD or n0 + 2 + 32 * (len(light) + 1) >= budget:
+    head = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
+                               if b < budget]) + 2
+    if (n_star < (7.0 / (36.0 * rel_tol)) ** 0.25 or head > _MAX_HEAD
+            or head + 32 * (1 + sum(b >= budget for b in breaks)) >= budget):
         return None
+    return head
+
+
+def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, breaks,
+                     value):
+    """sum'_n f(n) from its head by midpoint Euler-Maclaurin.
+
+    sum'_n f(n) = head_sum + int_(N0-1/2)^inf f dn + f'(N0-1/2)/24
+    - 7 f'''(N0-1/2)/5760, where head_sum = f(0)/2 + f(1) + ... +
+    f(N0-1) and the derivatives come from the cubic through the stencil
+    f(N0-2..N0+1). The integral (the composite rule, scale n_star) is a
+    batch of one row of the row driver, one call of books (f's row
+    term) per level, whose payload is the array total of its last
+    level, for the f''' check. It splits at the breaks beyond N0, each
+    of which shifts the sum by about 2 exp(-2b/n_star)/n_star**2 of it
+    at most. value maps a sum of terms (floats or arrays) to the float
+    rel_tol refers to. The error adds those shifts, the integral's level
+    change and the effect of the f''' term, which must stay under
+    rel_tol/10; n_evals counts the integral's nodes.
+    """
     start = n0 - 0.5
-    # f(0)/2 + f(1) + ... + f(N0-1) summed in index order, and the
-    # stencil; a head term is dropped once it is added
-    head, stencil = 0.0, []
-    for lo in range(0, n0 + 2, _SERIES_BLOCK):
-        for n, f in enumerate(books(range(lo, min(lo + _SERIES_BLOCK,
-                                                   n0 + 2))), lo):
-            if n < n0:
-                head = 0.5 * f if n == 0 else head + f
-            if n >= n0 - 2:
-                stencil.append(f)
+    light = [float(b) for b in breaks if b > n0]
     d1, d3 = np.tensordot(_CENTRED, np.array(stencil), 1)
     last = -7.0 * d3 / 5760.0
-    fixed = head + d1 / 24.0 + last
+    fixed = head_sum + d1 / 24.0 + last
 
     def level(w, vals):
         total = fixed + np.tensordot(w, vals, 1)
@@ -470,18 +465,20 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     rows is a row term (see the module docstring): it maps a sequence
     of indices to one term f(n) each, a float, an array or a
     QuadratureResult holding either, and is called once per level of a
-    thermal integral and per block of the Euler-Maclaurin head or of the
-    series. The n = 0 term carries weight 1/2. Behaviour per kind:
+    thermal integral and per block of the series. The n = 0 term
+    carries weight 1/2. Behaviour per kind:
 
-    * "finite": a head of terms plus the integral of the rest if
-      zero_scale is large (_euler_maclaurin; rows must accept floats
-      beyond the head). Otherwise, or if that misses rel_tol, the
-      series is summed until a geometric bound on the remaining tail,
-      estimated from the last three steps of value(partial sum), drops
-      below rel_tol relative to value(partial sum), or flagged
-      unconverged after _MAX_TERMS terms past n = 0. Its terms are
-      evaluated in blocks (see the module docstring) and summed in
-      index order.
+    * "finite": one loop sums the series from n = 0, its terms folded
+      one at a time in index order, and has two stops. Where zero_scale
+      is large (_tail_head), the first is at N0 + 1, past the head and
+      its stencil: unless the series has stopped, the head sum and the
+      stencil give the Euler-Maclaurin tail (_euler_maclaurin; rows must
+      accept floats beyond the head), which is the result if it meets
+      rel_tol. Otherwise the loop goes on to the second: a geometric
+      bound on the remaining tail, estimated from the last three steps
+      of value(partial sum), drops below rel_tol relative to
+      value(partial sum), or the series stops flagged after
+      max(_MAX_TERMS, N0 + 1) terms past n = 0.
     * "high": only the halved n = 0 term survives, value(f(0) / 2),
       and its error is scaled like the value (1/2 for value = float,
       1/4 for a quadratic form); rows is called with [0] alone.
@@ -501,9 +498,10 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     -------
     QuadratureResult
         n_evals counts the innermost evaluations of every attempt; the
-        flag is that of the attempt whose value is returned. The series'
-        n_evals includes the terms its last block evaluated past the
-        stop, whose values and flags it does not use.
+        flag is that of the attempt whose value is returned: the tail's
+        covers the head's terms and the integral's, the series' the
+        terms it folds. n_evals includes the terms the last block
+        evaluated past the stop.
     """
     _check_rel_tol(rel_tol)
     _check_scale(zero_scale)
@@ -517,35 +515,39 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
         return integrate_semi_infinite(rows, rel_tol, zero_scale,
                                        _TAIL_MAX_LEVEL, zero_breaks, value)
     books = _Books(rows)
-    tail = _euler_maclaurin(books, zero_scale, rel_tol, zero_breaks, value)
-    if tail is not None and tail.converged:
-        return books.close(tail)
-    books = _Books(rows, books.n_evals)
+    # the head and its stencil, [0, N0 + 2); none where the tail declines
+    head = _tail_head(zero_scale, rel_tol, zero_breaks) or 0
+    first = max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0
+    cap = max(_MAX_TERMS, head - 1)
 
     def block(start, size):
         # the values and flags of the next size terms from index start:
-        # at least one, at most _SERIES_BLOCK, none past _MAX_TERMS
+        # at least one, at most _SERIES_BLOCK, none past cap. Blocks end
+        # at the head's end, then at the budget B (or at _SERIES_BLOCK),
+        # then where the geometric tail estimate meets the rule. A block
+        # moves no value, error or flag: rows end as alone, and the
+        # series folds one term at a time
         size = math.ceil(min(size, _SERIES_BLOCK)) if size >= 1.0 else 1
-        end = min(start + size, max(_MAX_TERMS, start) + 1)
-        return zip(*books.entries(range(start, end)))
+        return zip(*books.entries(range(start, min(start + size, cap + 1))))
 
-    terms = block(0, max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0)
+    terms = block(0, head or first)
     t, ok = next(terms)
     total = 0.5 * t
     cur = value(total)
-    last = []
+    last, stencil = [], []
     est, r = math.inf, 1.0
     converged = False
     n = 0
-    while n < _MAX_TERMS and not converged:
+    while n < cap and not converged:
         n += 1
         step = next(terms, None)
         if step is None:
+            end = head if n < head else min(first, _SERIES_BLOCK)
             # a float sum is projected to its limit, so that the block
             # ends where the estimate first meets the rule
             ahead = t * r / (1.0 - r) if value is float and r < 1.0 else 0.0
-            terms = block(n, _terms_to_go(est, r,
-                                          rel_tol * abs(cur + ahead)))
+            terms = block(n, end - n if n < end else _terms_to_go(
+                est, r, rel_tol * abs(cur + ahead)))
             step = next(terms)
         t, flag = step
         ok = ok and flag
@@ -554,8 +556,7 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
         # a float term is its own step, exact where the difference of
         # two rounded sums keeps only its digits above the sum's last bit
         last.append(abs(t if value is float else cur - prev))
-        if len(last) > 3:
-            last.pop(0)
+        del last[:-3]
         if len(last) == 3 and n >= 4:
             if last[2] == 0.0:
                 est, converged = 0.0, True
@@ -564,7 +565,18 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
                 if r < 1.0:
                     est = last[2] * r / (1.0 - r)
                     converged = est <= rel_tol * abs(cur)
-    return books.close(QuadratureResult(cur, est, n + 1, converged and ok))
+        if head - 4 <= n < head:
+            stencil.append(t)
+            if n == head - 3:
+                head_sum = total  # up to f(N0 - 1)
+        if n == head - 1 and not converged:
+            tail = _euler_maclaurin(books, head - 2, head_sum, stencil,
+                                    zero_scale, rel_tol, zero_breaks, value)
+            if tail.converged:
+                # flagged by the head's terms and the integral's
+                return books.close(replace(tail, converged=ok))
+    # the books' flags are the dropped tail's
+    return QuadratureResult(cur, est, books.n_evals, converged and ok)
 
 
 def _terms_to_go(est, r, target):

@@ -182,7 +182,7 @@ def test_finite_t_tail_matches_direct_sum(monkeypatch, tabulated):
                   MaterialResponse.perfect_mirror())
     stack = LayerStack(*plates, 1e-8, Temperature.finite(300.0))
     tail = pressure_linear(stack)
-    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
+    monkeypatch.setattr(quadrature, "_tail_head", lambda *args: None)
     direct = pressure_linear(stack, rel_tol=1e-12)
     assert tail.converged and direct.converged
     assert tail.error <= 1e-8 * tail.value
@@ -222,7 +222,7 @@ def test_finite_t_flag_comes_from_the_returned_attempt(monkeypatch):
     monkeypatch.setattr(lifshitz_linear, "_g_hat", flaky)
     monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", quadrature.MIN_LEVEL)
     dropped = pressure_linear(stack, rel_tol=1e-6)
-    monkeypatch.setattr(quadrature, "_euler_maclaurin", lambda *args: None)
+    monkeypatch.setattr(quadrature, "_tail_head", lambda *args: None)
     series = pressure_linear(stack, rel_tol=1e-6)
     assert flagged and dropped.converged and series.converged
     assert (dropped.value, dropped.error) == (series.value, series.error)

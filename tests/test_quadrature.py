@@ -550,7 +550,7 @@ def _kinked(n, s=300.0):
                                      + 0.5 * max(n - b3, 0.0))
 
 
-def test_matsubara_sum_tail_heads_past_kinks():
+def test_matsubara_sum_tail_heads_past_kinks(monkeypatch):
     # at rel_tol 1e-10 the series takes about 3,450 terms; the head runs
     # past the two kinks below that, the integral splits at the third.
     # The stated error covers the explicit sum of 30,000 terms
@@ -561,8 +561,12 @@ def test_matsubara_sum_tail_heads_past_kinks():
     assert res.converged and res.n_evals < 1000
     assert abs(res.value - exact) <= res.error <= 1e-10 * exact
     # the rule blind to the kinks misses (and the series takes over)
-    blind = quadrature._euler_maclaurin(
-        quadrature._Books(_rows(_kinked)), 300.0, 1e-10)
+    tails, tail = [], quadrature._euler_maclaurin
+    monkeypatch.setattr(quadrature, "_euler_maclaurin",
+                        lambda *args: tails.append(tail(*args)) or tails[-1])
+    matsubara_sum(_rows(_kinked), Temperature.finite(300.0), rel_tol=1e-10,
+                  zero_scale=300.0)
+    blind, = tails
     assert not (blind.converged and abs(blind.value - exact) <= blind.error)
 
 
@@ -592,27 +596,30 @@ def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget(
         monkeypatch):
     # n* = 100 at rel_tol 1e-8: B = 50 ln(1e8) ~ 921 terms. A kink at 900
     # moves the head to N0 = 903, and head, stencil and tail panels
-    # would reach B: declined before a term is evaluated. A kink at 500
-    # leaves room for them
+    # would reach B: declined before a term is evaluated, so the sum
+    # takes no index off the integers. A kink at 500 leaves room for them
     calls = []
 
     def rows(ns):
         calls.extend(ns)
         return [math.exp(-2.0 * n / 100.0) for n in ns]
 
-    books = quadrature._Books(rows)
-    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (900.0,)) is None
-    assert calls == [] and books.n_evals == 0
-    tail = quadrature._euler_maclaurin(books, 100.0, 1e-8, (500.0,))
-    assert tail is not None and tail.converged
-    assert max(calls) >= 503 and books.n_evals == len(calls)
+    def run(kink):
+        del calls[:]
+        return matsubara_sum(rows, _WARM, 1e-8, zero_scale=100.0,
+                             zero_breaks=(kink,))
+
+    assert quadrature._tail_head(100.0, 1e-8, (900.0,)) is None
+    assert run(900.0).converged and all(n == int(n) for n in calls)
+    tail = run(500.0)
+    assert tail.converged and any(n != int(n) for n in calls)
+    assert max(calls) >= 503 and tail.n_evals == len(calls)
     # a head of more than _MAX_HEAD terms is declined too: with a cap of
     # 100, the kink at 200 (N0 = 203) is, the kink at 90 (N0 = 93) is not
     monkeypatch.setattr(quadrature, "_MAX_HEAD", 100)
-    del calls[:]
-    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (200.0,)) is None
-    assert calls == []
-    assert quadrature._euler_maclaurin(books, 100.0, 1e-8, (90.0,)).converged
+    assert quadrature._tail_head(100.0, 1e-8, (200.0,)) is None
+    assert run(200.0).converged and all(n == int(n) for n in calls)
+    assert run(90.0).converged
     assert max(n for n in calls if n == int(n)) == 94
 
 
@@ -634,16 +641,35 @@ def test_euler_maclaurin_keeps_no_head_terms():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = quadrature._euler_maclaurin(
-            quadrature._Books(rows), 1000.0, 1e-8, (997.5,),
-            value=lambda total: float(np.sum(total)))
+        res = matsubara_sum(rows, _WARM, 1e-8, zero_scale=1000.0,
+                            zero_breaks=(997.5,),
+                            value=lambda total: float(np.sum(total)))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    # n_evals: the 1,002 terms of head and stencil, and the tail's 64 nodes
     assert (res.value.hex(), res.error.hex(), res.n_evals, res.converged) \
-        == ("0x1.17dd584d05bfap+25", "0x1.d67b000000000p-11", 64, True)
+        == ("0x1.17dd584d05bfap+25", "0x1.d67b000000000p-11", 1002 + 64,
+            True)
     assert at_tail[0] - base < head_bytes / 10
     assert peak < head_bytes / 2
+
+
+def test_a_dropped_tail_evaluates_no_index_twice(monkeypatch):
+    # the tail, tried past the head of 416 terms, misses at its first
+    # level; the same loop goes on from there, so every integer index is
+    # evaluated once, and the sum is the series' alone
+    monkeypatch.setattr(quadrature, "_TAIL_MAX_LEVEL", MIN_LEVEL)
+    rows = _Recorded(_kinked)
+    res = matsubara_sum(rows, _WARM, rel_tol=1e-10, zero_scale=300.0,
+                        zero_breaks=_BREAKS)
+    integers = [n for n in rows.indices if n == int(n)]
+    assert len(integers) < len(rows.indices)
+    assert sorted(integers) == list(range(len(integers)))
+    assert res.n_evals == len(rows.indices)
+    series = _series(_rows(_kinked), 1e-10, 300.0)
+    assert (res.value, res.error, res.converged) \
+        == (series.value, series.error, True)
 
 
 def test_matsubara_sum_counts_a_dropped_tail(monkeypatch):
@@ -893,7 +919,7 @@ def _series(rows, rel_tol, s, value=float, max_terms=None):
     # tail would take over (n* = 30 at rel_tol 1e-6), cut after max_terms
     # terms if given
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_euler_maclaurin", lambda *args, **kw: None)
+        mp.setattr(quadrature, "_tail_head", lambda *args, **kw: None)
         if max_terms is not None:
             mp.setattr(quadrature, "_MAX_TERMS", max_terms)
         return matsubara_sum(rows, _WARM, rel_tol, zero_scale=s, value=value)

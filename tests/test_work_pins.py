@@ -124,3 +124,16 @@ def test_coefficient_work_is_pinned(key):
     value, n_evals, converged = COEFFICIENT_PINS[key]
     assert (res.n_evals, res.converged) == (n_evals, converged)
     assert res.value == pytest.approx(value, rel=1e-12)
+
+
+def test_a_sum_of_zero_terms_stops_inside_the_head():
+    # a mirror against eps = 1 reflects nothing: every term is +0.0, 16
+    # momentum nodes each. The series stops at n = 4, inside the head of
+    # the Euler-Maclaurin tail, and takes no tail integral: the 10 terms
+    # of the first block (head and stencil) are all its work
+    stack = LayerStack(MaterialResponse.perfect_mirror(),
+                       MaterialResponse.constant(1.0), GAP,
+                       TEMPERATURES["finite"])
+    res = pressure_linear(stack, rel_tol=1e-8)
+    assert (res.value.hex(), res.error.hex(), res.n_evals, res.converged) \
+        == ("0x0.0p+0", "0x0.0p+0", 160, True)

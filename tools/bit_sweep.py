@@ -21,15 +21,23 @@ and monte_carlo_fdt at the benchmark's CLT inputs. The argvs are those
 of the kerr and linear_lab benchmark workloads, all four input menus,
 plus zero-T, high-T and finite-T rows and four verify runs.
 It takes about 15 s on a 2-vCPU x86-64 machine.
+
+The lab's rows and the verify output depend on the number of BLAS
+threads, so the script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy is imported, as the benchmark does:
+two checkouts compare under one thread setting whatever the caller's.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import sys
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402

@@ -133,12 +133,7 @@ def _frequencies(stack):
     # sum: the map from thermal indices n to (x, eps1, eps3) at
     # x = xi_n d / c, a constant plate's eps one float; the terms' decay
     # scale n*, the index at which xi reaches c/d; and the thermal
-    # indices of the table nodes (kinks). At zero T the first panel of
-    # the frequency integral, [0, b_1], is one unmapped rule, which
-    # cannot resolve terms that decay on an n* far below b_1: panel
-    # edges at n* 4**k (k >= 1) below b_1 split it on that scale. A
-    # finite-T sum takes none, as edges below B would push the
-    # Euler-Maclaurin head past them
+    # indices of the table nodes (kinks)
     temp, d = stack.temperature, stack.gap
 
     def frequency(ns):
@@ -149,12 +144,7 @@ def _frequencies(stack):
 
     n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
                                * temp.kelvin * d)
-    kinks = stack.breakpoints / temp.xi(1)
-    edges, edge = [], 4.0 * n_star
-    while temp.kind == "zero" and kinks.size and edge < kinks[0]:
-        edges.append(edge)
-        edge *= 4.0
-    return frequency, n_star, np.concatenate((edges, kinks))
+    return frequency, n_star, stack.breakpoints / temp.xi(1)
 
 
 def _inner_tol(rel_tol):

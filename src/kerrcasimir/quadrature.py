@@ -126,23 +126,18 @@ class _Books:
     """
 
     def __init__(self, rows):
-        self.rows = rows
-        self.n_evals = 0
-        self.ok = True
+        self.rows, self.n_evals, self.ok = rows, 0, True
 
     def __call__(self, ns):
-        values, flags = self._count(self.rows(ns))
+        values, flags = self.entries(ns)
         self.ok = self.ok and all(flags)
         return values
 
     def entries(self, ns):
         """The values of ns and one flag each, the flags left out of the
         books': the series keeps those of the terms it folds."""
-        return self._count(self.rows(ns))
-
-    def _count(self, terms):
         values, flags = [], []
-        for res in terms:
+        for res in self.rows(ns):
             res = _as_result(res)
             self.n_evals += res.n_evals
             values.append(res.value)
@@ -395,13 +390,15 @@ def _series_budget(n_star, rel_tol):
 
 
 def _tail_head(n_star, rel_tol, breaks):
-    """N0 + 2, the terms of the Euler-Maclaurin tail's head f(0..N0-1)
-    and stencil f(N0-2..N0+1), or None: the tail is declined.
+    """(N0 + 2, light): the terms of the Euler-Maclaurin tail's head
+    f(0..N0-1) and stencil f(N0-2..N0+1), and the breaks of its
+    integral; or None: the tail is declined.
 
     A term ~exp(-2n/n_star) takes B = n_star ln(1/rel_tol)/2 series
     terms, and the tail's f''' term is about 7/(360 n_star**4) of the
     sum, which must stay under rel_tol/10. The head (N0 >= 8) runs past
-    every break (kink) below B, so the stencil f(N0-2..N0+1) holds none.
+    every break (kink) below B, so the stencil f(N0-2..N0+1) holds none;
+    the others, light, lie past N0, where the integral splits at them.
     Declined where n_star is too small for that f''' term, where the
     head, the stencil and 32 nodes per panel of the integral reach B
     (the series is predicted cheaper), or where the head would hold
@@ -409,15 +406,16 @@ def _tail_head(n_star, rel_tol, breaks):
     frequency, as far below 1 K).
     """
     budget = _series_budget(n_star, rel_tol)
+    light = [float(b) for b in breaks if b >= budget]
     head = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
                                if b < budget]) + 2
     if (n_star < (7.0 / (36.0 * rel_tol)) ** 0.25 or head > _MAX_HEAD
-            or head + 32 * (1 + sum(b >= budget for b in breaks)) >= budget):
+            or head + 32 * (1 + len(light)) >= budget):
         return None
-    return head
+    return head, light
 
 
-def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, breaks,
+def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, light,
                      value):
     """sum'_n f(n) from its head by midpoint Euler-Maclaurin.
 
@@ -427,15 +425,15 @@ def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, breaks,
     f(N0-2..N0+1). The integral (the composite rule, scale n_star) is a
     batch of one row of the row driver, one call of books (f's row
     term) per level, whose payload is the array total of its last
-    level, for the f''' check. It splits at the breaks beyond N0, each
-    of which shifts the sum by about 2 exp(-2b/n_star)/n_star**2 of it
-    at most. value maps a sum of terms (floats or arrays) to the float
-    rel_tol refers to. The error adds those shifts, the integral's level
-    change and the effect of the f''' term, which must stay under
-    rel_tol/10; n_evals counts the integral's nodes.
+    level, for the f''' check. It splits at the breaks light, all
+    beyond N0 (_tail_head), each of which shifts the sum by about
+    2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
+    terms (floats or arrays) to the float rel_tol refers to. The error
+    adds those shifts, the integral's level change and the effect of
+    the f''' term, which must stay under rel_tol/10; n_evals counts the
+    integral's nodes.
     """
     start = n0 - 0.5
-    light = [float(b) for b in breaks if b > n0]
     d1, d3 = np.tensordot(_CENTRED, np.array(stencil), 1)
     last = -7.0 * d3 / 5760.0
     fixed = head_sum + d1 / 24.0 + last
@@ -487,7 +485,9 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
       accept floats); k_B * temperature.kelvin * result is then the
       physical average for any reference kelvin. Both integrals take
       zero_scale as the n over which f decays, zero_breaks as its
-      kinks, and stop at _TAIL_MAX_LEVEL nodes per panel.
+      kinks, and stop at _TAIL_MAX_LEVEL nodes per panel. Here the
+      panels also split at zero_scale 4**k (k >= 1) below the first
+      kink, so that f is resolved where it decays long before it.
 
     Arrays are summed elementwise and value maps the sum to the float
     returned. A rel_tol outside (0, 1), NaN included, raises
@@ -512,11 +512,17 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
         return replace(res, value=half,
                        error=abs(half / full if full else 0.5) * res.error)
     if kind == "zero":
+        # the first panel [0, b_1] is one unmapped rule: edges at
+        # zero_scale 4**k (k >= 1) below b_1 split it on f's scale
+        edges = [4.0 * zero_scale]
+        while len(zero_breaks) and edges[-1] < zero_breaks[0]:
+            edges.append(4.0 * edges[-1])
         return integrate_semi_infinite(rows, rel_tol, zero_scale,
-                                       _TAIL_MAX_LEVEL, zero_breaks, value)
+                                       _TAIL_MAX_LEVEL,
+                                       edges[:-1] + list(zero_breaks), value)
     books = _Books(rows)
     # the head and its stencil, [0, N0 + 2); none where the tail declines
-    head = _tail_head(zero_scale, rel_tol, zero_breaks) or 0
+    head, light = _tail_head(zero_scale, rel_tol, zero_breaks) or (0, ())
     first = max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0
     cap = max(_MAX_TERMS, head - 1)
 
@@ -571,7 +577,7 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
                 head_sum = total  # up to f(N0 - 1)
         if n == head - 1 and not converged:
             tail = _euler_maclaurin(books, head - 2, head_sum, stencil,
-                                    zero_scale, rel_tol, zero_breaks, value)
+                                    zero_scale, rel_tol, light, value)
             if tail.converged:
                 # flagged by the head's terms and the integral's
                 return books.close(replace(tail, converged=ok))

@@ -597,7 +597,9 @@ def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget(
     # n* = 100 at rel_tol 1e-8: B = 50 ln(1e8) ~ 921 terms. A kink at 900
     # moves the head to N0 = 903, and head, stencil and tail panels
     # would reach B: declined before a term is evaluated, so the sum
-    # takes no index off the integers. A kink at 500 leaves room for them
+    # takes no index off the integers. A kink at 500 leaves room for
+    # them: N0 = 503, and the tail converges past the head and stencil
+    # [0, 505), which a missed tail would fold on to about B
     calls = []
 
     def rows(ns):
@@ -614,6 +616,7 @@ def test_euler_maclaurin_declines_when_kinks_push_the_head_to_budget(
     tail = run(500.0)
     assert tail.converged and any(n != int(n) for n in calls)
     assert max(calls) >= 503 and tail.n_evals == len(calls)
+    assert max(n for n in calls if n == int(n)) == 504
     # a head of more than _MAX_HEAD terms is declined too: with a cap of
     # 100, the kink at 200 (N0 = 203) is, the kink at 90 (N0 = 93) is not
     monkeypatch.setattr(quadrature, "_MAX_HEAD", 100)

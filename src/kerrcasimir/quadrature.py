@@ -37,15 +37,17 @@ first returns its last total and change with converged=False.
 The same machinery drives the three thermal regimes of matsubara_sum.
 A sum over discrete thermal frequencies (weight 1/2 on n = 0) becomes
 an integral over continuous n at zero temperature and its halved n = 0
-term in the classical limit. At finite temperature one loop sums the
-series; once the index n_star over which the terms decay is large for
-the tolerance, it tries, at the end of a head of terms, that head plus
-the integral of the rest, unless the head would hold more than
-_MAX_HEAD terms. Both thermal integrals stop at _TAIL_MAX_LEVEL, the
-series after _MAX_TERMS terms past n = 0 or at the end of a longer head.
-Terms may be arrays, summed elementwise; value (float by default) maps
-a sum to the float that the tolerance, the error and the result refer
-to, such as <F, F> for the Kerr frequency vectors F.
+term in the classical limit. Which kinks of the terms still matter is
+one rule for every regime, stated and enforced in matsubara_sum. At
+finite temperature one loop sums the series; once the index n_star
+over which the terms decay is large for the tolerance, it tries, at
+the end of a head of terms, that head plus the integral of the rest,
+unless the head would hold more than _MAX_HEAD terms. Both thermal
+integrals stop at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms
+past n = 0 or at the end of a longer head. Terms may be arrays, summed
+elementwise; value (float by default) maps a sum to the float that the
+tolerance, the error and the result refer to, such as <F, F> for the
+Kerr frequency vectors F.
 
 Quadratures nest: a term may be a QuadratureResult. The driver uses its
 value, adds up its n_evals over every call, dropped attempts included
@@ -237,9 +239,6 @@ def _rule(m, scale, breaks=()):
     xs, ws = [], []
     a = carry = 0.0
     for b in breaks:
-        b = float(b)
-        if not a < b < math.inf:
-            raise ValueError("breaks must be finite, positive and increasing")
         w = (b - a) * wu
         w[0] += carry
         xs.append(a + (b - a) * u)
@@ -258,6 +257,13 @@ def _rule(m, scale, breaks=()):
 def _check_scale(scale):
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be positive and finite")
+
+
+def _check_breaks(breaks):
+    breaks = [float(b) for b in breaks]
+    if not all(a < b < math.inf for a, b in zip([0.0] + breaks, breaks)):
+        raise ValueError("breaks must be finite, positive and increasing")
+    return breaks
 
 
 def _check_rel_tol(rel_tol):
@@ -346,7 +352,8 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     breaks : sequence of float
         Ascending positive finite points where f has a kink (a
         discontinuous derivative), each the edge of a panel of the
-        composite rule (see the module docstring); else ValueError.
+        composite rule (see the module docstring); else ValueError,
+        raised before f is evaluated.
     value : callable
         Maps the elementwise integral of f to the float that is
         returned and that rel_tol refers to.
@@ -364,7 +371,7 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     (_, res), = _refine_rows(
         lambda y, _: np.asarray(books(y[0]), dtype=float)[None],
         lambda w, vals: (value(np.tensordot(w, vals, 1)), None),
-        [scale], rel_tol, max_level, breaks=breaks)
+        [scale], rel_tol, max_level, _check_breaks(breaks))
     return books.close(res)
 
 
@@ -398,7 +405,8 @@ def _tail_head(n_star, rel_tol, breaks):
     terms, and the tail's f''' term is about 7/(360 n_star**4) of the
     sum, which must stay under rel_tol/10. The head (N0 >= 8) runs past
     every break (kink) below B, so the stencil f(N0-2..N0+1) holds none;
-    the others, light, lie past N0, where the integral splits at them.
+    the others, light, lie in [B, 2B) by matsubara_sum's kink rule, past
+    N0, where the integral splits at them.
     Declined where n_star is too small for that f''' term, where the
     head, the stencil and 32 nodes per panel of the integral reach B
     (the series is predicted cheaper), or where the head would hold
@@ -406,7 +414,7 @@ def _tail_head(n_star, rel_tol, breaks):
     frequency, as far below 1 K).
     """
     budget = _series_budget(n_star, rel_tol)
-    light = [float(b) for b in breaks if b >= budget]
+    light = [b for b in breaks if b >= budget]
     head = max([_TAIL_HEAD] + [math.floor(b) + 3 for b in breaks
                                if b < budget]) + 2
     if (n_star < (7.0 / (36.0 * rel_tol)) ** 0.25 or head > _MAX_HEAD
@@ -425,12 +433,14 @@ def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, light,
     f(N0-2..N0+1). The integral (the composite rule, scale n_star) is a
     batch of one row of the row driver, one call of books (f's row
     term) per level, whose payload is the array total of its last
-    level, for the f''' check. It splits at the breaks light, all
-    beyond N0 (_tail_head), each of which shifts the sum by about
-    2 exp(-2b/n_star)/n_star**2 of it at most. value maps a sum of
-    terms (floats or arrays) to the float rel_tol refers to. The error
-    adds those shifts, the integral's level change and the effect of
-    the f''' term, which must stay under rel_tol/10; n_evals counts the
+    level, for the f''' check. It splits at the kinks light, in [B, 2B)
+    by matsubara_sum's kink rule and so beyond N0 (_tail_head), each of
+    which shifts the sum by about 2 exp(-2b/n_star)/n_star**2 of it at
+    most; a kink past 2B would shift it by less than rel_tol**2 times
+    that factor, and has no panel. value maps a sum of terms (floats or
+    arrays) to the float rel_tol refers to. The error adds those
+    shifts, the integral's level change and the effect of the f'''
+    term, which must stay under rel_tol/10; n_evals counts the
     integral's nodes.
     """
     start = n0 - 0.5
@@ -484,15 +494,25 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
       integrate_semi_infinite of f over continuous n >= 0 (rows must
       accept floats); k_B * temperature.kelvin * result is then the
       physical average for any reference kelvin. Both integrals take
-      zero_scale as the n over which f decays, zero_breaks as its
-      kinks, and stop at _TAIL_MAX_LEVEL nodes per panel. Here the
-      panels also split at zero_scale 4**k (k >= 1) below the first
-      kink, so that f is resolved where it decays long before it.
+      zero_scale as the n over which f decays and stop at
+      _TAIL_MAX_LEVEL nodes per panel.
+
+    zero_breaks are the kinks of f in n, and one rule, enforced here
+    for every regime, says which of them matter. With zero_scale = n*
+    and B = n* ln(1/rel_tol)/2 (_series_budget), a kink at or past 2B
+    is dropped: there a term ~exp(-2n/n*) has fallen below rel_tol**2,
+    and the level change of the rule covers the kink with no panel.
+    Every kink left lies below 2B. The zero-temperature integral splits
+    its panels at them; at finite temperature the head runs past those
+    below B (_tail_head) and the tail's integral splits at those in
+    [B, 2B). So f falls by a factor of at most 1/rel_tol**2 across the
+    first panel, [0, b_1], which its rule resolves with no further edge.
 
     Arrays are summed elementwise and value maps the sum to the float
     returned. A rel_tol outside (0, 1), NaN included, raises
-    ValueError, and so does a zero_scale that is not positive and
-    finite, in every regime.
+    ValueError, and so do a zero_scale that is not positive and finite
+    and zero_breaks that are not positive, finite and increasing, in
+    every regime, before rows is called.
 
     Returns
     -------
@@ -505,6 +525,9 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     """
     _check_rel_tol(rel_tol)
     _check_scale(zero_scale)
+    # the kink rule (see above): kinks at or past 2B are dropped
+    budget = _series_budget(zero_scale, rel_tol)
+    kinks = [b for b in _check_breaks(zero_breaks) if b < 2.0 * budget]
     kind = temperature.kind
     if kind == "high":
         res = _as_result(rows([0])[0])
@@ -512,18 +535,12 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
         return replace(res, value=half,
                        error=abs(half / full if full else 0.5) * res.error)
     if kind == "zero":
-        # the first panel [0, b_1] is one unmapped rule: edges at
-        # zero_scale 4**k (k >= 1) below b_1 split it on f's scale
-        edges = [4.0 * zero_scale]
-        while len(zero_breaks) and edges[-1] < zero_breaks[0]:
-            edges.append(4.0 * edges[-1])
         return integrate_semi_infinite(rows, rel_tol, zero_scale,
-                                       _TAIL_MAX_LEVEL,
-                                       edges[:-1] + list(zero_breaks), value)
+                                       _TAIL_MAX_LEVEL, kinks, value)
     books = _Books(rows)
     # the head and its stencil, [0, N0 + 2); none where the tail declines
-    head, light = _tail_head(zero_scale, rel_tol, zero_breaks) or (0, ())
-    first = max(4.0, _series_budget(zero_scale, rel_tol)) + 1.0
+    head, light = _tail_head(zero_scale, rel_tol, kinks) or (0, ())
+    first = max(4.0, budget) + 1.0
     cap = max(_MAX_TERMS, head - 1)
 
     def block(start, size):

@@ -449,8 +449,10 @@ def test_g_hat_rows_equal_single_rows_bitwise(continuum, rel_tol):
 def test_tabulated_zero_t_refines_each_frequency_level_at_once(monkeypatch):
     # a count, not a timing: one _gap_integrand call per momentum level
     # of each frequency level, where each frequency used to take 1,752
-    # calls in all; the work itself is 38,144 momentum nodes (38,400
-    # while the frequencies where e^(-2x) underflows ran a quadrature)
+    # calls in all; the work itself is 14,976 momentum nodes (38,144
+    # while the table kinks past n* ln(1/rel_tol) each had a panel,
+    # 38,400 while the frequencies where e^(-2x) underflows ran a
+    # quadrature)
     calls = []
     real = lifshitz_linear._gap_integrand
 
@@ -463,5 +465,5 @@ def test_tabulated_zero_t_refines_each_frequency_level_at_once(monkeypatch):
                        MaterialResponse.from_table(TABLE_LIN), 1e-7,
                        Temperature.zero())
     res = pressure_linear(stack)
-    assert res.converged and res.n_evals == sum(calls) == 38_144
+    assert res.converged and res.n_evals == sum(calls) == 14_976
     assert len(calls) <= 1752 // 5

@@ -143,7 +143,8 @@ def test_composite_rule_panels():
         assert abs(head @ nodes ** k - 5.5 ** (k + 1) / (k + 1)) \
             < 1e-13 * 5.5 ** (k + 1)
     # breaks that are not finite, positive and increasing
-    for bad in ((1.0, 1.0), (-1.0,), (0.0,), (2.0, 1.0), (math.inf,)):
+    for bad in ((1.0, 1.0), (-1.0,), (0.0,), (2.0, 1.0), (math.inf,),
+                (math.nan,)):
         with pytest.raises(ValueError, match="breaks"):
             integrate_semi_infinite(np.exp, scale=scale, breaks=bad)
 
@@ -581,9 +582,11 @@ def test_matsubara_sum_rejects_a_bad_zero_scale(scale):
 
 def test_matsubara_sum_takes_a_huge_zero_scale():
     # 1e300 used to raise OverflowError at n_star**2, kinks or not: the
-    # tail misses rel_tol at that scale and the series gives the sum
+    # tail misses rel_tol at that scale and the series gives the sum. A
+    # kink at 1e302 lies past 2B ~ 2.3e301 and is dropped; one at
+    # 1.5e301 splits the tail and takes its shift bound
     exact = 1.5
-    for breaks in ((), (1e302,)):
+    for breaks in ((), (1.5e301,), (1e302,)):
         res = matsubara_sum(_rows(lambda n: 0.5 ** n), _WARM, rel_tol=1e-10,
                             zero_scale=1e300, zero_breaks=breaks)
         assert res.converged
@@ -859,6 +862,49 @@ def test_zero_t_sum_is_integrate_semi_infinite():
                 summed.converged) == (integral.value.hex(),
                                       integral.error.hex(), integral.n_evals,
                                       integral.converged)
+
+
+@pytest.mark.parametrize("temp", [_ZERO, _WARM], ids=["zero", "finite"])
+def test_a_kink_past_the_cut_splits_nothing(temp):
+    # the kink rule: a kink at or past 2B = n* ln(1/rel_tol), where a term
+    # ~exp(-2n/n*) is below rel_tol**2, is dropped, so it leaves the bits
+    # and n_evals of no kink; a kink below B splits a panel at zero T and
+    # moves the head at finite T (n* = 300: the tail runs, B ~ 2,763)
+    s, rel_tol = 300.0, 1e-8
+    cut = 2.0 * quadrature._series_budget(s, rel_tol)
+    rows = _rows(lambda n: math.exp(-2.0 * n / s))
+
+    def run(*kinks):
+        res = matsubara_sum(rows, temp, rel_tol, zero_scale=s,
+                            zero_breaks=kinks)
+        return res.value.hex(), res.error.hex(), res.n_evals, res.converged
+
+    plain = run()
+    assert plain[3]
+    assert run(cut) == run(1.5 * cut, 1e6) == plain
+    near = run(0.25 * cut)
+    assert near != plain and near[3]
+    assert run(0.25 * cut, cut) == near
+
+
+@pytest.mark.parametrize("temp", [_ZERO, _WARM, _HOT],
+                         ids=["zero", "finite", "high"])
+@pytest.mark.parametrize("breaks", [(5000.0, 2.0), (math.nan,), (-1.0,),
+                                    (0.0,), (1.0, 1.0), (math.inf,)])
+def test_matsubara_sum_rejects_bad_breaks(temp, breaks):
+    # in every regime, before any term: the finite and classical regimes
+    # used to take these, and the zero regime would now drop a NaN kink
+    calls = []
+
+    def rows(ns):
+        calls.extend(ns)
+        return [math.exp(-n / 3.0) for n in ns]
+
+    with pytest.raises(ValueError, match="breaks must be finite, positive "
+                                         "and increasing"):
+        matsubara_sum(rows, temp, 1e-8, zero_scale=100.0,
+                      zero_breaks=breaks)
+    assert calls == []
 
 
 def test_matsubara_sum_keeps_the_series_below_threshold():

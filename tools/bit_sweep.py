@@ -10,9 +10,11 @@ and converged (or the name of the exception raised); for each CLI argv
 it holds the exit status and the stdout, byte for byte. Running the
 script on two checkouts and diffing the two files shows which results a
 change moved, down to the last bit. The calls cover the linear, Kerr
-and transparent pressures (constant and tabulated plates, 10 nm to
-1 um, zero, finite and classical temperature, several tolerances), the
-dimensionless coefficients and the public sum and integral of the
+and transparent pressures (constant and tabulated plates, 1 nm to
+1 um, zero, finite and classical temperature, several tolerances; the
+tabulated pair also at zero temperature at 10 um, 1 mm and 10 cm, its
+linear part at rel_tol 1e-8 and 1e-4, its Kerr part at 1e-6 and 1e-4),
+the dimensionless coefficients and the public sum and integral of the
 quadrature module, and the operator lab: the verification suite's rows
 (name, float.hex of the value, passed) at n_points 32 to 256 for seeds
 0 to 15, called size-major and then seed-major, so that suites which
@@ -70,6 +72,7 @@ TEMPERATURES = {"zero": Temperature.zero(),
                 "finite3": Temperature.finite(3.0),
                 "high300": Temperature.high(300.0)}
 GAPS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6)
+LARGE_GAPS = (1e-5, 1e-3, 1e-1)
 ROUTES = {"linear": (pressure_linear, (1e-6, 1e-8, 1e-10)),
           "nonlinear": (pressure_nonlinear, (1e-4, 1e-6, 1e-8))}
 EPS_NL = (1.0, 1.0001, 2.0, 10.0, 11.7)
@@ -142,8 +145,18 @@ def _pressures():
                 key = "transparent/%s/%g/%g" % (temp_name, gap, tol)
                 out[key] = _record(lambda: pressure_transparent_mirror(
                     gap, temp, CHI3, rel_tol=tol))
-    # gaps too small for the power laws of the pressures
+    # the tabulated pair at zero T at large gaps, where the terms decay
+    # long before the first table node
     zero = TEMPERATURES["zero"]
+    for gap in LARGE_GAPS:
+        stack = LayerStack(*PLATES["tabulated"](), gap, zero)
+        for route, tols in (("linear", (1e-8, 1e-4)),
+                            ("nonlinear", (1e-6, 1e-4))):
+            for tol in tols:
+                key = "%s/tabulated/zero/%g/%g" % (route, gap, tol)
+                out[key] = _record(lambda: ROUTES[route][0](stack,
+                                                            rel_tol=tol))
+    # gaps too small for the power laws of the pressures
     for gap in (1e-100, 1e-150):
         for route, (fn, _) in ROUTES.items():
             out["%s/tiny/%g" % (route, gap)] = _record(lambda: fn(

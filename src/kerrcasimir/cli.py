@@ -15,12 +15,8 @@ Unknown keys are rejected. Infinite permittivities are written ``inf``.
 The ``threads`` key of the two scans is accepted, validated and hashed
 like any other, but scans run serially: the work holds the interpreter
 lock, so a thread pool made it slower, not faster. Zero-temperature
-and classical pressure rows, with no length scale but d, are cached
-d-independent coefficients times powers of d (i_lin_zero_t and
-i_nl_zero_t times hbar c / d**4 and (chi3/eps0) (hbar c)**2 / d**8,
-i_lin_high_t and i_nl_high_t times kB T / d**3 and (chi3/eps0)
-(kB T)**2 / d**6; lifshitz_nonlinear._pressure_pair), so a scan
-integrates each coefficient once; crossover takes the same ones.
+and classical rows are cached coefficients times powers of d
+(lifshitz_nonlinear._pressure_pair).
 
 Output is CSV with a header line, then a ``# config-hash:`` comment
 (SHA-256 over the sorted effective configuration, output path

@@ -33,6 +33,7 @@ def reflection(x, y, eps):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     per_entry = getattr(eps, "ndim", 0) > 0
+    # fast path of every mirror/vacuum plate; one path made kerr 12-17% slower
     if not per_entry and math.isinf(eps):
         shape = np.broadcast(x, y).shape
         r_s, r_p = np.where(x > 0.0, -1.0, np.zeros(shape)), np.ones(shape)

@@ -15,12 +15,9 @@ frequencies x_n = 2 pi n kB T d / (hbar c),
 
     P = (kB T / (pi d**3)) sum'_n g(x_n),
 
-which the quadrature module turns into the continuous-frequency
-integral at zero temperature and into the halved n = 0 term in the
-classical high-temperature limit. Positive pressure means attraction.
-The Kerr correction sums over the same frequencies (_frequencies), and
-the d-independent coefficients of both parts at zero temperature and
-in the classical limit are these sums at x = n.
+in each thermal regime of quadrature.matsubara_sum. Positive pressure
+means attraction. The Kerr correction sums over the same frequencies
+(_frequencies).
 
 The s-channel reflection vanishes identically at x = 0 for every
 material, the symbolic mirror included; that zero-frequency
@@ -85,10 +82,8 @@ def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
     Returns one QuadratureResult per frequency from one _momentum_batch
     of _gap_integrand: exactly 0 with no nodes where e^(-2x) underflows.
     eps1 and eps3 are floats or one permittivity per frequency. With
-    continuum=True the x = 0 node is evaluated as the limit from above
-    (the s channel of a mirror stays alive), which is the correct
-    integrand of the continuous zero-temperature frequency integral;
-    the discrete sums keep the x = 0 prescription instead.
+    continuum=True an x = 0 node is _X_FLOOR, for the continuous
+    zero-temperature integral; the discrete sums keep x = 0.
     """
     x = np.asarray(x, dtype=float)
     if continuum:
@@ -105,12 +100,15 @@ def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
     """The momentum quadratures at the scaled frequencies of the 1-D x.
 
     Where e^(-2x) underflows every kernel value is exactly 0: the
-    frequency gets dead, with no nodes. The others are one _refine_rows
-    batch of scales max(1, sqrt(x)), kernel(y, x, eps1, eps3, edge) per
-    level with edge = e^(-2x) (math.exp's bits), and each returns
-    finish(edge, payload, result). x, edge and a permittivity given per
-    frequency reach the kernel as one column per row of the node block
-    y; a permittivity given as a float, a constant plate's, stays one.
+    frequency gets dead, with no nodes. The others, all those of one
+    call of a thermal sum's row term (a frequency level or a block of
+    the series, quadrature._SERIES_BLOCK), are one _refine_rows batch
+    of scales max(1, sqrt(x)), one kernel(y, x, eps1, eps3, edge) call
+    per momentum level with edge = e^(-2x) (math.exp's bits), and each
+    returns finish(edge, payload, result). x, edge and a permittivity
+    given per frequency reach the kernel as one column per row of the
+    node block y; a permittivity given as a float, a constant plate's,
+    stays one.
     """
     edge = [math.exp(-2.0 * v) for v in x.tolist()]
     live = [i for i, e in enumerate(edge) if e > 0.0]

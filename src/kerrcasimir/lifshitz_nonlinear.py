@@ -58,21 +58,12 @@ accurate to 1e-10 relative for a + b between 1e-4 and about 9e3. Then
     U_k(x)_r = int dy A_k(x, y) e^(-t_r kappa1(x, y)),
 
 and V_k the same with B_k. The momentum integrals are one per thermal
-frequency, not one per pair (_frequency_vectors, each refined on the
-diagonal W(x, x)), and the double sum or double integral is the
-contraction of the summed or integrated vectors: O(N) momentum
-integrals for N frequencies, where a quadrature per pair costs
-O(N**2). The vectors are summed or integrated as array terms by the
-quadrature module's frequency driver, over the frequencies that the
-linear pressure sums too (lifshitz_linear._frequencies), with the
-value <F, F> (_gram). The zero-temperature and classical coefficients
-are the same sum at x = n. Each level of a frequency integral hands
-all its frequencies to one _frequency_vectors batch: one kernel call
-per momentum level for all of them, each frequency stopping by its own
-tolerance test. The Euler-Maclaurin head of a thermal sum hands them
-over in blocks of up to 64, and the finite-temperature series one block
-at a time, as many as its geometric tail estimate predicts it still
-needs.
+frequency, not one per pair (_frequency_vectors), and the double sum
+or integral is the contraction <F, F> (_gram) of the single one F of
+the vectors, which quadrature.matsubara_sum takes as array terms over
+the frequencies of the linear pressure (lifshitz_linear._frequencies):
+O(N) momentum integrals for N frequencies, where a quadrature per pair
+costs O(N**2).
 
 The dual route, pressure_transparent_mirror, integrates the closed
 kernel of a transparent plate and a mirror over both momenta exactly
@@ -161,10 +152,9 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
     evaluated once. Error, n_evals (its distinct nodes) and flag are
     those of the refinement of the diagonal W(x, x) = _gram(f), and f
     belongs to its last level. All frequencies are one _momentum_batch
-    (read-only zeros with no nodes where e^(-2x) underflows), one
-    _kernel_vectors call per level; only A_k, B_k and kappa1 are kept
-    per node, and each level's contraction recomputes the coupling
-    exponentials of its rows.
+    of _kernel_vectors (_DEAD_VECTORS where e^(-2x) underflows); only
+    A_k, B_k and kappa1 are kept per node, and each level's contraction
+    recomputes the coupling exponentials of its rows.
     """
     return _momentum_batch(_node_vectors, _level_vectors,
                            lambda _, f, res: replace(res, value=f),
@@ -186,8 +176,7 @@ def _level_vectors(w, vals):
 
 
 def _gram(f):
-    # <F, F>: the double sum or integral of W from the single one F of
-    # the frequency vectors, the value of every Kerr thermal sum
+    # <F, F>, the value of every Kerr thermal sum (module docstring)
     return _contract(f, f)
 
 
@@ -238,36 +227,25 @@ _CT_P = np.array([[2 / 15, 0, -2 / 15], [19 / 30, -1 / 2, -2 / 15],
                   [14 / 9, -5 / 9, 0], [59 / 36, -1 / 18, 0],
                   [7 / 10, 0, 0], [7 / 60, 0, 0]])
 _CT_POW = np.maximum(6 - np.arange(6)[:, None] - 2 * np.arange(3), 0)
-# K_j beyond s = 1: int_0^inf u**j e^(-u) / (u + 2s) du by the trapezoidal
-# rule in ln u over [-18, 4.3] (error geometric in 1/_K_H); nodes u and,
-# as rows, the weights times (u/2)**j
+# K_j(s) e^(2s) = int_0^inf (u/2)**j e^(-u) / (u + 2s) du by the
+# trapezoidal rule in ln u over [-40, 4.3] (error geometric in 1/_K_H):
+# in ln u the pole stays pi off the real line for every s >= 0. Nodes u
+# and, as rows, the weights times (u/2)**j; K_j(0) = (j-1)!/2**j exact
 _K_H = 0.2
-_K_U = np.exp(np.arange(-18.0, 4.3, _K_H))
+_K_U = np.exp(np.arange(-40.0, 4.3, _K_H))
 _K_W = (_K_H * _K_U * np.exp(-_K_U)
         * (0.5 * _K_U) ** np.arange(1, 7)[:, None])
+_K_ZERO = _frozen(np.array([math.factorial(j) / 2.0 ** (j + 1)
+                            for j in range(6)]))[0]
 
 
 def _k_moments(s):
-    """K_j(s) = int_s^inf (t - s)**j e^(-2t) / t dt, j = 1..6, s >= 0.
-
-    Up to s = 1 by K_(j+1) = e^(-2s) j!/2**(j+1) - s K_j from K_0 =
-    E_1(2s) (power series); beyond, where that cancels digits, by a
-    quadrature in u = 2(t - s) (_K_U). Within about 2e-14 relative,
-    finite and >= 0; (j-1)!/2**j at s = 0.
-    """
-    damp = math.exp(-2.0 * s)
-    if s > 1.0:
-        return damp * (_K_W @ (1.0 / (2.0 * s + _K_U)))
-    k = np.arange(1.0, 31.0)
-    # s K_0 = s E_1(2s) = -s (gamma + ln 2s + sum_k (-2s)**k / (k k!)),
-    # which vanishes with s
-    sk = s and -s * (np.euler_gamma + math.log(2.0 * s)
-                     + (np.cumprod(-2.0 * s / k) / k).sum())
-    out = np.empty(6)
-    for j in range(6):
-        out[j] = damp * math.factorial(j) / 2.0 ** (j + 1) - sk
-        sk = s * out[j]
-    return out
+    """K_j(s) = int_s^inf (t - s)**j e^(-2t) / t dt, j = 1..6, s >= 0,
+    by one quadrature in u = 2(t - s) for every s > 0 (_K_U). Within
+    about 2e-14 relative, finite and >= 0; _K_ZERO at s = 0."""
+    if s == 0.0:
+        return _K_ZERO
+    return math.exp(-2.0 * s) * (_K_W @ (1.0 / (2.0 * s + _K_U)))
 
 
 def _ct_pair_sum(n, tau, discrete):

@@ -9,11 +9,9 @@ piecewise log-linear interpolation in xi.
 
 The interpolant of a table has a kink (a jump in its derivative) at
 every table node, and so has every frequency integrand built on it.
-breakpoints exposes the positive nodes, and the frequency integrals
-split into panels there (mapped to thermal indices n = xi / xi_1, the
-zero_breaks of quadrature.matsubara_sum), so each panel sees a smooth
-integrand and the nested rules converge geometrically again instead of
-algebraically.
+breakpoints exposes the positive nodes; mapped to thermal indices
+n = xi / xi_1 they are the zero_breaks of quadrature.matsubara_sum,
+whose kink rule says where the frequency integrals split.
 
 A plate may additionally carry an isotropic third-order (Kerr)
 susceptibility chi3, in m**2/V**2. The pressure kernels have the
@@ -168,8 +166,7 @@ class MaterialResponse:
 
 
 def _check_gap(gap):
-    # the LayerStack gap range, where d**8 is a finite normal float; the
-    # CLI checks it at config time too
+    # the LayerStack gap range; the CLI checks it at config time too
     if not 2.0 ** -127 <= gap < math.inf:  # NaN included
         raise MaterialError("gap must be finite and at least 2**-127 m")
     if gap > 2.0 ** 127:

@@ -17,18 +17,10 @@ operator
 
 a finite positive weight set standing in for the thermal spectrum (the
 identities are weight-independent). The amended response is
-Gt = (I + G1 N) G1, first order in chi throughout.
-The diagonal operators act as column scalings, not as dense products;
-N takes O(n) per weight frequency from the tridiagonal H, and the suite
-inverts each response its rows compare once, sharing G1, inv(G0), N and
-the noise covariance between its rows and its Monte-Carlo check.
-
-The seed of run_verification_suite enters only the Monte-Carlo draw, so
-a grid's dense work (its inverses, solves, SVDs and eigendecompositions)
-is done once per n_points per process: the nine deterministic rows and
-the draw's operands, B = (I + G1 N) u sqrt(lam) and the real Im Gt, are
-kept in an LRU cache of at most _SUITE_CACHE_SIZE = 8 sizes, read-only,
-about 24 n_points**2 bytes each (1.5 MB at n_points = 256).
+Gt = (I + G1 N) G1, first order in chi throughout. The diagonal
+operators act as column scalings, not as dense products; N takes O(n)
+per weight frequency (_inverse_diagonal), and run_verification_suite
+builds a grid's dense work once per process (_suite_state).
 
 Conventions: Im of a matrix is elementwise, (A - conj(A)) / 2i, which
 for the symmetric matrices of this model equals the anti-Hermitian
@@ -349,6 +341,8 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
     them to first order, E = (I + G1 N)(G1 F), and compares the
     ensemble average <E (x) E*> against Im Gt.
 
+    samples must be >= 1000 and seed an integer >= 0, else ConfigError.
+
     Returns
     -------
     float
@@ -369,6 +363,8 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
 
 
 def _generator(seed):
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError("seed must be an integer")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     return np.random.default_rng(seed)
@@ -386,7 +382,7 @@ class CheckResult:
 
 # a fixed bound on the cached suite states: a sweep of seeds that cycles
 # through at most this many grid sizes finds every state after its first
-# pass; each entry keeps about 24 n_points**2 bytes
+# pass; each entry keeps about 24 n_points**2 bytes (1.5 MB at 256)
 _SUITE_CACHE_SIZE = 8
 
 
@@ -403,11 +399,9 @@ def run_verification_suite(n_points=32, seed=0):
     thresholds, first-order identities at O(chi**2) thresholds, and the
     statistical fluctuation-dissipation check.
 
-    The seed enters only the last row's draw. The nine other rows and
-    the sampled check's operands are built once per n_points and kept
-    (_suite_state), so a seed pays only for its draws; the rows are
-    identical, bit for bit, whether they were built by this call or an
-    earlier one.
+    The seed, an integer >= 0 (else ConfigError), enters only the last
+    row's draw; the other rows are the same, bit for bit, whether this
+    call built them or found them built (_suite_state).
     """
     rng = _generator(seed)
     # the grid checks n_points in front of the cache, whose keys 8 and
@@ -425,7 +419,11 @@ def _suite_state(grid):
     """The suite's seed-independent rows and Monte-Carlo operands.
 
     Returns the nine CheckResult rows before the sampled one, as a
-    tuple, and the read-only operands of _mc_deviation.
+    tuple, and the operands of _mc_deviation (_mc_operands), read-only.
+    The seed enters only the draw, so a grid's dense work is kept in an
+    LRU cache of _SUITE_CACHE_SIZE grids and done once per process; each
+    response the rows compare is inverted once, and G1, inv(G0), N and
+    the noise covariance are shared between the rows and the operands.
     """
     n_points = grid.n_points
     block = max(3, n_points // 5)

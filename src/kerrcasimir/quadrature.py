@@ -4,64 +4,16 @@ Every pressure integrand in this package is exponentially decaying and
 smooth, except for kinks where a tabulated permittivity has a node,
 which makes doubling Clenshaw-Curtis rules a good fit: each refinement
 reuses all previous function evaluations and the change between two
-successive levels is a usable error estimate.
+successive levels is a usable error estimate. A panel edge at a kink
+leaves the integrand smooth on every panel, so the rule converges
+geometrically where one rule across the kinks converges only
+algebraically.
 
-One composite rule covers [0, inf) (_rule). Breakpoints b_1 < ... < b_K
-cut it into finite panels [0, b_1], ..., [b_(K-1), b_K], each with the
-order-m rule, and a tail [b_K, inf), with the order-m rule mapped via
-x = b_K + scale*u/(1-u). Every panel contributes m nodes: its right
-endpoint is the next panel's first node and passes its weight on to
-it, and the tail drops u = 1 (x = inf), which is exact for an integrand
-that decays faster than 1/x**2, as every exponentially damped kernel
-here does. So node k of level m is node 2k of level 2m, bitwise, across
-panel edges, the nested refinement reuses them exactly as without
-breakpoints, and without breakpoints the rule is the mapped rule alone.
-Breakpoints at the kinks of an integrand leave it smooth on every
-panel, so the rule converges geometrically where one rule across the
-kinks converges only algebraically. Level caps count m, the nodes per
-panel, and no refinement goes past its cap.
-
-One driver and one rule serve every adaptive quadrature here. The row
-driver (_refine_rows) doubles the order from 8 for many rows in
-lockstep: the momentum quadratures of a frequency level are one batch,
-integrate_semi_infinite (the zero-temperature frequency integral too)
-and the Euler-Maclaurin tail a batch of one row. The rule (_settled)
-stops a row once the change between two successive levels is at most
-rel_tol times the latest total, returned with that change as its error,
-or at most n units of the subnormal spacing 2**-1074: a sum of n
-products can be off by that however far the rule is refined (n counts
-the nodes of the level, not the evaluations nested under them; this
-binds only when |total| <~ 1e-307). A row that reaches its level cap
-first returns its last total and change with converged=False.
-
-The same machinery drives the three thermal regimes of matsubara_sum.
-A sum over discrete thermal frequencies (weight 1/2 on n = 0) becomes
-an integral over continuous n at zero temperature and its halved n = 0
-term in the classical limit. Which kinks of the terms still matter is
-one rule for every regime, stated and enforced in matsubara_sum. At
-finite temperature one loop sums the series; once the index n_star
-over which the terms decay is large for the tolerance, it tries, at
-the end of a head of terms, that head plus the integral of the rest,
-unless the head would hold more than _MAX_HEAD terms. Both thermal
-integrals stop at _TAIL_MAX_LEVEL, the series after _MAX_TERMS terms
-past n = 0 or at the end of a longer head. Terms may be arrays, summed
-elementwise; value (float by default) maps a sum to the float that the
-tolerance, the error and the result refer to, such as <F, F> for the
-Kerr frequency vectors F.
-
-Quadratures nest: a term may be a QuadratureResult. The driver uses its
-value, adds up its n_evals over every call, dropped attempts included
-(a plain number counts 1), and ANDs its flag into that of the attempt
-it returns (_Books). So n_evals counts the innermost evaluations.
-
-A level is one call. The two public drivers, integrate_semi_infinite
-and matsubara_sum, run on a row term, which maps all the new indices or
-nodes of a level to one term each, so an inner quadrature can refine
-them all at once as the rows of one batch, each stopping as alone. The
-row driver knows rows only: its kernel gets a (rows x nodes) block of
-new nodes and those rows' indices; a driver of one row passes a 1 x k
-block. The finite-temperature series asks for its terms in blocks (see
-matsubara_sum); the classical limit passes index 0 alone.
+The module in brief: _rule is the composite rule on [0, inf);
+_refine_rows, the row driver, is the one doubling loop and _settled its
+stopping rule; _Books keeps the work and flags of nested quadratures;
+integrate_semi_infinite and matsubara_sum are the public drivers, the
+latter the sum over thermal frequencies in its three regimes.
 """
 
 import math
@@ -119,12 +71,15 @@ def _as_result(value):
 
 
 class _Books:
-    """A row term's work over every attempt of a driver, and the flags
-    of the calls (an integral's terms, not the series' entries).
+    """The work and flags of a row term over every attempt of a driver.
 
-    A row term maps a sequence of indices or nodes to one term value
-    (float, array or QuadratureResult) per entry, as a sequence or one
-    array; called with one, the books return the list of values.
+    Quadratures nest: a term may be a QuadratureResult. The books pass
+    on its value and add its n_evals (a plain number counts 1) over
+    every call, dropped attempts included, so n_evals counts the
+    innermost evaluations; they AND the flags of the calls (an
+    integral's terms, not the series' entries), and close puts both on
+    the attempt a driver returns. Called with indices or nodes, the
+    books return the list of the row term's values.
     """
 
     def __init__(self, rows):
@@ -232,9 +187,19 @@ def _frozen(*arrays):
 
 
 def _rule(m, scale, breaks=()):
-    # the composite rule of order m (see the module docstring) for a
-    # scale or for a column of scales: one row of nodes and weights per
-    # scale, all sharing the breaks
+    """Nodes and weights of the composite rule of order m on [0, inf).
+
+    Breakpoints b_1 < ... < b_K cut it into finite panels [0, b_1], ...,
+    [b_(K-1), b_K], each with the order-m rule, and a tail [b_K, inf),
+    with the order-m rule mapped via x = b_K + scale*u/(1-u). Every panel
+    contributes m nodes: its right endpoint is the next panel's first
+    node and passes its weight on to it, and the tail drops u = 1
+    (x = inf), which is exact for an integrand that decays faster than
+    1/x**2, as every exponentially damped kernel here does. So node k of
+    level m is node 2k of level 2m, bitwise, across panel edges, and
+    without breakpoints the rule is the mapped rule alone. scale may be
+    a column: one row of nodes and weights per scale, sharing the breaks.
+    """
     u, wu, om, om2, end_weight = _unit_rule(m)
     xs, ws = [], []
     a = carry = 0.0
@@ -271,31 +236,33 @@ def _check_rel_tol(rel_tol):
         raise ValueError("rel_tol must lie in (0, 1)")
 
 
-def _settled(err, total, n_evals, rel_tol):
-    # the module's one stopping rule (see the module docstring)
-    return err <= rel_tol * abs(total) + n_evals * 2.0 ** -1074
+def _settled(err, total, n_nodes, rel_tol):
+    # the one stopping rule: the change err between two successive levels
+    # is at most rel_tol times the latest total, or at most n_nodes times
+    # 2**-1074, by which a sum of n_nodes products can be off however far
+    # the rule is refined (this binds only when |total| <~ 1e-307)
+    return err <= rel_tol * abs(total) + n_nodes * 2.0 ** -1074
 
 
 def _refine_rows(kernel, total, scales, rel_tol, max_level, breaks=()):
     """One doubling refinement per row, in lockstep: the row driver.
 
     Row i integrates over the composite rule _rule(m, scales[i], breaks),
-    m = 8, 16, ... up to max_level (>= 8, else ValueError). Each level
-    makes one call kernel(y, rows) for the rows still refining: y is the
-    block of their new nodes, one row each, and rows the array of their
-    indices into scales. kernel returns the values at y in its shape,
-    with any trailing axes after it. total(w, vals) maps one row's
-    weights and node values to (total, payload). A row stops by the
-    module's rule (_settled) and drops out, so it ends as it would
-    alone, bit for bit, whatever rows share its batch.
+    m = 8, 16, ... up to max_level. Each level makes one call
+    kernel(y, rows) for the rows still refining: y is the block of their
+    new nodes, one row each, and rows the array of their indices into
+    scales. kernel returns the values at y in its shape, with any
+    trailing axes after it. total(w, vals) maps one row's weights and
+    node values to (total, payload). A row stops by _settled and drops
+    out, so it ends as it would alone, bit for bit, whatever rows share
+    its batch; a row that reaches max_level first returns its last total
+    and change, flagged.
 
     Returns
     -------
     list of (payload, QuadratureResult)
         One per row, from its last level; n_evals counts its nodes.
     """
-    if not max_level >= MIN_LEVEL:
-        raise ValueError("max_level must be at least %d" % MIN_LEVEL)
     scales = np.array(scales, dtype=float)[:, None]
     rows = np.arange(len(scales))
     out, totals = [None] * len(rows), [None] * len(rows)
@@ -334,10 +301,11 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     Parameters
     ----------
     f : callable
-        Integrand, a row term: receives a 1-D array of abscissas and
-        returns one float, array or QuadratureResult per abscissa, as a
-        sequence or as one array of its values (see the module
-        docstring). Must decay faster than x**-2.
+        Integrand, a row term: called once per level with a 1-D array of
+        all the new abscissas of the level, it returns one float, array
+        or QuadratureResult per abscissa, as a sequence or as one array
+        of its values, so that an inner quadrature can refine them all
+        at once as the rows of one batch. Must decay faster than x**-2.
     rel_tol : float
         Target for the level-to-level change relative to the integral;
         a value outside (0, 1), NaN included, raises ValueError.
@@ -347,13 +315,14 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
         their mass within scale of that point. Not positive and
         finite: ValueError.
     max_level : int
-        Largest order per panel, at least 8 (else ValueError): the rule
-        doubles from 8 and stops at the last order not above it.
+        Largest order per panel, in [8, 4096] (else ValueError, raised
+        before f is evaluated): the rule doubles from 8 and stops at the
+        last order not above it.
     breaks : sequence of float
         Ascending positive finite points where f has a kink (a
         discontinuous derivative), each the edge of a panel of the
-        composite rule (see the module docstring); else ValueError,
-        raised before f is evaluated.
+        composite rule (_rule); else ValueError, raised before f is
+        evaluated.
     value : callable
         Maps the elementwise integral of f to the float that is
         returned and that rel_tol refers to.
@@ -361,12 +330,12 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     Returns
     -------
     QuadratureResult
-        n_evals counts the innermost evaluations. The refinement is a
-        batch of one row of the row driver: each level evaluates f on
-        its new nodes only.
+        n_evals counts the innermost evaluations (_Books).
     """
     _check_rel_tol(rel_tol)
     _check_scale(scale)
+    if not MIN_LEVEL <= max_level <= MAX_LEVEL:  # NaN and inf included
+        raise ValueError("max_level must lie in [8, 4096]")
     books = _Books(f)
     (_, res), = _refine_rows(
         lambda y, _: np.asarray(books(y[0]), dtype=float)[None],
@@ -380,11 +349,14 @@ _TAIL_HEAD = 8
 _TAIL_MAX_LEVEL = 256
 # f' and f''' at 0 of the cubic through f(-3/2), ..., f(3/2)
 _CENTRED = np.array([[1, -27, 27, -1], [-24, 72, -72, 24]]) / 24.0
-# most terms in one block of the finite-temperature series: a bound on
-# the momentum batch it hands to the row driver
+# most terms in one block of the finite-temperature series, so a bound
+# on the momentum batch a block is (lifshitz_linear._momentum_batch).
+# Blocks end at the head's end, then at the budget B, then where the
+# geometric tail estimate meets the rule; n_evals counts the terms the
+# last block evaluates past the stop. A block moves no value, error or
+# flag: rows end as alone, and the series folds one term at a time
 _SERIES_BLOCK = 64
-# most terms past index 0 that the finite-temperature series folds,
-# unless the head of the Euler-Maclaurin tail holds more
+# most terms past index 0 that the finite series folds (matsubara_sum)
 _MAX_TERMS = 20000
 # most terms in the head of the Euler-Maclaurin tail
 _MAX_HEAD = 2 ** 16
@@ -401,17 +373,16 @@ def _tail_head(n_star, rel_tol, breaks):
     f(0..N0-1) and stencil f(N0-2..N0+1), and the breaks of its
     integral; or None: the tail is declined.
 
-    A term ~exp(-2n/n_star) takes B = n_star ln(1/rel_tol)/2 series
-    terms, and the tail's f''' term is about 7/(360 n_star**4) of the
-    sum, which must stay under rel_tol/10. The head (N0 >= 8) runs past
-    every break (kink) below B, so the stencil f(N0-2..N0+1) holds none;
-    the others, light, lie in [B, 2B) by matsubara_sum's kink rule, past
-    N0, where the integral splits at them.
-    Declined where n_star is too small for that f''' term, where the
-    head, the stencil and 32 nodes per panel of the integral reach B
-    (the series is predicted cheaper), or where the head would hold
-    more than _MAX_HEAD terms (a table kink far beyond the thermal
-    frequency, as far below 1 K).
+    With B = _series_budget(n_star, rel_tol), the head (N0 >= 8) runs
+    past every break (kink) below B, so the stencil holds none; light
+    are the others, those that matsubara_sum's kink rule keeps, past N0,
+    where the integral splits. The tail's f''' term is about
+    7/(360 n_star**4) of the sum and must stay under rel_tol/10.
+    Declined where n_star is too small for that, where the head, the
+    stencil and 32 nodes per panel of the integral reach B (the series
+    is predicted cheaper), or where the head would hold more than
+    _MAX_HEAD terms (a table kink far beyond the thermal frequency, as
+    far below 1 K).
     """
     budget = _series_budget(n_star, rel_tol)
     light = [b for b in breaks if b >= budget]
@@ -430,18 +401,14 @@ def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, light,
     sum'_n f(n) = head_sum + int_(N0-1/2)^inf f dn + f'(N0-1/2)/24
     - 7 f'''(N0-1/2)/5760, where head_sum = f(0)/2 + f(1) + ... +
     f(N0-1) and the derivatives come from the cubic through the stencil
-    f(N0-2..N0+1). The integral (the composite rule, scale n_star) is a
-    batch of one row of the row driver, one call of books (f's row
-    term) per level, whose payload is the array total of its last
-    level, for the f''' check. It splits at the kinks light, in [B, 2B)
-    by matsubara_sum's kink rule and so beyond N0 (_tail_head), each of
-    which shifts the sum by about 2 exp(-2b/n_star)/n_star**2 of it at
-    most; a kink past 2B would shift it by less than rel_tol**2 times
-    that factor, and has no panel. value maps a sum of terms (floats or
-    arrays) to the float rel_tol refers to. The error adds those
-    shifts, the integral's level change and the effect of the f'''
-    term, which must stay under rel_tol/10; n_evals counts the
-    integral's nodes.
+    f(N0-2..N0+1). The integral (_rule, scale n_star) is a batch of one
+    row of the row driver, one call of books per level, whose payload
+    is the array total of its last level, for the f''' check. It splits
+    at the kinks light (_tail_head), each of which shifts the sum by
+    about 2 exp(-2b/n_star)/n_star**2 of it at most; value is
+    matsubara_sum's. The error adds those shifts, the integral's level
+    change and the effect of the f''' term, which must stay under
+    rel_tol/10; n_evals counts the integral's nodes.
     """
     start = n0 - 0.5
     d1, d3 = np.tensordot(_CENTRED, np.array(stencil), 1)
@@ -470,11 +437,9 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
                   zero_breaks=(), value=float):
     """Primed sum over thermal frequencies: sum'_n f(n), n >= 0.
 
-    rows is a row term (see the module docstring): it maps a sequence
-    of indices to one term f(n) each, a float, an array or a
-    QuadratureResult holding either, and is called once per level of a
-    thermal integral and per block of the series. The n = 0 term
-    carries weight 1/2. Behaviour per kind:
+    rows maps a sequence of thermal indices to their terms f(n), a row
+    term as integrate_semi_infinite's f; the n = 0 term carries weight
+    1/2. Behaviour per kind:
 
     * "finite": one loop sums the series from n = 0, its terms folded
       one at a time in index order, and has two stops. Where zero_scale
@@ -492,10 +457,9 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
       1/4 for a quadratic form); rows is called with [0] alone.
     * "zero": the frequency spacing vanishes and the sum becomes
       integrate_semi_infinite of f over continuous n >= 0 (rows must
-      accept floats); k_B * temperature.kelvin * result is then the
-      physical average for any reference kelvin. Both integrals take
-      zero_scale as the n over which f decays and stop at
-      _TAIL_MAX_LEVEL nodes per panel.
+      accept floats); k_B T times the result is the physical average
+      (Temperature). Both integrals take zero_scale as the n over which
+      f decays and stop at _TAIL_MAX_LEVEL nodes per panel.
 
     zero_breaks are the kinks of f in n, and one rule, enforced here
     for every regime, says which of them matter. With zero_scale = n*
@@ -509,7 +473,8 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     first panel, [0, b_1], which its rule resolves with no further edge.
 
     Arrays are summed elementwise and value maps the sum to the float
-    returned. A rel_tol outside (0, 1), NaN included, raises
+    returned, which rel_tol and the error refer to (<F, F> for the Kerr
+    frequency vectors F). A rel_tol outside (0, 1), NaN included, raises
     ValueError, and so do a zero_scale that is not positive and finite
     and zero_breaks that are not positive, finite and increasing, in
     every regime, before rows is called.
@@ -517,11 +482,8 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
     Returns
     -------
     QuadratureResult
-        n_evals counts the innermost evaluations of every attempt; the
-        flag is that of the attempt whose value is returned: the tail's
-        covers the head's terms and the integral's, the series' the
-        terms it folds. n_evals includes the terms the last block
-        evaluated past the stop.
+        n_evals counts the innermost evaluations of every attempt
+        (_Books); the flag is that of the attempt returned.
     """
     _check_rel_tol(rel_tol)
     _check_scale(zero_scale)
@@ -545,11 +507,7 @@ def matsubara_sum(rows, temperature, rel_tol=1e-8, zero_scale=1.0,
 
     def block(start, size):
         # the values and flags of the next size terms from index start:
-        # at least one, at most _SERIES_BLOCK, none past cap. Blocks end
-        # at the head's end, then at the budget B (or at _SERIES_BLOCK),
-        # then where the geometric tail estimate meets the rule. A block
-        # moves no value, error or flag: rows end as alone, and the
-        # series folds one term at a time
+        # at least one, none past cap (_SERIES_BLOCK)
         size = math.ceil(min(size, _SERIES_BLOCK)) if size >= 1.0 else 1
         return zip(*books.entries(range(start, min(start + size, cap + 1))))
 

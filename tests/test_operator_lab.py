@@ -559,3 +559,16 @@ def test_suite_validates_in_front_of_the_cache(cold_suite_cache):
         run_verification_suite(n_points=8, seed=-1)
     info = operator_lab._suite_state.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_a_seed_that_is_not_an_integer_is_a_config_error(cold_suite_cache,
+                                                         seed):
+    # numpy's SeedSequence used to raise a TypeError for 1.5; the seed is
+    # checked like n_points, before any work: no grid state is built
+    grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        run_verification_suite(n_points=8, seed=seed)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, seed=seed)
+    assert operator_lab._suite_state.cache_info().currsize == 0

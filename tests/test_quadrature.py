@@ -11,9 +11,9 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
 from kerrcasimir.lifshitz_linear import _g_hat
-from kerrcasimir.quadrature import (MIN_LEVEL, QuadratureResult, Temperature,
-                                    _cc_rule, _rule, integrate_semi_infinite,
-                                    matsubara_sum)
+from kerrcasimir.quadrature import (MAX_LEVEL, MIN_LEVEL, QuadratureResult,
+                                    Temperature, _cc_rule, _rule,
+                                    integrate_semi_infinite, matsubara_sum)
 
 
 def _rows(term):
@@ -286,9 +286,14 @@ def test_level_cap_is_never_overshot():
                                           max_level=64)
     res = integrate_semi_infinite(f, rel_tol=1e-15, scale=2.0, max_level=8)
     assert not res.converged and res.n_evals == 8
-    for cap in (7, 4, 0, -8, math.nan):
+    # an infinite cap never reached its last level and refined without
+    # bound; every bad cap raises before f is called
+    calls = []
+    for cap in (7, 4, 0, -8, math.nan, math.inf, 2 * MAX_LEVEL):
         with pytest.raises(ValueError, match="max_level"):
-            integrate_semi_infinite(f, max_level=cap)
+            integrate_semi_infinite(lambda x: calls.append(x) or f(x),
+                                    max_level=cap)
+    assert calls == []
 
 
 _BAD_REL_TOLS = [0.0, -1.0, 1.0, 2.0, math.nan]

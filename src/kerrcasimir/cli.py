@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, KerrCasimirError, MaterialError
-from .lifshitz_linear import _coefficient_tol, _i_lin
+from .lifshitz_linear import _i_lin, _linear_tol
 from .lifshitz_nonlinear import (_i_nl, _pressure_pair, crossover_distance,
                                  pressure_nonlinear,
                                  pressure_transparent_mirror)
@@ -273,7 +273,7 @@ def _run_scan_epsilon(config):
     rows = []
     for eps_lin in config["eps_lin_values"]:
         for eps_nl in config["eps_nl_values"]:
-            lin = _i_lin(limit, eps_nl, eps_lin, _coefficient_tol(tol))
+            lin = _i_lin(limit, eps_nl, eps_lin, _linear_tol(tol))
             nl = _i_nl(limit, eps_nl, eps_lin, tol)
             rows.append((eps_lin, eps_nl, lin.value, nl.value, lin.error,
                          nl.error))

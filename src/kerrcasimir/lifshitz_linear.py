@@ -145,9 +145,18 @@ def _frequencies(stack):
     return frequency, n_star, stack.breakpoints / temp.xi(1)
 
 
-def _inner_tol(rel_tol):
-    # momentum tolerance under an outer frequency integral or double sum
-    return max(1e-2 * rel_tol, 1e-11)
+def _inner_tol(rel_tol, kind):
+    # the momentum tolerance of every thermal sum at rel_tol in regime
+    # kind: a tenth of it, floored; in the classical limit the one n = 0
+    # term is the whole sum and runs at rel_tol itself
+    return rel_tol if kind == "high" else max(0.1 * rel_tol, 1e-12)
+
+
+def _linear_tol(rel_tol):
+    # the tolerance of a linear part beside a Kerr part at rel_tol: the
+    # linear part is the cheap and large one, so never looser than
+    # pressure_linear's default
+    return min(rel_tol, 1e-8)
 
 
 def pressure_linear(stack, rel_tol=1e-8):
@@ -159,8 +168,7 @@ def pressure_linear(stack, rel_tol=1e-8):
         Plates, gap and thermal state. Kerr coefficients are ignored
         here; this is the purely linear part.
     rel_tol : float
-        Relative tolerance of the thermal sum; momentum integrals run
-        ten times tighter.
+        Relative tolerance of the thermal sum.
 
     Returns
     -------
@@ -171,7 +179,7 @@ def pressure_linear(stack, rel_tol=1e-8):
     """
     _check_rel_tol(rel_tol)
     temp = stack.temperature
-    inner_tol = max(0.1 * rel_tol, 1e-12)
+    inner_tol = _inner_tol(rel_tol, temp.kind)
     continuum = temp.kind == "zero"
     frequency, n_star, kinks = _frequencies(stack)
     msum = matsubara_sum(
@@ -181,19 +189,13 @@ def pressure_linear(stack, rel_tol=1e-8):
                        / (math.pi * stack.gap ** 3))
 
 
-def _coefficient_tol(rel_tol):
-    # the d-independent linear coefficients are cached: run them tight
-    return min(rel_tol, 1e-9)
-
-
 @lru_cache(maxsize=256)
 def _i_lin_raw(limit, eps1, eps3, rel_tol):
     # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult: the
     # thermal sum of g at x = n over pi, and at zero T over the 2 pi of
-    # the spacing of x_n too. The classical limit's one momentum
-    # integral is the whole sum and runs at rel_tol
+    # the spacing of x_n too
     zero = limit == "zero"
-    inner_tol = _inner_tol(rel_tol) if zero else rel_tol
+    inner_tol = _inner_tol(rel_tol, limit)
     res = matsubara_sum(
         lambda ns: _g_hat(ns, eps1, eps3, inner_tol, continuum=zero),
         Temperature(limit, 1.0), rel_tol)

@@ -79,8 +79,8 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
 from .errors import MaterialError, UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_coefficient_tol, _frequencies, _i_lin_raw,
-                              _inner_tol, _momentum_batch, as_permittivity,
+from .lifshitz_linear import (_frequencies, _i_lin_raw, _inner_tol,
+                              _linear_tol, _momentum_batch, as_permittivity,
                               pressure_linear)
 from .materials import LayerStack, MaterialResponse
 from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
@@ -207,7 +207,7 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
         return _NO_KERR
-    inner_tol = _inner_tol(rel_tol)
+    inner_tol = _inner_tol(rel_tol, st.temperature.kind)
     frequency, n_star, kinks = _frequencies(st)
     dsum = matsubara_sum(
         lambda ns: _frequency_vectors(*frequency(ns), inner_tol),
@@ -299,12 +299,11 @@ def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
     # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult: the
     # double sum <F, F> at x = n, scaled as for _i_lin_raw (_PREFACTOR
     # over the square of that 2 pi at zero temperature)
-    zero = limit == "zero"
-    inner_tol = _inner_tol(rel_tol) if zero else rel_tol
+    inner_tol = _inner_tol(rel_tol, limit)
     res = matsubara_sum(
         lambda ns: _frequency_vectors(ns, eps_nl, eps_lin, inner_tol),
         Temperature(limit, 1.0), rel_tol, value=_gram)
-    return res.scaled(-_I_ZERO_FACTOR if zero else -_PREFACTOR)
+    return res.scaled(-_I_ZERO_FACTOR if limit == "zero" else -_PREFACTOR)
 
 
 def _i_nl(limit, eps_nl, eps_lin, rel_tol):
@@ -379,10 +378,8 @@ def _pressure_pair(stack, rel_tol):
     d, so both parts are exact power laws: cached d-independent
     coefficients times E / d**p and (chi3/eps0) E**2 / d**(2p), with
     E = hbar c and p = 4 at zero temperature, E = kB T and p = 3 in the
-    classical limit. The linear coefficient runs at _coefficient_tol;
-    the Kerr one at rel_tol at zero temperature, and in the classical
-    limit at the momentum tolerance pressure_nonlinear gives its single
-    x = 0 frequency. Every other stack is evaluated directly at each d.
+    classical limit. Every other stack is evaluated directly at each d.
+    Either way the parts run at _linear_tol(rel_tol) and rel_tol.
     """
     st = stack.oriented()
     temp = st.temperature
@@ -390,17 +387,14 @@ def _pressure_pair(stack, rel_tol):
     if not (st.layer1.is_constant and st.layer3.is_constant
             and limit in ("zero", "high")):
         return lambda d: casimir_pressure(replace(stack, gap=d),
-                                          min(rel_tol, 1e-8), rel_tol)
-    if limit == "zero":
-        energy, power, nl_tol = HBAR * C_LIGHT, 4, rel_tol
-    else:
-        energy, power = K_BOLTZMANN * temp.kelvin, 3
-        nl_tol = _inner_tol(rel_tol)
+                                          _linear_tol(rel_tol), rel_tol)
+    energy, power = ((HBAR * C_LIGHT, 4) if limit == "zero"
+                     else (K_BOLTZMANN * temp.kelvin, 3))
     eps = (st.layer1.permittivity(0.0), st.layer3.permittivity(0.0))
     chi3 = st.layer1.chi3
-    lin = _i_lin_raw(limit, *eps, _coefficient_tol(rel_tol))
+    lin = _i_lin_raw(limit, *eps, _linear_tol(rel_tol))
     # chi3 = -0.0 too: no Kerr coefficient, and a Kerr part of +0.0
-    nl = _i_nl_raw(limit, *eps, nl_tol) if chi3 else _NO_KERR
+    nl = _i_nl_raw(limit, *eps, rel_tol) if chi3 else _NO_KERR
     return lambda d: TotalPressure(
         lin.scaled(energy / d ** power),
         nl.scaled(chi3 / EPSILON_0 * energy ** 2 / d ** (2 * power))

@@ -190,7 +190,10 @@ def build_n_operator(grid, eps_profile, chi_profile, omega, weight_spec):
     """
     chi = _check_profile(grid, chi_profile, "chi_profile")
     eps = _check_eps(grid, eps_profile)
-    weights = list(weight_spec)
+    try:
+        weights = [(w_freq, w) for w_freq, w in weight_spec]
+    except (TypeError, ValueError):
+        raise ConfigError("weight_spec must hold (frequency, weight) pairs")
     if not weights:
         raise ConfigError("weight_spec must not be empty")
     return _n_diag(_check_omega(omega), chi,
@@ -341,7 +344,7 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
     them to first order, E = (I + G1 N)(G1 F), and compares the
     ensemble average <E (x) E*> against Im Gt.
 
-    samples must be >= 1000 and seed an integer >= 0, else ConfigError.
+    samples must be an integer >= 1000 and seed one >= 0, else ConfigError.
 
     Returns
     -------
@@ -349,9 +352,8 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
         max |<E (x) E*> - Im Gt| / max |Im Gt|; decays like
         samples**-0.5 and is bitwise reproducible for a fixed seed.
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise ConfigError("samples must be >= 1000")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1000):
+        raise ConfigError("samples must be an integer >= 1000")
     rng = _generator(seed)
     n_op = build_n_operator(grid, eps_profile, chi_profile, omega,
                             weight_spec)

@@ -572,3 +572,32 @@ def test_a_seed_that_is_not_an_integer_is_a_config_error(cold_suite_cache,
     with pytest.raises(ConfigError, match="seed must be an integer"):
         monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, seed=seed)
     assert operator_lab._suite_state.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("samples", [math.nan, math.inf, 1500.9, 2000.0,
+                                     "2000", None])
+def test_samples_that_are_not_an_integer_are_a_config_error(monkeypatch,
+                                                            samples):
+    # int(samples) used to raise ValueError or OverflowError, cut 1500.9
+    # to 1500 and accept "2000"; samples is checked before any work
+    grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(operator_lab, "build_n_operator", no_work)
+    with pytest.raises(ConfigError,
+                       match="samples must be an integer >= 1000"):
+        monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=samples)
+
+
+@pytest.mark.parametrize("weight_spec", [
+    [(1.0,)], [(0.8, 0.6, 0.1)], [1.0], ((0.8, 0.6), (1.1,)), 0.8],
+    ids=["single", "triple", "bare_float", "short_second", "no_sequence"])
+def test_a_weight_spec_of_no_pairs_is_a_config_error(weight_spec):
+    # numpy used to raise "not enough values to unpack" for [(1.0,)]
+    grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
+    with pytest.raises(ConfigError, match="weight_spec"):
+        build_n_operator(grid, eps, chi, _OMEGA, weight_spec)
+    with pytest.raises(ConfigError, match="weight_spec"):
+        monte_carlo_fdt(grid, eps, chi, _OMEGA, weight_spec)

@@ -11,7 +11,8 @@ it holds the exit status and the stdout, byte for byte. Running the
 script on two checkouts and diffing the two files shows which results a
 change moved, down to the last bit. The calls cover the linear, Kerr
 and transparent pressures (constant and tabulated plates, 1 nm to
-1 um, zero, finite and classical temperature, several tolerances; the
+1 um, zero, finite and classical temperature, several tolerances, and
+in the classical limit both parts also at rel_tol 1e-12 and 1e-15; the
 tabulated pair also at zero temperature at 10 um, 1 mm and 10 cm, its
 linear part at rel_tol 1e-8 and 1e-4, its Kerr part at 1e-6 and 1e-4),
 the dimensionless coefficients and the public sum and integral of the
@@ -31,6 +32,7 @@ two checkouts compare under one thread setting whatever the caller's.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -75,6 +77,9 @@ GAPS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6)
 LARGE_GAPS = (1e-5, 1e-3, 1e-1)
 ROUTES = {"linear": (pressure_linear, (1e-6, 1e-8, 1e-10)),
           "nonlinear": (pressure_nonlinear, (1e-4, 1e-6, 1e-8))}
+# classical-limit tolerances at and past the other regimes' momentum floor
+CLASSICAL_TOLS = (1e-12, 1e-15)
+COEFFICIENT_TOLS = (1e-6, 1e-8, 1e-9)
 EPS_NL = (1.0, 1.0001, 2.0, 10.0, 11.7)
 EPS_LIN = (1.0, 3.0, math.inf)
 
@@ -121,13 +126,19 @@ def _record(call):
             res.converged]
 
 
-def _pressures():
-    out = {}
+def pressure_calls():
+    """Yield (key, rel_tol, call) for each pressure of the sweep's grid.
+
+    call(rel_tol) runs the pressure part of the key's stack, so a
+    caller may run it at another tolerance too.
+    """
     for route, (fn, tols) in ROUTES.items():
         for plates, make in PLATES.items():
             for temp_name, temp in TEMPERATURES.items():
+                ladder = tols + (CLASSICAL_TOLS if temp_name == "high300"
+                                 else ())
                 for gap in GAPS:
-                    for tol in tols:
+                    for tol in ladder:
                         if plates == "tabulated" and temp_name == "finite3" \
                                 and gap < 1e-6 and (route, gap, tol) != (
                                     "linear", 1e-8, 1e-8):
@@ -137,26 +148,50 @@ def _pressures():
                             continue
                         key = "%s/%s/%s/%g/%g" % (route, plates, temp_name,
                                                   gap, tol)
-                        stack = LayerStack(*make(), gap, temp)
-                        out[key] = _record(lambda: fn(stack, rel_tol=tol))
+                        yield key, tol, _pressure(fn, make, gap, temp)
+    # the tabulated pair at zero T at large gaps, where the terms decay
+    # long before the first table node
+    zero = TEMPERATURES["zero"]
+    for gap in LARGE_GAPS:
+        for route, tols in (("linear", (1e-8, 1e-4)),
+                            ("nonlinear", (1e-6, 1e-4))):
+            for tol in tols:
+                key = "%s/tabulated/zero/%g/%g" % (route, gap, tol)
+                yield key, tol, _pressure(ROUTES[route][0],
+                                          PLATES["tabulated"], gap, zero)
+
+
+def _pressure(fn, make, gap, temp):
+    # rel_tol -> fn's pressure of the plates of make at gap and temp
+    return lambda rel_tol: fn(LayerStack(*make(), gap, temp),
+                              rel_tol=rel_tol)
+
+
+def coefficient_calls():
+    """Yield (key, rel_tol, call) for each dimensionless coefficient, as
+    pressure_calls; the coefficients are cached per rel_tol."""
+    for limit in ("zero", "high"):
+        for eps1 in EPS_NL:
+            for eps3 in EPS_LIN:
+                for tol in COEFFICIENT_TOLS:
+                    key = "%s/%g/%g/%g" % (limit, eps1, eps3, tol)
+                    for name, raw in (("i_lin", _i_lin_raw),
+                                      ("i_nl", _i_nl_raw)):
+                        yield (name + "/" + key, tol,
+                               functools.partial(raw, limit, eps1, eps3))
+
+
+def _pressures():
+    out = {key: _record(lambda: call(tol))
+           for key, tol, call in pressure_calls()}
     for temp_name, temp in TEMPERATURES.items():
         for gap in GAPS:
             for tol in (1e-4, 1e-6, 1e-8):
                 key = "transparent/%s/%g/%g" % (temp_name, gap, tol)
                 out[key] = _record(lambda: pressure_transparent_mirror(
                     gap, temp, CHI3, rel_tol=tol))
-    # the tabulated pair at zero T at large gaps, where the terms decay
-    # long before the first table node
-    zero = TEMPERATURES["zero"]
-    for gap in LARGE_GAPS:
-        stack = LayerStack(*PLATES["tabulated"](), gap, zero)
-        for route, tols in (("linear", (1e-8, 1e-4)),
-                            ("nonlinear", (1e-6, 1e-4))):
-            for tol in tols:
-                key = "%s/tabulated/zero/%g/%g" % (route, gap, tol)
-                out[key] = _record(lambda: ROUTES[route][0](stack,
-                                                            rel_tol=tol))
     # gaps too small for the power laws of the pressures
+    zero = TEMPERATURES["zero"]
     for gap in (1e-100, 1e-150):
         for route, (fn, _) in ROUTES.items():
             out["%s/tiny/%g" % (route, gap)] = _record(lambda: fn(
@@ -167,16 +202,8 @@ def _pressures():
 
 
 def _coefficients():
-    out = {}
-    for limit in ("zero", "high"):
-        for eps1 in EPS_NL:
-            for eps3 in EPS_LIN:
-                for tol in (1e-6, 1e-8, 1e-9):
-                    args = (limit, eps1, eps3, tol)
-                    key = "%s/%g/%g/%g" % args
-                    out["i_lin/" + key] = _record(lambda: _i_lin_raw(*args))
-                    out["i_nl/" + key] = _record(lambda: _i_nl_raw(*args))
-    return out
+    return {key: _record(lambda: call(tol))
+            for key, tol, call in coefficient_calls()}
 
 
 def _kinked(n):

@@ -26,28 +26,16 @@ zeta(3) kB T / (8 pi d**3) for ideal mirrors.
 """
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_BOLTZMANN
-from .errors import MaterialError, UnconvergedError
+from .errors import UnconvergedError
 from .fresnel import reflection
+from .materials import LayerStack, MaterialResponse
 from .quadrature import (MAX_LEVEL, QuadratureResult, Temperature,
                          _check_rel_tol, _refine_rows, matsubara_sum)
-
-
-def as_permittivity(value):
-    """Validate a constant imaginary-axis permittivity.
-
-    Returns it as float; must be >= 1, math.inf (symbolic mirror)
-    allowed.
-    """
-    value = float(value)
-    if math.isnan(value) or value < 1.0:
-        raise MaterialError("permittivity must be >= 1 (math.inf allowed)")
-    return value
 
 
 def _gap_integrand(y, x, eps1, eps3, edge):
@@ -189,29 +177,43 @@ def pressure_linear(stack, rel_tol=1e-8):
                        / (math.pi * stack.gap ** 3))
 
 
+def _power_law(temp):
+    # the energy E and power p of constant plates in the zero or high
+    # limit of temp: the linear pressure is a d-independent coefficient
+    # times E / d**p, the Kerr part one times (chi3/eps0) E**2 / d**(2p)
+    if temp.kind == "zero":
+        return HBAR * C_LIGHT, 4
+    return K_BOLTZMANN * temp.kelvin, 3
+
+
+def _unit_stack(limit, eps1, eps3, chi3=0.0):
+    # constant plates eps1 (carrying chi3) and eps3, 1 m apart at 1 K in
+    # limit: its pressure parts over E and E**2 (_power_law) are the
+    # dimensionless coefficients
+    return LayerStack(MaterialResponse.constant(eps1, chi3),
+                      MaterialResponse.constant(eps3), 1.0,
+                      Temperature(limit, 1.0))
+
+
 @lru_cache(maxsize=256)
 def _i_lin_raw(limit, eps1, eps3, rel_tol):
-    # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult: the
-    # thermal sum of g at x = n over pi, and at zero T over the 2 pi of
-    # the spacing of x_n too
-    zero = limit == "zero"
-    inner_tol = _inner_tol(rel_tol, limit)
-    res = matsubara_sum(
-        lambda ns: _g_hat(ns, eps1, eps3, inner_tol, continuum=zero),
-        Temperature(limit, 1.0), rel_tol)
-    c = 2.0 * math.pi ** 2 if zero else math.pi
-    return replace(res, value=res.value / c, error=res.error / c)
+    # i_lin_zero_t or i_lin_high_t as a flagged QuadratureResult
+    stack = _unit_stack(limit, eps1, eps3)
+    energy, _ = _power_law(stack.temperature)
+    return pressure_linear(stack, rel_tol).scaled(1.0 / energy)
+
+
+def _coefficient(raw, part, limit, eps1, eps3, rel_tol):
+    # raw(limit, eps1, eps3, rel_tol), raising when it is unconverged
+    res = raw(limit, eps1, eps3, rel_tol)
+    if not res.converged:
+        raise UnconvergedError("%s-temperature %s integral missed "
+                               "tolerance %g" % (limit, part, rel_tol))
+    return res
 
 
 def _i_lin(limit, eps1, eps3, rel_tol):
-    # _i_lin_raw with validated arguments; raises when unconverged
-    _check_rel_tol(rel_tol)
-    res = _i_lin_raw(limit, as_permittivity(eps1), as_permittivity(eps3),
-                     float(rel_tol))
-    if not res.converged:
-        raise UnconvergedError("%s-temperature pressure integral missed "
-                               "tolerance %g" % (limit, rel_tol))
-    return res
+    return _coefficient(_i_lin_raw, "pressure", limit, eps1, eps3, rel_tol)
 
 
 def i_lin_zero_t(eps1, eps3, rel_tol=1e-9):

@@ -76,18 +76,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN
-from .errors import MaterialError, UnconvergedError
+from .constants import C_LIGHT, EPSILON_0, K_BOLTZMANN
+from .errors import UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_frequencies, _i_lin_raw, _inner_tol,
-                              _linear_tol, _momentum_batch, as_permittivity,
-                              pressure_linear)
+from .lifshitz_linear import (_coefficient, _frequencies, _i_lin_raw,
+                              _inner_tol, _linear_tol, _momentum_batch,
+                              _power_law, _unit_stack, pressure_linear)
 from .materials import LayerStack, MaterialResponse
-from .quadrature import (QuadratureResult, Temperature, _check_rel_tol,
-                         _frozen, matsubara_sum)
+from .quadrature import (QuadratureResult, _check_rel_tol, _frozen,
+                         matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
-_I_ZERO_FACTOR = 3.0 / (2.0 ** 7 * math.pi ** 6)
 _INNER_MAX_LEVEL = 1024
 
 # 1/(a + b) = int_0^inf e^(-t a) e^(-t b) dt, trapezoidal in s = ln t
@@ -296,28 +295,15 @@ def pressure_transparent_mirror(d, temperature, chi3, rel_tol=1e-6):
 
 @lru_cache(maxsize=128)
 def _i_nl_raw(limit, eps_nl, eps_lin, rel_tol):
-    # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult: the
-    # double sum <F, F> at x = n, scaled as for _i_lin_raw (_PREFACTOR
-    # over the square of that 2 pi at zero temperature)
-    inner_tol = _inner_tol(rel_tol, limit)
-    res = matsubara_sum(
-        lambda ns: _frequency_vectors(ns, eps_nl, eps_lin, inner_tol),
-        Temperature(limit, 1.0), rel_tol, value=_gram)
-    return res.scaled(-_I_ZERO_FACTOR if limit == "zero" else -_PREFACTOR)
+    # i_nl_zero_t or i_nl_high_t as a flagged QuadratureResult: the Kerr
+    # plate of the unit stack at chi3 = eps0, so that chi3/eps0 is 1
+    stack = _unit_stack(limit, eps_nl, eps_lin, EPSILON_0)
+    energy, _ = _power_law(stack.temperature)
+    return pressure_nonlinear(stack, rel_tol).scaled(1.0 / energy ** 2)
 
 
 def _i_nl(limit, eps_nl, eps_lin, rel_tol):
-    # _i_nl_raw with validated arguments; raises when unconverged
-    _check_rel_tol(rel_tol)
-    eps_nl = as_permittivity(eps_nl)
-    if math.isinf(eps_nl):
-        raise MaterialError("the Kerr plate permittivity must be finite")
-    res = _i_nl_raw(limit, eps_nl, as_permittivity(eps_lin), float(rel_tol))
-    if not res.converged:
-        raise UnconvergedError(
-            "%s-temperature Kerr integral missed tolerance %g"
-            % (limit, rel_tol))
-    return res
+    return _coefficient(_i_nl_raw, "Kerr", limit, eps_nl, eps_lin, rel_tol)
 
 
 def i_nl_zero_t(eps_nl, eps_lin, rel_tol=1e-6):
@@ -374,12 +360,9 @@ def casimir_pressure(stack, rel_tol_linear=1e-8, rel_tol_nonlinear=1e-6):
 def _pressure_pair(stack, rel_tol):
     """Return d -> TotalPressure of the stack at gap d; nothing raised.
 
-    Constant plates at zero or high temperature set no length scale but
-    d, so both parts are exact power laws: cached d-independent
-    coefficients times E / d**p and (chi3/eps0) E**2 / d**(2p), with
-    E = hbar c and p = 4 at zero temperature, E = kB T and p = 3 in the
-    classical limit. Every other stack is evaluated directly at each d.
-    Either way the parts run at _linear_tol(rel_tol) and rel_tol.
+    Constant plates at zero or high temperature: the cached
+    coefficients times the power laws of _power_law. Every other stack:
+    casimir_pressure at each d. Tolerances: _linear_tol.
     """
     st = stack.oriented()
     temp = st.temperature
@@ -388,8 +371,7 @@ def _pressure_pair(stack, rel_tol):
             and limit in ("zero", "high")):
         return lambda d: casimir_pressure(replace(stack, gap=d),
                                           _linear_tol(rel_tol), rel_tol)
-    energy, power = ((HBAR * C_LIGHT, 4) if limit == "zero"
-                     else (K_BOLTZMANN * temp.kelvin, 3))
+    energy, power = _power_law(temp)
     eps = (st.layer1.permittivity(0.0), st.layer3.permittivity(0.0))
     chi3 = st.layer1.chi3
     lin = _i_lin_raw(limit, *eps, _linear_tol(rel_tol))

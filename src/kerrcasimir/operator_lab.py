@@ -79,13 +79,17 @@ def _check_eps(grid, eps_profile):
     return eps
 
 
+def _real(value):
+    # a real number; not a bool, which is an int but means a flag
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_omega(omega):
     # a frequency of the model as float; the conjugation identity
     # rebuilds at -omega, so only 0, inf and NaN are meaningless
-    omega = float(omega)
-    if not (omega != 0.0 and math.isfinite(omega)):
-        raise ConfigError("omega must be nonzero and finite")
-    return omega
+    if not (_real(omega) and omega != 0.0 and math.isfinite(omega)):
+        raise ConfigError("omega must be a nonzero, finite real number")
+    return float(omega)
 
 
 def _helmholtz_diagonal(grid, eps, omega, eta):
@@ -147,7 +151,7 @@ def build_linear(grid, eps_profile, omega, eta=None):
         inv(g1) = inv(g0) - v to machine precision.
     """
     eps = _check_eps(grid, eps_profile)
-    omega = float(omega)
+    omega = _check_omega(omega)
     eta = float(grid.eta if eta is None else eta)
     if eta == 0.0 or not math.isfinite(eta):
         raise ConfigError("eta must be nonzero and finite")
@@ -160,8 +164,8 @@ def _spectral_diag(grid, eps, weights):
     """sum_w w * diag(Im G1(omega_w)), in O(n) per weight frequency."""
     acc = np.zeros(grid.n_points)
     for w_freq, w in weights:
-        if not 0.0 < w < math.inf:
-            raise ConfigError("weights must be positive and finite")
+        if not (_real(w) and 0.0 < w < math.inf):
+            raise ConfigError("weights must be positive, finite real numbers")
         acc += w * _inverse_diagonal(grid, eps, w_freq, grid.eta).imag
     return acc
 

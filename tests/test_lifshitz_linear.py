@@ -391,6 +391,8 @@ def test_permittivity_below_one_rejected():
         i_lin_zero_t(0.5, 2.0)
     with pytest.raises(MaterialError):
         i_lin_high_t(2.0, -1.0)
+    with pytest.raises(MaterialError):
+        i_lin_zero_t(math.nan, 2.0)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])

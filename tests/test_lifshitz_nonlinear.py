@@ -296,6 +296,29 @@ def test_i_nl_rejects_opaque_kerr_plate():
         i_nl_high_t(math.inf, 10.0)
 
 
+@pytest.mark.parametrize("limit", ["zero", "high"])
+def test_the_coefficients_have_no_thermal_sum_of_their_own(monkeypatch,
+                                                          limit):
+    # each coefficient is a pressure part of the unit stack: one call of
+    # that pressure, whose thermal sum is the only one
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for module, name in ((lifshitz_linear, "pressure_linear"),
+                         (lifshitz_nonlinear, "pressure_nonlinear")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    lifshitz_linear._i_lin_raw.__wrapped__(limit, 2.0, 3.0, 1e-8)
+    assert calls == ["pressure_linear"]
+    lifshitz_nonlinear._i_nl_raw.__wrapped__(limit, 2.0, 3.0, 1e-6)
+    assert calls == ["pressure_linear", "pressure_nonlinear"]
+
+
 def test_transparent_mirror_two_paths_zero_t():
     d = 2e-8
     direct = pressure_transparent_mirror(d, Temperature.zero(), CHI3,

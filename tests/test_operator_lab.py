@@ -591,13 +591,51 @@ def test_samples_that_are_not_an_integer_are_a_config_error(monkeypatch,
         monte_carlo_fdt(grid, eps, chi, _OMEGA, _WEIGHTS, samples=samples)
 
 
-@pytest.mark.parametrize("weight_spec", [
-    [(1.0,)], [(0.8, 0.6, 0.1)], [1.0], ((0.8, 0.6), (1.1,)), 0.8],
-    ids=["single", "triple", "bare_float", "short_second", "no_sequence"])
-def test_a_weight_spec_of_no_pairs_is_a_config_error(weight_spec):
-    # numpy used to raise "not enough values to unpack" for [(1.0,)]
+@pytest.mark.parametrize("weight_spec, match", [
+    ([(1.0,)], "weight_spec"), ([(0.8, 0.6, 0.1)], "weight_spec"),
+    ([1.0], "weight_spec"), (((0.8, 0.6), (1.1,)), "weight_spec"),
+    (0.8, "weight_spec"), ([("0.8", 0.6)], "omega"),
+    ([(True, 0.6)], "omega"), ([(0.8, "0.6")], "weights"),
+    ([(0.8, True)], "weights"), ([(0.8, np.True_)], "weights")],
+    ids=["single", "triple", "bare_float", "short_second", "no_sequence",
+         "str_frequency", "bool_frequency", "str_weight", "bool_weight",
+         "numpy_bool_weight"])
+def test_a_weight_spec_of_no_pairs_is_a_config_error(weight_spec, match):
+    # numpy used to raise "not enough values to unpack" for [(1.0,)]; a
+    # string frequency was parsed, a string weight raised TypeError, and
+    # a bool frequency or weight counted as 1
     grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
-    with pytest.raises(ConfigError, match="weight_spec"):
+    with pytest.raises(ConfigError, match=match):
         build_n_operator(grid, eps, chi, _OMEGA, weight_spec)
-    with pytest.raises(ConfigError, match="weight_spec"):
+    with pytest.raises(ConfigError, match=match):
         monte_carlo_fdt(grid, eps, chi, _OMEGA, weight_spec)
+
+
+@pytest.mark.parametrize("omega", ["1.0", True, np.True_, None, 1j],
+                         ids=["str", "bool", "numpy_bool", "none", "complex"])
+def test_an_omega_that_is_not_a_real_number_is_a_config_error(omega):
+    # "1.0" and True used to be taken as 1.0, None and 1j to raise
+    # TypeError
+    grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
+    for call in (lambda: build_linear(grid, eps, omega),
+                 lambda: build_n_operator(grid, eps, chi, omega, _WEIGHTS),
+                 lambda: monte_carlo_fdt(grid, eps, chi, omega, _WEIGHTS)):
+        with pytest.raises(ConfigError, match="omega"):
+            call()
+
+
+def test_integer_and_numpy_frequencies_and_weights_keep_their_bits():
+    grid, eps, chi, _, _ = _two_blocks(16, 0.3, 1e-3)
+    for a, b in zip(build_linear(grid, eps, 1.0),
+                    build_linear(grid, eps, np.float64(1.0))):
+        assert np.array_equal(a, b)
+    assert np.array_equal(build_linear(grid, eps, 1)[1],
+                          build_linear(grid, eps, 1.0)[1])
+    spec = ((1.0, 0.5), (0.8, 1.0))
+    reference = build_n_operator(grid, eps, chi, 1.0, spec)
+    for omega, weights in ((1, ((1, 0.5), (0.8, 1))),
+                           (np.float64(1.0),
+                            ((np.int64(1), np.float64(0.5)),
+                             (np.float64(0.8), np.int64(1))))):
+        assert np.array_equal(build_n_operator(grid, eps, chi, omega,
+                                               weights), reference)

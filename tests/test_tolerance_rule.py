@@ -1,12 +1,11 @@
 """One tolerance rule for every momentum quadrature.
 
-Every thermal sum of the package, pressure or coefficient, gives its
-momentum quadratures the tolerance lifshitz_linear._inner_tol derives
-from its own, and every linear part that runs beside a Kerr part at
-rel_tol runs at lifshitz_linear._linear_tol(rel_tol). So the cached
-coefficients behind a zero- or high-temperature CLI row do the work of
-the direct pressures they stand for, and a classical-limit result that
-says it converged states an error within its rel_tol.
+The rule is lifshitz_linear._inner_tol, and beside a Kerr part
+lifshitz_linear._linear_tol. These tests check that every thermal sum
+takes it, that the cached coefficients behind a zero- or
+high-temperature CLI row do the work of the direct pressures they
+stand for, and that a converged classical result states an error
+within its rel_tol.
 """
 
 import math

@@ -16,8 +16,8 @@ frequencies x_n = 2 pi n kB T d / (hbar c),
     P = (kB T / (pi d**3)) sum'_n g(x_n),
 
 in each thermal regime of quadrature.matsubara_sum. Positive pressure
-means attraction. The Kerr correction sums over the same frequencies
-(_frequencies).
+means attraction. The Kerr correction sums over the same frequencies:
+both parts are one _thermal_sum each.
 
 The s-channel reflection vanishes identically at x = 0 for every
 material, the symbolic mirror included; that zero-frequency
@@ -64,23 +64,18 @@ def _gap_integrand(y, x, eps1, eps3, edge):
 _X_FLOOR = 1e-300
 
 
-def _g_hat(x, eps1, eps3, rel_tol, continuum=False):
+def _g_hat(x, eps1, eps3, rel_tol):
     """Momentum integral g at each scaled frequency of the 1-D array x.
 
     Returns one QuadratureResult per frequency from one _momentum_batch
     of _gap_integrand: exactly 0 with no nodes where e^(-2x) underflows.
-    eps1 and eps3 are floats or one permittivity per frequency. With
-    continuum=True an x = 0 node is _X_FLOOR, for the continuous
-    zero-temperature integral; the discrete sums keep x = 0.
+    eps1 and eps3 are floats or one permittivity per frequency.
     """
-    x = np.asarray(x, dtype=float)
-    if continuum:
-        x = np.where(x == 0.0, _X_FLOOR, x)
     return _momentum_batch(_gap_integrand,
                            lambda w, vals: (float(w @ vals), None),
                            lambda edge, _, res: res.scaled(edge),
                            QuadratureResult(0.0, 0.0, 0, True), MAX_LEVEL,
-                           x, eps1, eps3, rel_tol)
+                           np.asarray(x, dtype=float), eps1, eps3, rel_tol)
 
 
 def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
@@ -114,25 +109,6 @@ def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
     return out
 
 
-def _frequencies(stack):
-    # the thermal frequencies of the stack, which both pressure parts
-    # sum: the map from thermal indices n to (x, eps1, eps3) at
-    # x = xi_n d / c, a constant plate's eps one float; the terms' decay
-    # scale n*, the index at which xi reaches c/d; and the thermal
-    # indices of the table nodes (kinks)
-    temp, d = stack.temperature, stack.gap
-
-    def frequency(ns):
-        xi = temp.xi(np.asarray(ns, dtype=float))
-        return (xi * d / C_LIGHT,) + tuple(
-            layer.permittivity(0.0 if layer.is_constant else xi)
-            for layer in (stack.layer1, stack.layer3))
-
-    n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
-                               * temp.kelvin * d)
-    return frequency, n_star, stack.breakpoints / temp.xi(1)
-
-
 def _inner_tol(rel_tol, kind):
     # the momentum tolerance of every thermal sum at rel_tol in regime
     # kind: a tenth of it, floored; in the classical limit the one n = 0
@@ -145,6 +121,37 @@ def _linear_tol(rel_tol):
     # linear part is the cheap and large one, so never looser than
     # pressure_linear's default
     return min(rel_tol, 1e-8)
+
+
+def _thermal_sum(stack, momentum, rel_tol, value=float):
+    """The thermal sum of a momentum row over the stack's frequencies.
+
+    momentum(x, eps1, eps3, tol) is _g_hat or _frequency_vectors: one
+    result per scaled frequency x = xi_n d / c of the 1-D array x, with
+    the plates' permittivities at xi_n (a constant plate's one float)
+    and tol = _inner_tol(rel_tol, kind). The rows are summed by
+    quadrature.matsubara_sum in the stack's regime at rel_tol, value
+    as there, with the terms' decay scale n*, the index at which xi_n
+    reaches c/d, and the thermal indices of the table nodes as kinks.
+    At zero temperature the sum is an integral, whose integrand at
+    x = 0 is the limit from above: that node is _X_FLOOR.
+    """
+    temp, d = stack.temperature, stack.gap
+    tol = _inner_tol(rel_tol, temp.kind)
+    floor = _X_FLOOR if temp.kind == "zero" else 0.0
+
+    def rows(ns):
+        xi = temp.xi(np.asarray(ns, dtype=float))
+        x = xi * d / C_LIGHT
+        return momentum(np.where(x == 0.0, floor, x), *(
+            layer.permittivity(0.0 if layer.is_constant else xi)
+            for layer in (stack.layer1, stack.layer3)), tol)
+
+    n_star = HBAR * C_LIGHT / (2.0 * math.pi * K_BOLTZMANN
+                               * temp.kelvin * d)
+    return matsubara_sum(rows, temp, rel_tol, zero_scale=n_star,
+                         zero_breaks=stack.breakpoints / temp.xi(1),
+                         value=value)
 
 
 def pressure_linear(stack, rel_tol=1e-8):
@@ -166,15 +173,8 @@ def pressure_linear(stack, rel_tol=1e-8):
         rel_tol outside (0, 1) raises (ValueError).
     """
     _check_rel_tol(rel_tol)
-    temp = stack.temperature
-    inner_tol = _inner_tol(rel_tol, temp.kind)
-    continuum = temp.kind == "zero"
-    frequency, n_star, kinks = _frequencies(stack)
-    msum = matsubara_sum(
-        lambda ns: _g_hat(*frequency(ns), inner_tol, continuum=continuum),
-        temp, rel_tol, zero_scale=n_star, zero_breaks=kinks)
-    return msum.scaled(K_BOLTZMANN * temp.kelvin
-                       / (math.pi * stack.gap ** 3))
+    return _thermal_sum(stack, _g_hat, rel_tol).scaled(
+        K_BOLTZMANN * stack.temperature.kelvin / (math.pi * stack.gap ** 3))
 
 
 def _power_law(temp):

@@ -61,7 +61,7 @@ and V_k the same with B_k. The momentum integrals are one per thermal
 frequency, not one per pair (_frequency_vectors), and the double sum
 or integral is the contraction <F, F> (_gram) of the single one F of
 the vectors, which quadrature.matsubara_sum takes as array terms over
-the frequencies of the linear pressure (lifshitz_linear._frequencies):
+the frequencies of the linear pressure (lifshitz_linear._thermal_sum):
 O(N) momentum integrals for N frequencies, where a quadrature per pair
 costs O(N**2).
 
@@ -79,11 +79,11 @@ import numpy as np
 from .constants import C_LIGHT, EPSILON_0, K_BOLTZMANN
 from .errors import UnconvergedError
 from .fresnel import reflection
-from .lifshitz_linear import (_coefficient, _frequencies, _i_lin_raw,
-                              _inner_tol, _linear_tol, _momentum_batch,
-                              _power_law, _unit_stack, pressure_linear)
+from .lifshitz_linear import (_coefficient, _i_lin_raw, _linear_tol,
+                              _momentum_batch, _power_law, _thermal_sum,
+                              _unit_stack, pressure_linear)
 from .materials import LayerStack, MaterialResponse
-from .quadrature import (QuadratureResult, _check_rel_tol, _frozen,
+from .quadrature import (QuadratureResult, _check_rel_tol, _frozen, _real,
                          matsubara_sum)
 
 _PREFACTOR = 3.0 / (2.0 ** 5 * math.pi ** 4)
@@ -120,13 +120,13 @@ def _kernel_vectors(x, y, eps1, eps3):
     fs23, fp23 = reflection(x, y, eps3)
     ds = 1.0 - fs21 * fs23 * damp
     dp = 1.0 - fp21 * fp23 * damp
-    gs = (1.0 - fs21) / ds
-    gp = (1.0 - fp21) / dp
-    rs = fs23 * (1.0 - fs21 * fs21) / ds
-    rp = fp23 * (1.0 - fp21 * fp21) / dp
-    mx = 2.0 * x * x * rs - (3.0 * y * y / eps1 + 2.0 * x * x) * rp
-    mz = x * x * rs - (4.0 * y * y / eps1 + x * x) * rp
     with np.errstate(invalid="ignore", divide="ignore"):
+        gs = (1.0 - fs21) / ds
+        gp = (1.0 - fp21) / dp
+        rs = fs23 * (1.0 - fs21 * fs21) / ds
+        rp = fp23 * (1.0 - fp21 * fp21) / dp
+        mx = 2.0 * x * x * rs - (3.0 * y * y / eps1 + 2.0 * x * x) * rp
+        mz = x * x * rs - (4.0 * y * y / eps1 + x * x) * rp
         pref = y * (k2 * k2 / k1sq) * damp
         vecs = (pref * (-fs23 * gs * gs * x * x + fp23 * gp * gp * k1sq),
                 pref * fp23 * gp * gp * y * y,
@@ -206,12 +206,7 @@ def pressure_nonlinear(stack, rel_tol=1e-6):
     chi3 = st.layer1.chi3
     if chi3 == 0.0:
         return _NO_KERR
-    inner_tol = _inner_tol(rel_tol, st.temperature.kind)
-    frequency, n_star, kinks = _frequencies(st)
-    dsum = matsubara_sum(
-        lambda ns: _frequency_vectors(*frequency(ns), inner_tol),
-        st.temperature, rel_tol, zero_scale=n_star, zero_breaks=kinks,
-        value=_gram)
+    dsum = _thermal_sum(st, _frequency_vectors, rel_tol, value=_gram)
     return _kerr_pressure(dsum, st.temperature, st.gap, chi3)
 
 
@@ -388,15 +383,15 @@ def crossover_distance(stack, rel_tol=1e-6, d_tol=1e-6):
 
     Bisects log d over [1e-11, 1e-4] m for |P_nl(d)| = |P_lin(d)| and
     returns the root, or None when the difference keeps one sign over
-    the whole bracket (chi3 = 0 included). d_tol > 0 is the relative
-    width at which the bisection stops, or earlier once the midpoint no
-    longer splits the bracket in floating point. Raises
+    the whole bracket (chi3 = 0 included). d_tol > 0, a real number, is
+    the relative width at which the bisection stops, or earlier once the
+    midpoint no longer splits the bracket in floating point. Raises
     UnconvergedError if a pressure evaluation misses its tolerance, and
     ValueError for a rel_tol outside (0, 1).
     """
     _check_rel_tol(rel_tol)
-    if not (d_tol > 0.0 and math.isfinite(d_tol)):
-        raise ValueError("d_tol must be positive and finite")
+    if not (_real(d_tol) and d_tol > 0.0 and math.isfinite(d_tol)):
+        raise ValueError("d_tol must be a positive, finite real number")
     if stack.kerr_layer is None:
         return None
     pair = _pressure_pair(stack, rel_tol)

@@ -25,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaterialError
-from .quadrature import Temperature
+from .quadrature import Temperature, _real
 
 
 class MaterialResponse:
     """Dielectric response of one plate on the imaginary frequency axis.
 
     Build with one of the classmethods, or directly with exactly one of
-    eps_constant / eps_table.
+    eps_constant / eps_table. eps_constant and chi3 must be real numbers
+    (quadrature._real), kept as floats.
 
     Parameters
     ----------
@@ -53,15 +54,15 @@ class MaterialResponse:
         if (eps_constant is None) == (eps_table is None):
             raise MaterialError(
                 "give exactly one of eps_constant or eps_table")
-        chi3 = float(chi3)
-        if not math.isfinite(chi3):
-            raise MaterialError("chi3 must be finite")
-        self.chi3 = chi3
+        if not (_real(chi3) and math.isfinite(chi3)):
+            raise MaterialError("chi3 must be finite and a real number")
+        self.chi3 = float(chi3)
 
         if eps_constant is not None:
+            if not (_real(eps_constant) and eps_constant >= 1.0):  # NaN too
+                raise MaterialError(
+                    "constant permittivity must be a real number >= 1")
             eps_constant = float(eps_constant)
-            if math.isnan(eps_constant) or eps_constant < 1.0:
-                raise MaterialError("constant permittivity must be >= 1")
             if math.isinf(eps_constant) and chi3 != 0.0:
                 raise MaterialError(
                     "a perfect mirror cannot carry a Kerr response")
@@ -167,6 +168,8 @@ class MaterialResponse:
 
 def _check_gap(gap):
     # the LayerStack gap range; the CLI checks it at config time too
+    if not _real(gap):
+        raise MaterialError("gap must be a real number")
     if not 2.0 ** -127 <= gap < math.inf:  # NaN included
         raise MaterialError("gap must be finite and at least 2**-127 m")
     if gap > 2.0 ** 127:
@@ -179,10 +182,10 @@ class LayerStack:
 
     layer1 and layer3 are the plate responses, gap is the separation d
     in meters, temperature the thermal state. At most one plate may
-    carry a Kerr response. The gap must lie in [2**-127, 2**127] m
-    (about 5.9e-39 to 1.7e38 m), so that d**8, the zero-temperature
-    power law of the Kerr part, is a finite normal float; anything else
-    raises MaterialError.
+    carry a Kerr response. The gap must be a real number
+    (quadrature._real) in [2**-127, 2**127] m (about 5.9e-39 to
+    1.7e38 m), so that d**8, the zero-temperature power law of the Kerr
+    part, is a finite normal float; anything else raises MaterialError.
     """
 
     layer1: MaterialResponse

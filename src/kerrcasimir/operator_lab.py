@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NearResonanceError
+from .quadrature import _real
 
 _COND_LIMIT = 1e13
 
@@ -77,11 +78,6 @@ def _check_eps(grid, eps_profile):
     if np.any(eps < 1.0):
         raise ConfigError("eps_profile must be >= 1 everywhere")
     return eps
-
-
-def _real(value):
-    # a real number; not a bool, which is an int but means a flag
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_omega(omega):

@@ -17,6 +17,7 @@ latter the sum over thermal frequencies in its three regimes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -117,9 +118,9 @@ class Temperature:
     value (1 K by convention) that cancels identically in every thermal
     average: the sum over thermal frequencies is replaced by an integral
     over continuous index n, and k_B * kelvin * dn is exactly
-    hbar / (2 pi) * dxi independent of the reference. kelvin must lie
-    in [2**-64, 2**64] (about 5.4e-20 to 1.8e19 K); anything else
-    raises ValueError.
+    hbar / (2 pi) * dxi independent of the reference. kelvin must be a
+    real number (_real) in [2**-64, 2**64] (about 5.4e-20 to 1.8e19 K),
+    kept as a float; anything else raises ValueError.
     """
 
     kind: str
@@ -128,8 +129,11 @@ class Temperature:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError("kind must be one of %r" % (_KINDS,))
-        if not _MIN_KELVIN <= self.kelvin <= _MAX_KELVIN:  # NaN included
-            raise ValueError("kelvin must lie in [2**-64, 2**64]")
+        if not (_real(self.kelvin)
+                and _MIN_KELVIN <= self.kelvin <= _MAX_KELVIN):  # NaN too
+            raise ValueError("kelvin must be a real number in [2**-64, "
+                             "2**64]")
+        object.__setattr__(self, "kelvin", float(self.kelvin))
 
     @classmethod
     def zero(cls):
@@ -137,11 +141,11 @@ class Temperature:
 
     @classmethod
     def finite(cls, kelvin):
-        return cls("finite", float(kelvin))
+        return cls("finite", kelvin)
 
     @classmethod
     def high(cls, kelvin):
-        return cls("high", float(kelvin))
+        return cls("high", kelvin)
 
     def xi(self, n):
         """n-th thermal frequency on the positive imaginary axis, rad/s.
@@ -229,6 +233,12 @@ def _check_breaks(breaks):
     if not all(a < b < math.inf for a, b in zip([0.0] + breaks, breaks)):
         raise ValueError("breaks must be finite, positive and increasing")
     return breaks
+
+
+def _real(value):
+    # a real number of every input check; not a bool, which is an int but
+    # means a flag, nor a string that float() would parse
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_rel_tol(rel_tol):

@@ -564,7 +564,7 @@ def _count_calls(monkeypatch, module, name):
 def test_zero_t_scan_runs_one_kerr_double_integral(capsys, monkeypatch):
     # a count, not a timing: it does not depend on the machine; each Kerr
     # pressure or coefficient is one thermal sum of the Kerr module
-    calls = _count_calls(monkeypatch, ln, "matsubara_sum")
+    calls = _count_calls(monkeypatch, ln, "_thermal_sum")
     status, out = _run(capsys, ["scan-distance", "--regime", "zero"])
     assert status == 0 and len(_parse_csv(out)[2]) == 25
     assert len(calls) == 1
@@ -591,7 +591,7 @@ def test_zero_t_scan_refines_each_frequency_level_at_once(capsys,
 
 
 def test_pressure_nonlinear_keeps_no_cache(monkeypatch):
-    calls = _count_calls(monkeypatch, ln, "matsubara_sum")
+    calls = _count_calls(monkeypatch, ln, "_thermal_sum")
     for gap in (1e-8, 1e-7):
         stack = LayerStack(MaterialResponse.constant(2.0, chi3=2e-16),
                            MaterialResponse.perfect_mirror(), gap,
@@ -620,7 +620,7 @@ def test_crossover_after_a_zero_t_scan_reuses_its_coefficients(
         capsys, monkeypatch):
     # rows and crossover take the linear coefficient at one tolerance
     g_hats = _count_calls(monkeypatch, ll, "_g_hat")
-    double_sums = _count_calls(monkeypatch, ln, "matsubara_sum")
+    double_sums = _count_calls(monkeypatch, ln, "_thermal_sum")
     assert _run(capsys, ["scan-distance", "--regime", "zero"])[0] == 0
     assert len(g_hats) > 0 and len(double_sums) == 1
     del g_hats[:], double_sums[:]

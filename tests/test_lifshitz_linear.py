@@ -9,8 +9,8 @@ from scipy.integrate import dblquad, quad
 from kerrcasimir import lifshitz_linear, quadrature
 from kerrcasimir.constants import C_LIGHT, HBAR, K_BOLTZMANN
 from kerrcasimir.errors import MaterialError, UnconvergedError
-from kerrcasimir.lifshitz_linear import (_g_hat, i_lin_high_t, i_lin_zero_t,
-                                         pressure_linear)
+from kerrcasimir.lifshitz_linear import (_X_FLOOR, _g_hat, i_lin_high_t,
+                                         i_lin_zero_t, pressure_linear)
 from kerrcasimir.materials import LayerStack, MaterialResponse
 from kerrcasimir.quadrature import Temperature
 
@@ -301,8 +301,9 @@ def test_tabulated_zero_temperature_matches_scipy_with_breakpoints():
 
     def term(n):
         xi = temp.xi(n)
-        return _g_hat(np.array([xi * d / C_LIGHT]), mat.permittivity(xi),
-                      10.0, 1e-13, continuum=True)[0].value
+        # x = 0 by the zero-temperature rule, the limit from above
+        return _g_hat(np.array([max(xi * d / C_LIGHT, _X_FLOOR)]),
+                      mat.permittivity(xi), 10.0, 1e-13)[0].value
 
     head, _ = quad(term, 0.0, breaks[-1], points=breaks[:-1],
                    epsabs=0.0, epsrel=1e-11, limit=200)
@@ -439,11 +440,14 @@ def _key(res):
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-16])
 def test_g_hat_rows_equal_single_rows_bitwise(continuum, rel_tol):
     # rows refine in lockstep and stop on their own, each as if alone;
-    # x = 0 takes the discrete or the continuum prescription
-    x, eps1, eps3 = (np.array(col) for col in zip(*_ROWS))
-    batch = _g_hat(x, eps1, eps3, rel_tol, continuum=continuum)
-    for (xi, e1, e3), res in zip(_ROWS, batch):
-        alone, = _g_hat(np.array([xi]), e1, e3, rel_tol, continuum=continuum)
+    # x = 0 takes the discrete prescription or, in the continuum, the
+    # zero-temperature rule of _thermal_sum: the node is _X_FLOOR
+    rows = [(_X_FLOOR if continuum and xi == 0.0 else xi, e1, e3)
+            for xi, e1, e3 in _ROWS]
+    x, eps1, eps3 = (np.array(col) for col in zip(*rows))
+    batch = _g_hat(x, eps1, eps3, rel_tol)
+    for (xi, e1, e3), res in zip(rows, batch):
+        alone, = _g_hat(np.array([xi]), e1, e3, rel_tol)
         assert _key(res) == _key(alone), xi
     assert len({res.n_evals for res in batch}) >= 3
 

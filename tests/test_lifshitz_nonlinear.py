@@ -15,6 +15,7 @@ machinery agrees with that route at zero and finite temperature.
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from kerrcasimir import (C_LIGHT, EPSILON_0, HBAR, K_BOLTZMANN, LayerStack,
                          matsubara_sum, pressure_linear,
                          pressure_nonlinear, pressure_transparent_mirror)
 from kerrcasimir import lifshitz_linear, lifshitz_nonlinear, quadrature
+from kerrcasimir.lifshitz_linear import _X_FLOOR
 from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _PREFACTOR, _contract,
                                             _ct_pair_sum,
@@ -967,6 +969,57 @@ def test_frequency_vectors_rows_equal_single_rows_bitwise(rel_tol):
     if rel_tol == 1e-16:
         assert any(capped) and not all(capped)
     assert len({res.n_evals for res in batch}) >= 2
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
+def test_frequency_vectors_at_the_floor_equal_x_zero_bitwise(rel_tol):
+    # the zero-T rule maps x = 0 to _X_FLOOR; at the floor the s-channel
+    # terms carry x**2 = 0, so every plate pair of _ROWS keeps the bits of
+    # x = 0, and the 0/0 of the y = 0 node (masked) raises no warning
+    for _, e1, e3 in _ROWS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor, = _frequency_vectors(np.array([_X_FLOOR]), e1, e3,
+                                        rel_tol)
+            zero, = _frequency_vectors(np.array([0.0]), e1, e3, rel_tol)
+        assert _key(floor) == _key(zero), (e1, e3)
+        assert np.array_equal(floor.value.view(np.uint64),
+                              zero.value.view(np.uint64))
+
+
+@pytest.mark.parametrize("temp", [Temperature.zero(),
+                                  Temperature.finite(300.0),
+                                  Temperature.high(300.0)],
+                         ids=["zero", "finite", "high"])
+def test_both_parts_sum_one_frequency_map(temp, monkeypatch):
+    # both parts hand their momentum rows the same x: xi_n d / c, the
+    # n = 0 node _X_FLOOR in the zero-T integral (its limit from above)
+    # and exactly +0.0 in the discrete sums
+    seen = {}
+    for module, name in ((lifshitz_linear, "_g_hat"),
+                         (lifshitz_nonlinear, "_frequency_vectors")):
+        real = getattr(module, name)
+
+        def recorded(x, *args, _fn=real, _name=name):
+            seen.setdefault(_name, []).extend(x.tolist())
+            return _fn(x, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+    d = 1e-6
+    stack = _stack(2.0, math.inf, CHI3, d, temp)
+    assert pressure_linear(stack, 1e-6).converged
+    assert pressure_nonlinear(stack, 1e-4).converged
+    assert set(seen) == {"_g_hat", "_frequency_vectors"}
+    for name, xs in seen.items():
+        if temp.kind == "zero":
+            assert min(xs) == _X_FLOOR and 0.0 not in xs, name
+        else:
+            assert min(xs) == 0.0 and math.copysign(1.0, min(xs)) == 1.0
+            ns = np.arange(max(xs) / (temp.xi(1) * d / C_LIGHT) + 2.0)
+            grid = set((temp.xi(ns) * d / C_LIGHT).tolist())
+            assert set(xs) <= grid, name
+            if temp.kind == "high":
+                assert xs == [0.0], name
 
 
 def test_frequency_vectors_return_underflowed_frequencies_as_exact_zeros(

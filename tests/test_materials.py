@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from kerrcasimir.errors import MaterialError
+from kerrcasimir.lifshitz_nonlinear import (casimir_pressure,
+                                            crossover_distance,
+                                            pressure_transparent_mirror)
 from kerrcasimir.materials import LayerStack, MaterialResponse
 from kerrcasimir.quadrature import Temperature
 
@@ -142,3 +145,60 @@ def test_stack_orientation():
     plain = LayerStack(lin, lin, 1e-8, temp)
     assert plain.oriented().layer1 is lin
     assert plain.kerr_layer is None
+
+
+# every number of a stack, its plates and its temperature, and the
+# crossover's d_tol: (error, call with the value in place)
+_NUMBER_ENTRIES = {
+    "gap": (MaterialError, lambda v: LayerStack(
+        MaterialResponse.constant(2.0), MaterialResponse.perfect_mirror(),
+        v, Temperature.zero())),
+    "transparent_gap": (MaterialError, lambda v: pressure_transparent_mirror(
+        v, Temperature.zero(), 1e-18)),
+    "kelvin": (ValueError, lambda v: Temperature("finite", v)),
+    "finite": (ValueError, Temperature.finite),
+    "high": (ValueError, Temperature.high),
+    "eps_constant": (MaterialError, MaterialResponse.constant),
+    "chi3": (MaterialError, lambda v: MaterialResponse.constant(2.0, v)),
+    "d_tol": (ValueError, lambda v: crossover_distance(LayerStack(
+        MaterialResponse.constant(2.0, chi3=1e-18),
+        MaterialResponse.perfect_mirror(), 1e-8, Temperature.zero()),
+        d_tol=v)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "300", None],
+                         ids=["bool", "numpy_bool", "str", "none"])
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
+def test_numbers_must_be_real_numbers(entry, bad):
+    # a bool used to count as 1 (gap=True computed a pressure at 1 m,
+    # chi3=True became 1.0, d_tol=True bisected to a log-width of 1);
+    # a string was parsed or raised a bare TypeError
+    error, call = _NUMBER_ENTRIES[entry]
+    with pytest.raises(error):
+        call(bad)
+
+
+def test_int_and_numpy_numbers_keep_their_bits():
+    # an int, a numpy float and a numpy int give the float's results
+    def outcome(eps, chi3, gap, kelvin):
+        stack = LayerStack(MaterialResponse.constant(eps, chi3),
+                           MaterialResponse.constant(10.0), gap,
+                           Temperature.high(kelvin))
+        res = casimir_pressure(stack, 1e-6, 1e-4)
+        assert type(stack.temperature.kelvin) is float
+        return tuple((part.value.hex(), part.error.hex(), part.n_evals,
+                      part.converged)
+                     for part in (res.linear, res.nonlinear))
+
+    ref = outcome(2.0, 1.0, 1.0, 300.0)
+    for kind in (int, np.float64, np.int64):
+        assert outcome(kind(2), kind(1), kind(1), kind(300)) == ref, kind
+    assert type(Temperature("finite", np.float32(300.5)).kelvin) is float
+    stack = LayerStack(MaterialResponse.constant(2.0, chi3=1e-18),
+                       MaterialResponse.perfect_mirror(), 1e-8,
+                       Temperature.zero())
+    ref = crossover_distance(stack, d_tol=1e-3)
+    assert crossover_distance(stack, d_tol=np.float64(1e-3)) == ref
+    assert crossover_distance(stack, d_tol=1) == crossover_distance(
+        stack, d_tol=1.0)

@@ -10,7 +10,7 @@ from kerrcasimir.lifshitz_nonlinear import (_COUPLING_T, _COUPLING_W,
                                             _contract, _frequency_vectors,
                                             _kernel_vectors)
 from kerrcasimir import lifshitz_nonlinear, quadrature
-from kerrcasimir.lifshitz_linear import _g_hat
+from kerrcasimir.lifshitz_linear import _X_FLOOR, _g_hat
 from kerrcasimir.quadrature import (MAX_LEVEL, MIN_LEVEL, QuadratureResult,
                                     Temperature, _cc_rule, _rule,
                                     integrate_semi_infinite, matsubara_sum)
@@ -852,9 +852,12 @@ def test_zero_t_sum_is_integrate_semi_infinite():
     # the production shape: a row term of one QuadratureResult per node,
     # here the momentum integrals of eps = 2 against a mirror. The
     # zero-T sum and the integral give the same bits, error, flag and
-    # n_evals, the nested momentum nodes included
+    # n_evals, the nested momentum nodes included; x = 0 is _X_FLOOR, as
+    # in every zero-T sum of the pressures
     def rows(ns):
-        return _g_hat(ns, 2.0, math.inf, 1e-10, continuum=True)
+        ns = np.asarray(ns, dtype=float)
+        return _g_hat(np.where(ns == 0.0, _X_FLOOR, ns), 2.0, math.inf,
+                      1e-10)
 
     for breaks in ((), (0.7, 3.0)):
         summed = matsubara_sum(rows, _ZERO, 1e-8, zero_scale=2.0,

@@ -32,8 +32,8 @@ class MaterialResponse:
     """Dielectric response of one plate on the imaginary frequency axis.
 
     Build with one of the classmethods, or directly with exactly one of
-    eps_constant / eps_table. eps_constant and chi3 must be real numbers
-    (quadrature._real), kept as floats.
+    eps_constant / eps_table. eps_constant, chi3 and every table entry
+    must be real numbers (quadrature._real), kept as floats.
 
     Parameters
     ----------
@@ -71,11 +71,15 @@ class MaterialResponse:
             self._eps_nodes = None
             return
 
-        table = np.asarray(eps_table, dtype=float)
+        # object entries keep their types for the real-number rule
+        table = np.asarray(eps_table, dtype=object)
         if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
             raise MaterialError(
                 "eps_table must be a sequence of at least two (xi, eps) "
                 "pairs")
+        if not all(_real(entry) for entry in table.flat):
+            raise MaterialError("table entries must be real numbers")
+        table = table.astype(float)
         xi = table[:, 0]
         eps = table[:, 1]
         if not np.all(np.isfinite(xi)) or xi[0] < 0.0:

@@ -22,6 +22,14 @@ operators act as column scalings, not as dense products; N takes O(n)
 per weight frequency (_inverse_diagonal), and run_verification_suite
 builds a grid's dense work once per process (_suite_state).
 
+Memory: the suite's largest arrays are its Monte-Carlo normals, 2 x
+n_points x 2000 floats (7.8 MiB at 256). run_verification_suite draws
+them first and keeps only their n-by-n average, before any dense
+response exists, and _suite_state drops each response after the last
+row that reads it; so neither the draws nor a finished build sit under
+the other's peak. A cold suite at n_points = 256 peaks at 11.5 MiB of
+traced arrays, and at 46.0 MiB at 512.
+
 Conventions: Im of a matrix is elementwise, (A - conj(A)) / 2i, which
 for the symmetric matrices of this model equals the anti-Hermitian
 part; A* means the elementwise conjugate.
@@ -252,13 +260,16 @@ def combined_correction(g_prime, n_total, n_alpha, n_beta):
 
 
 def _im(mat):
-    return (mat - np.conj(mat)) / 2j
+    # (A - conj(A)) / 2i with no complex temporary: the same real part,
+    # bit for bit, and +0 for every imaginary part
+    return mat.imag + 0j
 
 
-def _rytov_residual(gt, v, n_op, h0):
-    # h0 = inv(G0), which the verification suite shares between its rows
+def _rytov_residual(gt, im_source):
+    # im_source = Im[V + N - inv(G0)], which the verification suite
+    # shares between its two rows
     target = _im(gt)
-    resid = target - gt @ _im(v + n_op - h0) @ np.conj(gt)
+    resid = target - gt @ im_source @ np.conj(gt)
     return float(np.linalg.norm(resid) / np.linalg.norm(target))
 
 
@@ -271,7 +282,7 @@ def rytov_residual(gt, v, n_op, g0):
     response. A noise strength b would scale numerator and denominator
     alike, so it is left out.
     """
-    return _rytov_residual(gt, v, n_op, np.linalg.inv(g0))
+    return _rytov_residual(gt, _im(v + n_op - np.linalg.inv(g0)))
 
 
 def noise_covariance(g1, n_op):
@@ -313,25 +324,33 @@ def _mc_operands(g1, n_op, gt, c_psd):
     dressing = np.eye(g1.shape[0]) + g1 * np.diagonal(n_op)
     lam, u = np.linalg.eigh(c_psd)
     b_mat = dressing @ (u * np.sqrt(np.clip(lam, 0.0, None)))
-    # a copy: the .real view would keep the complex array alive
-    target = _im(gt).real.copy()
+    # a new real array: the real part of _im(gt), with no complex copy
+    target = gt.imag + 0.0
     return b_mat, target, np.max(np.abs(target))
 
 
-def _mc_deviation(b_mat, target, target_max, samples, rng):
-    """Deviation of the sampled <E (x) E*> from Im Gt, relative.
+def _mc_gram(n, samples, rng):
+    """The sampled ensemble average z z^H / samples, n by n.
 
-    The fields are E = B z, where z = (x + i y)/sqrt(2) holds `samples`
-    complex normal columns from rng, so the ensemble average is
-    B (z z^H / samples) B^H; 2 z z^H = x x^T + y y^T + i (y x^T - x y^T)
-    is formed in real arithmetic.
+    z = (x + i y)/sqrt(2) holds `samples` complex normal columns from
+    rng, x drawn before y; 2 z z^H = x x^T + y y^T + i (y x^T - x y^T)
+    is formed in real arithmetic. The draws, 16 n samples bytes, are
+    the largest arrays of the check; only the complex n by n average
+    outlives this call, so a caller that draws before it builds its
+    operands keeps the draws and the operands apart in memory.
     """
-    n = b_mat.shape[0]
     x = rng.standard_normal((n, samples))
     y = rng.standard_normal((n, samples))
     cross = y @ x.T
-    gram = (x @ x.T + y @ y.T + 1j * (cross - cross.T)) / (2.0 * samples)
-    del x, y, cross  # the draws would otherwise set the peak memory
+    return (x @ x.T + y @ y.T + 1j * (cross - cross.T)) / (2.0 * samples)
+
+
+def _mc_deviation(b_mat, target, target_max, gram):
+    """Deviation of the sampled <E (x) E*> from Im Gt, relative.
+
+    The fields are E = B z, so the ensemble average is B gram B^H, with
+    gram from _mc_gram.
+    """
     c_mc = b_mat @ gram @ np.conj(b_mat).T
     return float(np.max(np.abs(c_mc - target)) / target_max)
 
@@ -361,7 +380,7 @@ def monte_carlo_fdt(grid, eps_profile, chi_profile, omega, weight_spec,
     c_psd, _ = noise_covariance(g1, n_op)
     operands = _mc_operands(g1, n_op, gtilde(g1, n_op), c_psd)
     del n_op, g1, c_psd  # free before the draws
-    return _mc_deviation(*operands, samples, rng)
+    return _mc_deviation(*operands, _mc_gram(grid.n_points, samples, rng))
 
 
 def _generator(seed):
@@ -404,13 +423,20 @@ def run_verification_suite(n_points=32, seed=0):
     The seed, an integer >= 0 (else ConfigError), enters only the last
     row's draw; the other rows are the same, bit for bit, whether this
     call built them or found them built (_suite_state).
+
+    The draw comes first, once the grid is checked: its normals are
+    reduced to the ensemble average (_mc_gram) and freed before the
+    dense build starts, so only that n-by-n average is alive beside the
+    build, and the build's released responses are not under the draws.
     """
     rng = _generator(seed)
     # the grid checks n_points in front of the cache, whose keys 8 and
     # 8.0 would be equal
-    rows, operands = _suite_state(Grid1D(n_points, 0.3))
+    grid = Grid1D(n_points, 0.3)
     mc_samples = 2000
-    value = _mc_deviation(*operands, mc_samples, rng)
+    gram = _mc_gram(n_points, mc_samples, rng)
+    rows, operands = _suite_state(grid)
+    value = _mc_deviation(*operands, gram)
     threshold = 5.0 / math.sqrt(mc_samples)
     return list(rows) + [CheckResult("monte_carlo_fdt", value, threshold,
                                      value <= threshold)]
@@ -424,8 +450,18 @@ def _suite_state(grid):
     tuple, and the operands of _mc_deviation (_mc_operands), read-only.
     The seed enters only the draw, so a grid's dense work is kept in an
     LRU cache of _SUITE_CACHE_SIZE grids and done once per process; each
-    response the rows compare is inverted once, and G1, inv(G0), N and
-    the noise covariance are shared between the rows and the operands.
+    response the rows compare is inverted once, and G1, N and the noise
+    covariance are shared between the rows and the operands.
+
+    Each dense response lives until the last row that reads it. G1, Gt
+    and N reach the operands. G0 lives until the Rytov rows' source
+    Im inv(G0) is formed; V until the first row; G1 of object beta and
+    both combinations until the combination rows; G1 of object alpha
+    until its dressed response, which lives, with its N and its
+    corrected response, until the single-object row. The Rytov source
+    and the conjugate response live for their rows alone. So the
+    combination rows, with G0, G1, Gt and both isolated G1 alive, set
+    the build's peak, about 10.5 n_points**2 complex entries.
     """
     n_points = grid.n_points
     block = max(3, n_points // 5)
@@ -450,6 +486,7 @@ def _suite_state(grid):
     add("linear_inverse_identity",
         np.linalg.norm(g1 - g0 - (g0 * np.diagonal(v)) @ g1)
         / np.linalg.norm(g1), 1e-12)
+    del v
 
     # calibrate chi so the Kerr dressing is a genuine small perturbation
     spectral = _spectral_diag(grid, eps, weight_spec)
@@ -476,7 +513,7 @@ def _suite_state(grid):
                         _spectral_diag(grid, eps_i, weight_spec)))
 
     g1_a, n_a = isolated(mask_alpha)
-    g1_b, n_b = isolated(mask_beta)
+    g1_b, _ = isolated(mask_beta)
 
     combo_linear = naive_combination(g1_a, g1_b, g0)
     add("union_combination_linear",
@@ -485,21 +522,28 @@ def _suite_state(grid):
     add("combination_symmetry",
         np.linalg.norm(combo_linear - combo_swapped)
         / np.linalg.norm(combo_linear), 1e-10)
+    del g1_b, combo_linear, combo_swapped
 
     gt_a = gtilde(g1_a, n_a)
+    del g1_a
     corrected_single = combined_correction(gt_a, n_a, n_a, np.zeros_like(n_a))
     add("single_object_correction",
         np.linalg.norm(corrected_single - gt_a)
         / np.linalg.norm(corrected_single), 1e-13)
+    del gt_a, n_a, corrected_single
 
-    h0 = np.linalg.inv(g0)
-    add("rytov_linear", _rytov_residual(g1, v, np.zeros_like(v), h0), 1e-10)
-    add("rytov_nonlinear", _rytov_residual(gt, v, n_total, h0), 1e-3)
-    del h0, gt_a  # free before the noise rows, whose arrays set the peak
+    # V and N are real, so Im[V + N - inv(G0)] is -Im inv(G0), the same
+    # bits as from the dense sum; both Rytov rows share it
+    im_source = _im(0.0 - np.linalg.inv(g0))
+    del g0
+    add("rytov_linear", _rytov_residual(g1, im_source), 1e-10)
+    add("rytov_nonlinear", _rytov_residual(gt, im_source), 1e-3)
+    del im_source
 
     gt_m = gtilde(_inverse(grid, eps, -omega, -grid.eta), n_total)
     add("conjugation",
         np.linalg.norm(np.conj(gt) - gt_m) / np.linalg.norm(gt), 1e-12)
+    del gt_m
 
     c_psd, clipped = noise_covariance(g1, n_total)
     add("noise_psd_clip", clipped, 1e-12)

@@ -242,7 +242,7 @@ def _real(value):
 
 
 def _check_rel_tol(rel_tol):
-    if not 0.0 < rel_tol < 1.0:  # NaN included
+    if not (_real(rel_tol) and 0.0 < rel_tol < 1.0):  # NaN included
         raise ValueError("rel_tol must lie in (0, 1)")
 
 

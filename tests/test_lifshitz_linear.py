@@ -396,18 +396,21 @@ def test_permittivity_below_one_rejected():
         i_lin_zero_t(math.nan, 2.0)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan, "1e-6",
+                                     None])
 def test_pressure_linear_rejects_a_bad_rel_tol(rel_tol):
     # rel_tol = 0 or -1 used to take 579,584 momentum nodes and return
-    # error 0.0, converged
+    # error 0.0, converged; "1e-6" and None raised a bare TypeError
     for temp in (Temperature.zero(), Temperature.finite(300.0)):
         with pytest.raises(ValueError, match="rel_tol"):
             pressure_linear(_stack(2.0, INF, 1e-7, temp), rel_tol=rel_tol)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan, "1e-6",
+                                     None])
 def test_linear_coefficients_reject_a_bad_rel_tol(rel_tol):
-    # rel_tol = 0 used to return a value, nan to raise UnconvergedError
+    # rel_tol = 0 used to return a value, nan to raise UnconvergedError,
+    # "1e-6" and None a bare TypeError
     for coefficient in (i_lin_zero_t, i_lin_high_t):
         with pytest.raises(ValueError, match="rel_tol"):
             coefficient(2.0, 3.0, rel_tol=rel_tol)

@@ -387,10 +387,12 @@ def test_transparent_mirror_rejects_non_finite_chi3():
                                         chi3)
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan, "1e-6",
+                                     None])
 def test_kerr_pressures_reject_a_bad_rel_tol(rel_tol):
     # rel_tol = 0 or -1 used to run to the level caps and report
-    # converged; chi3 = 0 is checked too, before its early return
+    # converged, "1e-6" and None to raise a bare TypeError; chi3 = 0 is
+    # checked too, before its early return
     temp = Temperature.finite(300.0)
     for chi3 in (CHI3, 0.0):
         with pytest.raises(ValueError, match="rel_tol"):
@@ -920,10 +922,12 @@ def test_monotone_in_linear_permittivity():
     assert 0.0 < values[0] < values[1] < values[2]
 
 
-@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, 2.0, math.nan, "1e-6",
+                                     None])
 def test_kerr_coefficients_and_crossover_reject_a_bad_rel_tol(rel_tol):
     # i_nl_zero_t(rel_tol=2) used to return 3.79e-7, and crossover_distance
-    # to raise UnconvergedError at 0 and to return 4.25e-9 at 2
+    # to raise UnconvergedError at 0 and to return 4.25e-9 at 2; "1e-6"
+    # and None raised a bare TypeError
     for coefficient in (i_nl_zero_t, i_nl_high_t):
         with pytest.raises(ValueError, match="rel_tol"):
             coefficient(2.0, 3.0, rel_tol=rel_tol)

@@ -159,6 +159,11 @@ _NUMBER_ENTRIES = {
     "finite": (ValueError, Temperature.finite),
     "high": (ValueError, Temperature.high),
     "eps_constant": (MaterialError, MaterialResponse.constant),
+    "table_frequency": (MaterialError, lambda v: MaterialResponse.from_table(
+        [(0.0, 3.0), (v, 2.0)])),
+    "table_permittivity": (MaterialError,
+                           lambda v: MaterialResponse.from_table(
+                               [(0.0, v), (1e14, 1.0)])),
     "chi3": (MaterialError, lambda v: MaterialResponse.constant(2.0, v)),
     "d_tol": (ValueError, lambda v: crossover_distance(LayerStack(
         MaterialResponse.constant(2.0, chi3=1e-18),
@@ -172,8 +177,9 @@ _NUMBER_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
 def test_numbers_must_be_real_numbers(entry, bad):
     # a bool used to count as 1 (gap=True computed a pressure at 1 m,
-    # chi3=True became 1.0, d_tol=True bisected to a log-width of 1);
-    # a string was parsed or raised a bare TypeError
+    # chi3=True became 1.0, d_tol=True bisected to a log-width of 1,
+    # a table took True as 1.0 and "300" as 300.0); a string was parsed
+    # or raised a bare TypeError
     error, call = _NUMBER_ENTRIES[entry]
     with pytest.raises(error):
         call(bad)
@@ -202,3 +208,19 @@ def test_int_and_numpy_numbers_keep_their_bits():
     assert crossover_distance(stack, d_tol=np.float64(1e-3)) == ref
     assert crossover_distance(stack, d_tol=1) == crossover_distance(
         stack, d_tol=1.0)
+
+
+def test_numpy_and_int_tables_keep_their_bits():
+    # a table of numpy floats (float64 or float32), numpy ints or ints
+    # gives the permittivity of the same table converted to floats
+    table = ((0.0, 11.7), (1e14, 11.0), (1e15, 6.0), (1e16, 1.5),
+             (1e17, 1.01))
+    xi = np.geomspace(1e12, 1e18, 61)
+    for given in (np.array(table), np.array(table, dtype=np.float32),
+                  [(np.float64(a), np.float32(b)) for a, b in table],
+                  np.array([(0, 12), (10 ** 14, 11), (10 ** 16, 2)]),
+                  [(0, 12), (np.int64(10 ** 14), 11), (10 ** 16, 2)]):
+        ref = MaterialResponse.from_table(
+            [tuple(float(entry) for entry in pair) for pair in given])
+        got = MaterialResponse.from_table(given).permittivity(xi)
+        assert got.tobytes() == ref.permittivity(xi).tobytes()

@@ -7,6 +7,7 @@ decomposition and the fluctuation-dissipation statistics.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,6 +534,23 @@ def test_a_warm_suite_does_no_dense_work(monkeypatch, cold_suite_cache,
     operator_lab._suite_state.cache_clear()
     assert bits(run_verification_suite(n_points=n_points, seed=9)) \
         == bits(other)
+
+
+def test_a_cold_suite_at_256_peaks_below_13_mib(cold_suite_cache):
+    # the draws (7.8 MiB of normals) come before the dense build, and
+    # the build drops each response after its last row: 11.5 MiB of
+    # traced arrays, where the draws after a build that kept every
+    # response to its end peaked at 17.0 MiB
+    tracemalloc.start()
+    try:
+        cold = run_verification_suite(n_points=256, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2 ** 20
+    warm = run_verification_suite(n_points=256, seed=3)
+    assert [(r.name, r.value.hex(), r.passed) for r in warm] \
+        == [(r.name, r.value.hex(), r.passed) for r in cold]
 
 
 def test_suite_state_is_read_only(cold_suite_cache):

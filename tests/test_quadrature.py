@@ -296,7 +296,8 @@ def test_level_cap_is_never_overshot():
     assert calls == []
 
 
-_BAD_REL_TOLS = [0.0, -1.0, 1.0, 2.0, math.nan]
+# a string or None used to raise a bare TypeError from the comparison
+_BAD_REL_TOLS = [0.0, -1.0, 1.0, 2.0, math.nan, "1e-6", None]
 
 
 @pytest.mark.parametrize("rel_tol", _BAD_REL_TOLS)

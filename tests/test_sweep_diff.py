@@ -21,7 +21,8 @@ def test_sweep_diff_reports_moves_work_outcomes_and_entries(tmp_path):
                      "gone/a": _result(1.0, 0.0)},
          "cli": {"pressure": {"exit": 0, "stdout": "1\n", "stderr": ""},
                  "verify": {"exit": 0, "stdout": "2\n", "stderr": ""}},
-         "lab": {"lab/x": "0x1.0p+0", "lab/y": "0x1.0p+1"}}
+         "lab": {"lab/x": "0x1.0p+0", "lab/y": "0x1.0p+1"},
+         "operands": {"operands/32/b": "ab12", "operands/32/im_gt": "cd34"}}
     b = json.loads(json.dumps(a))
     b["results"]["linear/b"] = _result(2.0 + 2.0 ** -51, 1e-9)
     b["results"]["i_nl/a"] = _result(4.0 * (1.0 + 1e-12), 1e-12)
@@ -30,6 +31,7 @@ def test_sweep_diff_reports_moves_work_outcomes_and_entries(tmp_path):
     del b["results"]["gone/a"]
     b["cli"]["verify"]["stdout"] = "3\n"
     b["lab"]["lab/y"] = "0x1.0p+2"
+    b["operands"]["operands/32/im_gt"] = "ef56"
     paths = []
     for name, sweep in (("a.json", a), ("b.json", b)):
         paths.append(tmp_path / name)
@@ -50,7 +52,8 @@ def test_sweep_diff_reports_moves_work_outcomes_and_entries(tmp_path):
         "n_evals/flag i_nl/b: [16, True] -> [32, False]",
         "outcome i_nl/c: raises MaterialError -> raises ValueError",
         "cli: 1 of 2 entries changed", "  verify",
-        "lab: 1 of 2 entries changed", "  lab/y"]
+        "lab: 1 of 2 entries changed", "  lab/y",
+        "operands: 1 of 2 entries changed", "  operands/32/im_gt"]
     # a sweep against itself: no move, exit 0
     proc = subprocess.run([sys.executable, str(ROOT / "tools"
                                                / "sweep_diff.py"),
@@ -58,3 +61,16 @@ def test_sweep_diff_reports_moves_work_outcomes_and_entries(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "no n_evals, flag or outcome changed" in proc.stdout
+    assert "operands: 0 of 2 entries changed" in proc.stdout
+    # a sweep written before the operand digests: each digest of the
+    # other file counts as changed
+    del a["operands"]
+    paths[1].write_text(json.dumps(a))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools"
+                                               / "sweep_diff.py"),
+                           str(paths[1]), str(paths[0])],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-3:] == [
+        "operands: 2 of 2 entries changed", "  operands/32/b",
+        "  operands/32/im_gt"]

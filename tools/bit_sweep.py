@@ -20,7 +20,10 @@ quadrature module, and the operator lab: the verification suite's rows
 (name, float.hex of the value, passed) at n_points 32 to 256 for seeds
 0 to 15, called size-major and then seed-major, so that suites which
 build their grid's state and suites which find it built both appear,
-and monte_carlo_fdt at the benchmark's CLT inputs. The argvs are those
+and monte_carlo_fdt at the benchmark's CLT inputs, then a SHA-256 of
+the bytes of each of those sizes' cached Monte-Carlo operands (B and
+Im Gt, as the suite keeps them), so that a change which keeps every
+row shows whether it kept the operands too. The argvs are those
 of the kerr and linear_lab benchmark workloads, all four input menus,
 plus zero-T, high-T and finite-T rows and four verify runs.
 It takes about 15 s on a 2-vCPU x86-64 machine.
@@ -33,6 +36,7 @@ two checkouts compare under one thread setting whatever the caller's.
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -49,7 +53,7 @@ import numpy as np  # noqa: E402
 from kerrcasimir import (Grid1D, LayerStack,  # noqa: E402
                          MaterialResponse, Temperature, build_linear,
                          build_n_operator, cli, integrate_semi_infinite,
-                         matsubara_sum, monte_carlo_fdt,
+                         matsubara_sum, monte_carlo_fdt, operator_lab,
                          pressure_linear, pressure_nonlinear,
                          pressure_transparent_mirror, run_verification_suite)
 from kerrcasimir.lifshitz_linear import _i_lin_raw  # noqa: E402
@@ -284,6 +288,18 @@ def _lab():
     return out
 
 
+def _operand_digests():
+    # the suites of _lab left every size's state in the cache, which
+    # holds more sizes than LAB_SIZES
+    out = {}
+    for n in LAB_SIZES:
+        operands = operator_lab._suite_state(Grid1D(n, 0.3))[1]
+        for name, array in zip(("b", "im_gt"), operands):
+            out["operands/%d/%s" % (n, name)] = hashlib.sha256(
+                array.tobytes()).hexdigest()
+    return out
+
+
 def _cli_outputs():
     out = {}
     for argv in BENCH_ARGVS + OTHER_ARGVS:
@@ -298,7 +314,8 @@ def _cli_outputs():
 
 def main():
     report = {"results": {**_pressures(), **_coefficients(), **_sums()},
-              "lab": _lab(), "cli": _cli_outputs()}
+              "lab": _lab(), "operands": _operand_digests(),
+              "cli": _cli_outputs()}
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 

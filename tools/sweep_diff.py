@@ -13,9 +13,12 @@ sum of both stated errors, |b - a| / (err_a + err_b) (inf where both
 errors are 0 and the value moved). It then names every result whose
 n_evals or flag changed, every result that raises in one file and not
 the other or raises another exception, every result present in only
-one file, every CLI argv whose exit status or output changed and every
-lab entry that changed. Exit status: 0 when the two sweeps agree bit
-for bit, 1 when anything differs, 2 for a wrong number of arguments.
+one file, every CLI argv whose exit status or output changed, every
+lab entry that changed and every operand digest that changed. A sweep
+written before the operand digests holds none, so each of the other
+file's digests counts as changed. Exit status: 0 when the two sweeps
+agree bit for bit, 1 when anything differs, 2 for a wrong number of
+arguments.
 """
 
 import json
@@ -87,10 +90,11 @@ def diff(a, b):
                  % (moved, sum(row[0] for row in families.values()), worst))
     lines += named or ["no n_evals, flag or outcome changed"]
     differ = bool(moved or named)
-    for part in ("cli", "lab"):
-        entries = _moved_entries(a[part], b[part])
+    for part in ("cli", "lab", "operands"):
+        old, new = a.get(part, {}), b.get(part, {})
+        entries = _moved_entries(old, new)
         lines.append("%s: %d of %d entries changed" % (
-            part, len(entries), len(a[part].keys() | b[part].keys())))
+            part, len(entries), len(old.keys() | new.keys())))
         lines += ["  " + key for key in entries]
         differ = differ or bool(entries)
     return lines, differ

@@ -41,7 +41,7 @@ from .quadrature import (MAX_LEVEL, QuadratureResult, Temperature,
 def _gap_integrand(y, x, eps1, eps3, edge):
     # e^(2x) times the integrand of g (see the module docstring), with
     # edge = math.exp(-2x): numpy's SIMD exp does not always match its
-    # bits. x, the permittivities and edge may be columns, one per row
+    # bits. x, the permittivities and edge may be arrays, one per node
     k2 = np.hypot(x, y)
     damp_hat = np.exp(-2.0 * (k2 - x))
     damp = damp_hat * edge
@@ -72,7 +72,9 @@ def _g_hat(x, eps1, eps3, rel_tol):
     eps1 and eps3 are floats or one permittivity per frequency.
     """
     return _momentum_batch(_gap_integrand,
-                           lambda w, vals: (float(w @ vals), None),
+                           lambda w, vals: (np.matmul(w[:, None, :],
+                                                      vals[:, :, None]),
+                                            [None] * len(w)),
                            lambda edge, _, res: res.scaled(edge),
                            QuadratureResult(0.0, 0.0, 0, True), MAX_LEVEL,
                            np.asarray(x, dtype=float), eps1, eps3, rel_tol)
@@ -88,21 +90,29 @@ def _momentum_batch(kernel, total, finish, dead, max_level, x, eps1, eps3,
     the series, quadrature._SERIES_BLOCK), are one _refine_rows batch
     of scales max(1, sqrt(x)), one kernel(y, x, eps1, eps3, edge) call
     per momentum level with edge = e^(-2x) (math.exp's bits), and each
-    returns finish(edge, payload, result). x, edge and a permittivity
-    given per frequency reach the kernel as one column per row of the
-    node block y; a permittivity given as a float, a constant plate's,
-    stays one.
+    returns finish(edge, payload, result). The kernel call is flat: y
+    holds the new nodes of the block's rows one after the other, and x,
+    edge and a permittivity given per frequency hold one entry per
+    node, its row's value; a permittivity given as a float, a constant
+    plate's, stays one. The kernels are elementwise, so each node keeps
+    the bits it has in a call of its row alone, and its values are
+    reshaped to the block. total is _refine_rows' block total.
     """
     edge = [math.exp(-2.0 * v) for v in x.tolist()]
     live = [i for i, e in enumerate(edge) if e > 0.0]
     out = [dead] * len(edge)
     if live:
-        cols = [np.broadcast_to(v, x.shape)[live, None] if np.ndim(v)
+        cols = [np.broadcast_to(v, x.shape)[live] if np.ndim(v)
                 else float(v) for v in (x, eps1, eps3, edge)]
+
+        def flat(y, rows):
+            vals = kernel(y.ravel(), *[
+                c if isinstance(c, float) else np.repeat(c[rows], y.shape[1])
+                for c in cols])
+            return vals.reshape(y.shape + vals.shape[1:])
+
         results = _refine_rows(
-            lambda y, rows: kernel(y, *[c if isinstance(c, float)
-                                        else c[rows] for c in cols]),
-            total, [max(1.0, math.sqrt(v)) for v in x[live].tolist()],
+            flat, total, [max(1.0, math.sqrt(v)) for v in x[live].tolist()],
             rel_tol, max_level)
         for i, (payload, res) in zip(live, results):
             out[i] = finish(edge[i], payload, res)

@@ -94,6 +94,8 @@ _INNER_MAX_LEVEL = 1024
 _COUPLING_H = 0.35
 _COUPLING_T = np.exp(-32.0 + _COUPLING_H * np.arange(127.0))
 _COUPLING_W = _COUPLING_H * _COUPLING_T
+# most nodes whose coupling exponentials _level_vectors holds at once
+_CHUNK_NODES = 64
 
 _NO_KERR = QuadratureResult(0.0, 0.0, 0, True)
 # the frequency vectors where e^(-2x) underflows: exactly 0, no nodes
@@ -110,7 +112,7 @@ def _kernel_vectors(x, y, eps1, eps3):
     A_k are the unprimed factors (x as the frequency of the cavity
     modes), B_k the primed ones (x as the fluctuation frequency); both
     share the Fresnel amplitudes of the two plates. x and the
-    permittivities may be columns, one entry per row of the y block.
+    permittivities may be arrays, one entry per node of y.
     """
     k2 = np.hypot(x, y)
     k1sq = eps1 * x * x + y * y
@@ -153,7 +155,10 @@ def _frequency_vectors(x, eps1, eps3, rel_tol):
     belongs to its last level. All frequencies are one _momentum_batch
     of _kernel_vectors (_DEAD_VECTORS where e^(-2x) underflows); only
     A_k, B_k and kappa1 are kept per node, and each level's contraction
-    recomputes the coupling exponentials of its rows.
+    recomputes the coupling exponentials of its rows, a chunk at a time
+    (_level_vectors): 64 frequencies refined to the 1,024-node cap peak
+    at about 7 MiB of arrays, where the exponentials of a whole block
+    would take 39 MiB.
     """
     return _momentum_batch(_node_vectors, _level_vectors,
                            lambda _, f, res: replace(res, value=f),
@@ -168,10 +173,28 @@ def _node_vectors(y, x, eps1, eps3, _edge):
 
 
 def _level_vectors(w, vals):
-    # one row's frequency vectors f at a level, and their W(x, x)
-    f = (w * vals[:, :4].T) @ np.exp(
-        np.multiply.outer(vals[:, 4], -_COUPLING_T))
-    return _gram(f), f
+    """The frequency vectors f of a block's rows at a level, and their
+    W(x, x) = <f, f>, as _refine_rows' block total.
+
+    Each row's f is (w A) @ exp(-kappa1 t), one (4 x n) by (n x 127)
+    product. The exponentials are taken in place for as many rows as
+    hold at most _CHUNK_NODES nodes in all (64 KiB, under glibc's
+    128 KiB mmap threshold, so the chunk reuses heap memory), or for
+    one row that has more (1 MiB at the 1,024-node cap). The products
+    and the dots of <f, f> run per row with the shapes of a row alone,
+    so every row keeps the bits it has alone.
+    """
+    rows, n = w.shape
+    step = max(1, _CHUNK_NODES // n)
+    f = np.empty((rows, 4, _COUPLING_T.size))
+    for lo in range(0, rows, step):
+        chunk = slice(lo, lo + step)
+        coupling = np.multiply.outer(vals[chunk, :, 4], -_COUPLING_T)
+        np.exp(coupling, out=coupling)
+        np.matmul(w[chunk, None, :] * vals[chunk, :, :4].transpose(0, 2, 1),
+                  coupling, out=f[chunk])
+    pairs = f[:, 0] * f[:, 2] + f[:, 1] * f[:, 3]
+    return np.matmul(_COUPLING_W, pairs[:, :, None]), f
 
 
 def _gram(f):

@@ -502,18 +502,17 @@ def _suite_state(grid):
     add("reciprocity", max(_asymmetry(g0), _asymmetry(g1), _asymmetry(gt)),
         1e-12)
 
-    # single-object systems on the same grid
+    # single-object systems on the same grid; only alpha's N is read
     def isolated(mask):
         eps_i = np.ones(n_points)
         eps_i[mask] = eps[mask]
-        chi_i = np.zeros(n_points)
-        chi_i[mask] = chi[mask]
-        return (_inverse(grid, eps_i, omega, grid.eta),
-                _n_diag(omega, chi_i,
-                        _spectral_diag(grid, eps_i, weight_spec)))
+        return eps_i, _inverse(grid, eps_i, omega, grid.eta)
 
-    g1_a, n_a = isolated(mask_alpha)
-    g1_b, _ = isolated(mask_beta)
+    eps_a, g1_a = isolated(mask_alpha)
+    chi_a = np.zeros(n_points)
+    chi_a[mask_alpha] = chi[mask_alpha]
+    n_a = _n_diag(omega, chi_a, _spectral_diag(grid, eps_a, weight_spec))
+    _, g1_b = isolated(mask_beta)
 
     combo_linear = naive_combination(g1_a, g1_b, g0)
     add("union_combination_linear",

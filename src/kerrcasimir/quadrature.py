@@ -10,10 +10,12 @@ geometrically where one rule across the kinks converges only
 algebraically.
 
 The module in brief: _rule is the composite rule on [0, inf);
-_refine_rows, the row driver, is the one doubling loop and _settled its
-stopping rule; _Books keeps the work and flags of nested quadratures;
-integrate_semi_infinite and matsubara_sum are the public drivers, the
-latter the sum over thermal frequencies in its three regimes.
+_refine_rows, the row driver, is the one doubling loop, with one kernel
+call and one total call per level for the block of rows still refining,
+and _settled its stopping rule; _Books keeps the work and flags of
+nested quadratures; integrate_semi_infinite and matsubara_sum are the
+public drivers, the latter the sum over thermal frequencies in its
+three regimes.
 """
 
 import math
@@ -259,14 +261,17 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, breaks=()):
 
     Row i integrates over the composite rule _rule(m, scales[i], breaks),
     m = 8, 16, ... up to max_level. Each level makes one call
-    kernel(y, rows) for the rows still refining: y is the block of their
-    new nodes, one row each, and rows the array of their indices into
-    scales. kernel returns the values at y in its shape, with any
-    trailing axes after it. total(w, vals) maps one row's weights and
-    node values to (total, payload). A row stops by _settled and drops
-    out, so it ends as it would alone, bit for bit, whatever rows share
-    its batch; a row that reaches max_level first returns its last total
-    and change, flagged.
+    kernel(y, rows) and one call total(w, vals) for the rows still
+    refining. y is the block of their new nodes, one row each, and rows
+    the array of their indices into scales; kernel returns the values
+    at y in its shape, with any trailing axes after it. w and vals are
+    the block's weights and node values, and total returns (totals,
+    payloads): a float array of one total per row, in any shape that
+    np.ravel flattens to the rows, and a sequence of one payload per
+    row. Each row's total must be what it would be alone. A row stops
+    by _settled and drops out, so it ends as it would alone, bit for
+    bit, whatever rows share its batch; a row that reaches max_level
+    first returns its last total and change, flagged.
 
     Returns
     -------
@@ -283,8 +288,9 @@ def _refine_rows(kernel, total, scales, rel_tol, max_level, breaks=()):
         last = 2 * m > max_level
         n_nodes = w.shape[1]
         keep = []
-        for j, i in enumerate(rows):
-            t, payload = total(w[j], vals[j])
+        level, payloads = total(w, vals)
+        for j, (i, t, payload) in enumerate(zip(
+                rows.tolist(), np.ravel(level).tolist(), payloads)):
             err = math.inf if totals[j] is None else abs(t - totals[j])
             ok = totals[j] is not None and _settled(err, t, n_nodes, rel_tol)
             if ok or last:
@@ -349,7 +355,7 @@ def integrate_semi_infinite(f, rel_tol=1e-9, scale=1.0, max_level=MAX_LEVEL,
     books = _Books(f)
     (_, res), = _refine_rows(
         lambda y, _: np.asarray(books(y[0]), dtype=float)[None],
-        lambda w, vals: (value(np.tensordot(w, vals, 1)), None),
+        lambda w, vals: ([value(np.tensordot(w[0], vals[0], 1))], [None]),
         [scale], rel_tol, max_level, _check_breaks(breaks))
     return books.close(res)
 
@@ -426,8 +432,8 @@ def _euler_maclaurin(books, n0, head_sum, stencil, n_star, rel_tol, light,
     fixed = head_sum + d1 / 24.0 + last
 
     def level(w, vals):
-        total = fixed + np.tensordot(w, vals, 1)
-        return value(total), total
+        total = fixed + np.tensordot(w[0], vals[0], 1)
+        return [value(total)], [total]
 
     (total, res), = _refine_rows(
         lambda y, _: np.asarray(books(start + y[0]), dtype=float)[None],

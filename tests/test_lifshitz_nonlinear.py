@@ -15,6 +15,7 @@ machinery agrees with that route at zero and finite temperature.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -960,19 +961,65 @@ def _key(res):
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
 def test_frequency_vectors_rows_equal_single_rows_bitwise(rel_tol):
     # rows refine in lockstep and stop on their own, each as if alone,
-    # vectors included; at 1e-16 some stop at the 1024 cap, flagged
-    x, eps1, eps3 = (np.array(col) for col in zip(*_ROWS))
-    batch = _frequency_vectors(x, eps1, eps3, rel_tol)
-    for (xi, e1, e3), res in zip(_ROWS, batch):
-        alone, = _frequency_vectors(np.array([xi]), e1, e3, rel_tol)
-        assert _key(res) == _key(alone), xi
-        f, f_alone = res.value, alone.value
-        assert f.shape == (4, _COUPLING_T.size)
-        assert np.array_equal(f.view(np.uint64), f_alone.view(np.uint64))
-    capped = [res.n_evals == 1024 and not res.converged for res in batch]
-    if rel_tol == 1e-16:
-        assert any(capped) and not all(capped)
-    assert len({res.n_evals for res in batch}) >= 2
+    # vectors included; at 1e-16 some stop at the 1024 cap, flagged.
+    # Tiled to 21 rows, a level of 8 nodes spans three contraction
+    # chunks (_level_vectors)
+    alone = {}
+    for rows in (_ROWS, _ROWS * 3):
+        x, eps1, eps3 = (np.array(col) for col in zip(*rows))
+        batch = _frequency_vectors(x, eps1, eps3, rel_tol)
+        for (xi, e1, e3), res in zip(rows, batch):
+            if xi not in alone:
+                alone[xi], = _frequency_vectors(np.array([xi]), e1, e3,
+                                                rel_tol)
+            assert _key(res) == _key(alone[xi]), xi
+            f, f_alone = res.value, alone[xi].value
+            assert f.shape == (4, _COUPLING_T.size)
+            assert np.array_equal(f.view(np.uint64),
+                                  f_alone.view(np.uint64))
+        capped = [res.n_evals == 1024 and not res.converged
+                  for res in batch]
+        if rel_tol == 1e-16:
+            assert any(capped) and not all(capped)
+        assert len({res.n_evals for res in batch}) >= 2
+
+
+@pytest.mark.parametrize("n_rows, m", [(20, 8), (9, 16), (3, 64),
+                                         (1, 1024)])
+def test_level_vectors_chunks_keep_each_rows_bits(n_rows, m):
+    # the block contraction, in chunks of at most 64 nodes' coupling
+    # exponentials (8, 4 and 1 rows here, the last one partial) or of
+    # one row that has more, equals the per-row formula bit for bit,
+    # the vectors f and <f, f> alike
+    x = np.linspace(0.0, 6.0, n_rows)
+    y, w = _rule(m, np.maximum(1.0, np.sqrt(x))[:, None])
+    vals = lifshitz_nonlinear._node_vectors(
+        y.ravel(), np.repeat(x, m), 2.0, math.inf, None).reshape(
+            n_rows, m, 5)
+    totals, f = lifshitz_nonlinear._level_vectors(w, vals)
+    assert np.ravel(totals).size == n_rows == len(f)
+    for j in range(n_rows):
+        row = (w[j] * vals[j, :, :4].T) @ np.exp(
+            np.multiply.outer(vals[j, :, 4], -_COUPLING_T))
+        assert np.array_equal(f[j].view(np.uint64), row.view(np.uint64))
+        assert np.ravel(totals)[j].hex() == _contract(row, row).hex()
+
+
+def test_a_batch_at_the_node_cap_peaks_below_8_mib():
+    # 64 frequencies refined up to the 1,024-node cap: the contraction
+    # holds one row's coupling exponentials at a time (1 MiB), and the
+    # batch peaks at about 7 MiB of traced arrays; the exponentials of a
+    # whole block at once would take about 39 MiB
+    _frequency_vectors(np.array([1.0]), 2.0, math.inf, 1e-18)
+    tracemalloc.start()
+    try:
+        batch = _frequency_vectors(np.linspace(0.5, 5.0, 64), 2.0, math.inf,
+                                   1e-18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(res.n_evals for res in batch) == 1024
+    assert peak <= 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-16])
@@ -1095,7 +1142,8 @@ def test_a_zero_kerr_part_is_plus_zero():
 def test_kernels_get_plate_floats_or_one_column_per_row(monkeypatch,
                                                         tabulated):
     # a constant plate's permittivity reaches both kernels as one float;
-    # a tabulated plate's, x and e^(-2x) as one column per row of y
+    # a tabulated plate's, x and e^(-2x) as one entry per node of the
+    # flat y, its row's value: one run of equal entries per row
     if tabulated:
         stack = LayerStack(MaterialResponse.from_table(TABLE_NL, chi3=CHI3),
                            MaterialResponse.from_table(TABLE_LIN), 1e-7,
@@ -1114,12 +1162,21 @@ def test_kernels_get_plate_floats_or_one_column_per_row(monkeypatch,
     assert pressure_linear(stack).converged
     assert pressure_nonlinear(stack).converged
     assert len(seen) > 2
+    n_rows = set()
     for shape, *columns in seen:
+        # the batch's frequencies differ, so x changes at each new row
+        starts = np.flatnonzero(np.diff(columns[0], prepend=math.nan))
+        n_rows.add(starts.size)
+        per_row = shape[0] // starts.size
+        assert len(shape) == 1 and shape[0] == starts.size * per_row
+
+        def one_per_row(col):
+            return np.array_equal(col, np.repeat(col[starts], per_row))
         for col in columns[:1] + columns[3:]:
-            assert col.shape == (shape[0], 1)
+            assert col.shape == shape and one_per_row(col)
         for eps in columns[1:3]:
             if tabulated:
-                assert eps.shape == (shape[0], 1)
+                assert eps.shape == shape and one_per_row(eps)
             else:
                 assert type(eps) is float
-    assert {shape[0] for shape, *_ in seen} != {1}
+    assert n_rows != {1}

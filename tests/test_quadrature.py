@@ -388,11 +388,14 @@ def test_row_driver_stacks_vectorized_rows():
         return rows(y[0])[None]
 
     def total(w, vals):
+        # the block of the one row
+        assert w.shape[0] == 1 and vals.shape[0] == 1
+        w, vals = w[0], vals[0]
         x, _ = _rule(w.size, 2.0)
         assert vals.shape == (x.size, 3)
         assert np.array_equal(vals, rows(x))
         sizes.append(w.size)
-        return float(w @ vals[:, 2]), None
+        return [float(w @ vals[:, 2])], [None]
 
     (_, res), = quadrature._refine_rows(f, total, [2.0], 1e-300, 32)
     assert sizes == [8, 16, 32] and calls == [8, 8, 16]
@@ -401,9 +404,10 @@ def test_row_driver_stacks_vectorized_rows():
 
 def test_row_driver_hands_the_kernel_only_the_rows_still_refining():
     # a (rows x nodes) block per level, with the rows' indices into
-    # scales: row 1 ((1 + y/s)**-4 on its own scale s, a polynomial under
-    # the mapped rule) settles at 16 nodes, and the next call gets rows
-    # 0 and 2 alone. Each row ends as its one-row run, bit for bit
+    # scales, and one total call per level on the whole block: row 1
+    # ((1 + y/s)**-4 on its own scale s, a polynomial under the mapped
+    # rule) settles at 16 nodes, and the next calls get rows 0 and 2
+    # alone. Each row ends as its one-row run, bit for bit
     decay, power, scales = ([1.0, 0.0, 0.5], [0.0, 4.0, 0.0],
                             [1.0, 2.0, 3.0])
 
@@ -416,14 +420,19 @@ def test_row_driver_hands_the_kernel_only_the_rows_still_refining():
             return np.stack((f, y * f), axis=-1)
         return kernel
 
+    blocks = []
+
     def total(w, vals):
-        return float(w @ vals[:, 0]), vals.copy()
+        blocks.append(vals.shape)
+        return ([float(w_row @ v[:, 0]) for w_row, v in zip(w, vals)],
+                [v.copy() for v in vals])
 
     calls = []
     batch = quadrature._refine_rows(kernel_of([0, 1, 2], calls), total,
                                     scales, 1e-9, 256)
     assert calls == [((3, 8), [0, 1, 2]), ((3, 8), [0, 1, 2]),
                      ((2, 16), [0, 2]), ((2, 32), [0, 2])]
+    assert blocks == [(3, 8, 2), (3, 16, 2), (2, 32, 2), (2, 64, 2)]
     assert [res.n_evals for _, res in batch] == [64, 16, 64]
     for i, (payload, res) in enumerate(batch):
         (alone_payload, alone), = quadrature._refine_rows(
